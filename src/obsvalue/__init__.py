@@ -18,7 +18,7 @@ from .lower import (CubeLowerResult, MixedPbinResult, RiskCurve,
 from .pbin import (EnumerationGuardError, binom_pmf, multinomial_enumerate,
                    multinomial_sample, n_compositions, pbin_pmf,
                    pbin_shift_difference, pbin_survival)
-from .rates import (BoundReport, RateFit, SweepConfig, bound_sweep, rate_fit,
+from .rates import (BoundReport, RateFit, bound_sweep, rate_fit,
                     reports_to_csv, sweep_summary)
 from .upper import (CsCertificate, LikelihoodRatio, TwoLevelRatio,
                     certificate_upper_bound, chi2_radius, exact_mad,
@@ -44,6 +44,6 @@ __all__ = [
     "cube_lower", "mixedpbin_mass", "richness_lower_bound",
     "simulate_mixture_risk", "simulate_multitest_risk",
     # rate analysis
-    "BoundReport", "RateFit", "SweepConfig", "bound_sweep", "rate_fit",
+    "BoundReport", "RateFit", "bound_sweep", "rate_fit",
     "reports_to_csv", "sweep_summary",
 ]

@@ -21,7 +21,7 @@ from .densities import (HypercubeSpec, StepDensity, hypercube_density,
                         sample_density, tv_distance)
 from .lower import bayes_risk_curve, cube_lower, mixedpbin_mass, richness_lower_bound
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
-from .rates import (SweepConfig, bound_sweep, format_number, reports_to_csv,
+from .rates import (bound_sweep, format_number, reports_to_csv,
                     summary_to_json, sweep_summary)
 from .streams import child_rng
 from .upper import (certificate_upper_bound, chi2_radius, exact_mad,
@@ -170,8 +170,7 @@ def _cmd_lower(args) -> int:
                    "richness_bound", "ci", "method")
         rows = []
         for n in parse_n_values(args.n):
-            res = cube_lower(n, args.r, mc_samples=args.mc, seed=args.seed,
-                             workers=args.workers)
+            res = cube_lower(n, args.r)
             rows.append((args.r, n, res.m, res.l_star, res.delta,
                          res.delta_avg,
                          richness_lower_bound(1.0 - 1.0 / args.r, 1.0, n),
@@ -180,9 +179,7 @@ def _cmd_lower(args) -> int:
     else:  # mixedpbin
         n = max(parse_n_values(args.n))
         table = bayes_risk_curve(args.r, n).values
-        res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m), table,
-                             mc_samples=args.mc, seed=args.seed,
-                             workers=args.workers)
+        res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m), table)
         columns = ("r", "n", "m", "k_star", "mass", "mass_sqrt_m", "ci",
                    "method")
         rows = [(args.r, n, args.m, res.k_star, res.mass,
@@ -192,9 +189,7 @@ def _cmd_lower(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = SweepConfig(mc_samples=args.mc, seed=args.seed,
-                         workers=args.workers)
-    reports = bound_sweep(args.r, parse_n_values(args.n), config)
+    reports = bound_sweep(args.r, parse_n_values(args.n))
     if args.format == "json":
         payload = {
             "reports": [
@@ -218,12 +213,25 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p, *, mc_default: int = 100_000) -> None:
     p.add_argument("--mc", type=int, default=mc_default,
-                   help="Monte Carlo budget (draws or count samples)")
-    p.add_argument("--seed", type=int, default=0, help="master 64-bit seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="Monte Carlo draws of `upper mad` (0: none); "
+                        "accepted and ignored by `lower` and `sweep`, "
+                        "which are exact")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master 64-bit seed of `upper mad`; accepted and "
+                        "ignored by `lower` and `sweep`")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="worker threads of `upper mad`, output identical "
+                        "for any value; accepted and ignored by `lower` "
+                        "and `sweep`")
     p.add_argument("--out", help="write the report to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format")
@@ -313,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
             "             delta_max (survival-gap bound), delta_avg (best\n"
             "             adjacent-threshold average), richness_bound\n"
             "             (closed form), ci (3-sigma half-width at l_star),\n"
-            "             method (exact|mc)\n"
+            "             method (exact: composition enumeration | gf:\n"
+            "             generating functions; both exact, ci is 0)\n"
             "  mixedpbin: r, n, m, k_star (best outcome), mass,\n"
             "             mass_sqrt_m (mass*sqrt(m)), ci, method\n"
         ),
@@ -321,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("risks", "cube", "mixedpbin"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n", default="1", help="n or range (1:32, 4:1024:x2)")
-    p.add_argument("--m", type=int, default=1, help="cells (mixedpbin)")
+    p.add_argument("--m", type=_positive_int, default=1,
+                   help="cells (mixedpbin)")
     _add_common(p)
     p.set_defaults(fn=_cmd_lower)
 
@@ -335,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
             "  n             sample size\n"
             "  m             witness cells (2n)\n"
             "  lower         survival-gap lower bound (best threshold)\n"
-            "  lower_ci      3-sigma half-width of `lower` (0 when exact)\n"
+            "  lower_ci      3-sigma half-width of `lower` (always 0: exact)\n"
             "  l_star        threshold attaining `lower`\n"
             "  delta_avg     best adjacent-threshold average gap\n"
             "  lower_closed  closed form alpha*beta/(12 sqrt(2) sqrt(n+1))\n"
             "  upper_exact   exact_mad(n+1)/2, kernel TV surrogate\n"
             "  upper_closed  closed form C*sqrt(pi/(4s))/sqrt(n+1)\n"
             "  floor_half    MAD floor /2\n"
-            "  lower_method  exact|mc\n"
+            "  lower_method  exact (enumeration) | gf (generating functions)\n"
             "The JSON summary holds log-log rate fits of upper_exact and "
             "lower.\n"
         ),

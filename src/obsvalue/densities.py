@@ -11,6 +11,7 @@ pairs together with their exact total variation separation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,8 +95,8 @@ class HypercubeSpec:
 
     def __init__(self, r: float, m: int, bits: Sequence[int]):
         bits = tuple(int(b) for b in bits)
-        if r <= 1.0:
-            raise ValueError("requires r > 1")
+        if not 1.0 < r < math.inf:
+            raise ValueError("requires finite r > 1")
         if m < 1:
             raise ValueError("requires m >= 1")
         if len(bits) != m:
@@ -215,8 +216,8 @@ def _cell_pair(r: float, m: int, j: int) -> tuple[StepDensity, StepDensity]:
 def richness_witness(r: float, m: int) -> RichnessWitness:
     """The uniform-weight witness on the regular m-mesh, with alpha = 1 - 1/r
     and beta = 1; its invariants are verified by exact computation."""
-    if r <= 1.0:
-        raise ValueError("requires r > 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("requires finite r > 1")
     if m < 1:
         raise ValueError("requires m >= 1")
     alpha = 1.0 - 1.0 / r

@@ -5,16 +5,21 @@ multinomial allocation of per-cell sample sizes; the best joint test of the
 per-cell two-point hypotheses errs in >= l cells with probability
 P(PBin(r_1(N_1), ..., r_m(N_m)) >= l), where r_j(.) is the per-cell Bayes
 risk curve.  The drop of that survival when one more observation arrives is a
-valid deficiency lower bound for every threshold l; this module computes it
-exactly (under the enumeration guard) or by Monte Carlo over counts with
-exact inner Poisson-binomial values, together with the closed-form bound
-alpha * beta / (12 sqrt(2) sqrt(n+1)) it certifies.
+valid deficiency lower bound for every threshold l; this module computes it,
+together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
+certifies.
+
+Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
+enumeration while the number of compositions stays under the guard
+(``method="exact"``), otherwise an exact generating-function engine
+(``method="gf"``).  Neither draws random numbers.  The coupled Monte Carlo
+estimators ``_cube_chunk`` and ``_mixed_chunk`` remain as independent
+reference estimators for ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +41,8 @@ class RiskCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.r <= 1.0:
-            raise ValueError("requires r > 1")
+        if not 1.0 < self.r < math.inf:
+            raise ValueError("requires finite r > 1")
         v = self.values
         if v[0] != 0.5:
             raise ValueError("r(0) must equal 1/2 exactly")
@@ -56,8 +61,8 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     a = 1/(2r): the left-half count within a cell is a sufficient statistic
     for the cell's two-level pair, whose left-half masses are a and 1 - a.
     """
-    if r <= 1.0:
-        raise ValueError("requires r > 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("requires finite r > 1")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     a = 1.0 / (2.0 * r)
@@ -139,8 +144,9 @@ class CubeLowerResult:
 
     ``per_l[l-1]`` is the gap at threshold l; ``delta`` its maximum (at
     ``l_star``) and ``delta_avg`` the best average of two adjacent
-    thresholds.  ``ci`` holds 3-sigma half-widths, all zero on the exact
-    path.
+    thresholds.  ``method`` is "exact" or "gf"; both are exact, so ``ci``
+    (3-sigma half-widths) is all zeros and ``samples`` is 0.  Both fields
+    stay in the report format.
     """
 
     r: float
@@ -171,6 +177,107 @@ def _exact_survival_gap(
         surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
         acc.append(probs @ surv)
     return (acc[0] - acc[1])[1:]
+
+
+# The generating-function engine's DFT size K in x satisfies
+# K(K+1) / (2(t+K)) >= _GF_ALIAS, which keeps the coefficient mass it folds
+# onto [x^t] below e^-45 (3e-20) of the total.
+_GF_ALIAS = 45
+# Complex entries per (z, x) block of the engine; bounds its memory
+# (about 1 MiB an array) for any n.
+_GF_BLOCK = 1 << 16
+
+
+def _poisson_pmf(t: int, lam: float) -> np.ndarray:
+    """Pois(lam) pmf on {0, ..., t} (lgamma form)."""
+    if lam == 0.0:
+        out = np.zeros(t + 1)
+        out[0] = 1.0
+        return out
+    k = np.arange(t + 1, dtype=float)
+    logfact = np.array([math.lgamma(i + 1.0) for i in range(t + 1)])
+    return np.exp(k * math.log(lam) - lam - logfact)
+
+
+def _gf_mixed_pbin(
+    t: int,
+    groups: Sequence[tuple[int, float]],
+    table: np.ndarray,
+    tagged: tuple[float, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Exact E over N ~ Mult(t, w) of PBin(f(N_1), ..., f(N_m)) pmf by
+    generating functions; returns the d+1 coefficients in z, d = sum of
+    the multiplicities.
+
+    ``groups`` lists (multiplicity, weight) of cells sharing a weight, and
+    ``table`` is f on {0, ..., t}.  ``tagged`` = (weight, c) adds one more
+    cell that contributes the factor c(N) instead of a Bernoulli.
+
+    Poissonization: with independent N_j ~ Pois(t w_j) conditioned on their
+    sum t, the target is [x^t] prod_j sum_k Pois(k; t w_j)
+    (1 - f(k) + f(k) z) x^k, normalized by the same coefficient with every
+    factor's bracket replaced by 1 (which is Pois(t; t)).  The x-coefficient
+    is read off by a K-point DFT on the unit circle, where each group's
+    factor is raised to its multiplicity pointwise; the product's
+    coefficients are bounded by Pois(j; t), so what the DFT folds in from
+    j = t +- K is below Pois(t; t) e^-K(K+1)/(2(t+K)) (see ``_GF_ALIAS``),
+    for K of order sqrt(t) rather than the product's degree.  The
+    z-coefficients come from the values at roots of unity by an inverse
+    real DFT, keeping the half of them that conjugate symmetry determines;
+    the z-nodes are processed in blocks of at most ``_GF_BLOCK`` entries.
+    """
+    fft = np.fft  # loaded on first use, off the import path
+    size = 1 + sum(mult for mult, _ in groups)
+    K = math.ceil((2 * _GF_ALIAS - 1 + math.sqrt(
+        (2 * _GF_ALIAS - 1) ** 2 + 8 * _GF_ALIAS * t)) / 2)
+    wrap = np.arange(t + 1) % K
+
+    def at_nodes(coef):  # sum_k coef[k] x^k at x = e^(-2 pi i s / K)
+        return fft.fft(np.bincount(wrap, weights=coef, minlength=K))
+
+    factors, plain = [], np.ones(K, dtype=complex)
+    for mult, weight in groups:
+        pois = _poisson_pmf(t, t * weight)
+        a, b = at_nodes(pois * (1.0 - table)), at_nodes(pois * table)
+        factors.append((mult, a, b))
+        plain *= (a + b) ** mult
+    if tagged is not None:
+        weight, c = tagged
+        pois = _poisson_pmf(t, t * weight)
+        extra = at_nodes(pois * c)
+        plain *= at_nodes(pois)
+    else:
+        extra = np.ones(K, dtype=complex)
+    # x^-t at the nodes, divided by K: the DFT row that extracts [x^t].
+    pick = np.exp(2j * math.pi * ((t * np.arange(K)) % K) / K) / K
+    norm = (plain @ pick).real
+
+    zs = np.exp(-2j * math.pi * np.arange(size // 2 + 1) / size)
+    values = np.empty(zs.size, dtype=complex)
+    step = max(1, _GF_BLOCK // K)
+    for lo in range(0, zs.size, step):
+        z = zs[lo:lo + step, None]
+        acc = np.tile(extra, (z.shape[0], 1))
+        for mult, a, b in factors:
+            acc *= (a + z * b) ** mult
+        values[lo:lo + step] = acc @ pick
+    coef = fft.irfft(values / norm, n=size)
+    # Every coefficient is an expectation of nonnegative terms; what the
+    # DFTs leave below zero (about 1e-17) is rounding, not mass.
+    return np.maximum(coef, 0.0)
+
+
+def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
+    """per-l gaps of the 2n-cell witness by the coupled form.
+
+    With the extra observation placed in a tagged cell, the gap at
+    threshold l is E[(r(c) - r(c+1)) P(PBin(other cells' risks) = l - 1)],
+    c the tagged cell's count (shift identity): one generating function
+    over m - 1 Bernoulli cells and the tagged cell, with no difference of
+    two survival functions.
+    """
+    return _gf_mixed_pbin(n, [(m - 1, 1.0 / m)], risks[:n + 1],
+                          tagged=(1.0 / m, risks[:n + 1] - risks[1:n + 2]))
 
 
 def _row_histograms(counts: np.ndarray) -> np.ndarray:
@@ -213,68 +320,44 @@ def _cube_chunk(
     return total, total_sq
 
 
-def _run_chunks(tasks, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: t[0](*t[1]), tasks))
-    return [fn(*args) for fn, args in tasks]
-
-
-def cube_lower(
-    n: int,
-    r: float,
-    mc_samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> CubeLowerResult:
+def cube_lower(n: int, r: float) -> CubeLowerResult:
     """Deficiency lower bound from the 2n-cell uniform-weight witness.
 
     Computes, for every threshold l, the drop in the best multi-test risk
     when the n-observation multinomial allocation gains one extra
-    observation, and returns the best threshold.  Exact while both
-    enumerations stay under the composition guard, otherwise Monte Carlo
-    over counts (``mc_samples`` count vectors, exact inner values).
+    observation, and returns the best threshold.  Composition enumeration
+    while both enumerations stay under the guard (``method="exact"``),
+    otherwise the generating-function engine (``method="gf"``); both are
+    exact up to rounding, so ``ci`` is all zeros.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    if r <= 1.0:
-        raise ValueError("requires r > 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("requires finite r > 1")
     m = 2 * n
     risks = bayes_risk_curve(r, n + 1).values
     exact_ok = (n_compositions(n, m) <= ENUM_GUARD
                 and n_compositions(n + 1, m) <= ENUM_GUARD)
     if exact_ok:
-        per_l = _exact_survival_gap(n, m, risks)
-        ci = np.zeros(m)
-        method, samples = "exact", 0
+        per_l, method = _exact_survival_gap(n, m, risks), "exact"
     else:
-        if mc_samples < 100:
-            raise ValueError("requires mc_samples >= 100 on the Monte Carlo "
-                             "path")
-        sizes = chunk_sizes(mc_samples, MC_CHUNK)
-        cache: dict = {}
-        tasks = [(_cube_chunk, (n, m, risks, rows, seed, i, cache))
-                 for i, rows in enumerate(sizes)]
-        parts = _run_chunks(tasks, workers)
-        total = np.sum([p[0] for p in parts], axis=0)
-        total_sq = np.sum([p[1] for p in parts], axis=0)
-        per_l = total / mc_samples
-        var = np.maximum(total_sq / mc_samples - per_l**2, 0.0)
-        ci = CI_SIGMA * np.sqrt(var / mc_samples)
-        method, samples = "mc", mc_samples
+        per_l, method = _gf_survival_gap(n, m, risks), "gf"
     l_star = int(np.argmax(per_l)) + 1
     pair_avg = 0.5 * (per_l[:-1] + per_l[1:])
     delta_avg = float(pair_avg.max()) if m >= 2 else float(per_l[0])
     return CubeLowerResult(
         r=r, n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
-        delta_avg=delta_avg, per_l=per_l, ci=ci, method=method,
-        samples=samples,
+        delta_avg=delta_avg, per_l=per_l, ci=np.zeros(m), method=method,
     )
 
 
 @dataclass(frozen=True)
 class MixedPbinResult:
-    """Largest point mass of a multinomially mixed Poisson-binomial law."""
+    """Largest point mass of a multinomially mixed Poisson-binomial law.
+
+    ``method`` is "exact" or "gf"; ``ci`` is all zeros and ``samples`` 0,
+    as for :class:`CubeLowerResult`.
+    """
 
     k_star: int
     mass: float
@@ -306,59 +389,65 @@ def _mixed_chunk(
     return total, total_sq
 
 
+def _mc_reference(chunk, args: tuple, samples: int, seed: int):
+    """Mean and 3-sigma half-width of the reference estimator ``chunk``
+    (``_cube_chunk`` or ``_mixed_chunk``, whose leading arguments are
+    ``args``) over ``samples`` count vectors."""
+    cache: dict = {}
+    parts = [chunk(*args, rows, seed, i, cache)
+             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
+    total = np.sum([p[0] for p in parts], axis=0)
+    total_sq = np.sum([p[1] for p in parts], axis=0)
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean**2, 0.0)
+    return mean, CI_SIGMA * np.sqrt(var / samples)
+
+
 def mixedpbin_mass(
     n: int,
     m: int,
     weights: Sequence[float],
     f: Sequence[float],
-    mc_samples: int = 100_000,
-    seed: int = 0,
-    workers: int = 1,
 ) -> MixedPbinResult:
     """Best outcome mass max_k E[P(PBin(f(N_1), ..., f(N_m)) = k)] with
     N ~ Mult(n, weights) and ``f`` a monotone table on {0, ..., n}.
 
-    Exact under the enumeration guard, else Monte Carlo with a 3-sigma CI.
+    Composition enumeration under the guard (``method="exact"``), otherwise
+    the generating-function engine over groups of equal weights
+    (``method="gf"``); both are exact up to rounding, so ``ci`` is all
+    zeros.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
+    if m < 1:
+        raise ValueError("requires m >= 1")
     table = np.asarray(f, dtype=float)
     if table.ndim != 1 or table.size != n + 1:
         raise ValueError("f must tabulate {0, ..., n}")
-    if table.min() < 0.0 or table.max() > 1.0:
+    if not np.all(np.isfinite(table)) or table.min() < 0.0 or table.max() > 1.0:
         raise ValueError("f values must lie in [0, 1]")
     d = np.diff(table)
     if table.size > 1 and not (np.all(d >= 0.0) or np.all(d <= 0.0)):
         raise ValueError("f must be monotone (nonincreasing or nondecreasing)")
     w = np.asarray(weights, dtype=float)
-    if w.size != m:
+    if w.shape != (m,):
         raise ValueError("need exactly m weights")
     if n_compositions(n, m) <= ENUM_GUARD:
         counts, probs = multinomial_enumerate(n, w)
         masses = probs @ _pbin_pmf_batch(table[counts])
-        ci = np.zeros(m + 1)
-        method, samples = "exact", 0
+        method = "exact"
     else:
+        if not np.all(np.isfinite(w)) or w.min() < 0.0:
+            raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if mc_samples < 100:
-            raise ValueError("requires mc_samples >= 100 on the Monte Carlo "
-                             "path")
-        sizes = chunk_sizes(mc_samples, MC_CHUNK)
-        cache: dict = {}
-        tasks = [(_mixed_chunk, (n, m, w / w.sum(), table, rows, seed, i, cache))
-                 for i, rows in enumerate(sizes)]
-        parts = _run_chunks(tasks, workers)
-        total = np.sum([p[0] for p in parts], axis=0)
-        total_sq = np.sum([p[1] for p in parts], axis=0)
-        masses = total / mc_samples
-        var = np.maximum(total_sq / mc_samples - masses**2, 0.0)
-        ci = CI_SIGMA * np.sqrt(var / mc_samples)
-        method, samples = "mc", mc_samples
+        values, mults = np.unique(w / w.sum(), return_counts=True)
+        groups = [(int(k), float(v)) for k, v in zip(mults, values)]
+        masses, method = _gf_mixed_pbin(n, groups, table), "gf"
     k_star = int(np.argmax(masses))
     return MixedPbinResult(
-        k_star=k_star, mass=float(masses[k_star]), masses=masses, ci=ci,
-        method=method, samples=samples,
+        k_star=k_star, mass=float(masses[k_star]), masses=masses,
+        ci=np.zeros(m + 1), method=method,
     )
 
 

@@ -12,18 +12,8 @@ import numpy as np
 from .constants import EXACT_TOL
 from .densities import HypercubeSpec, hypercube_density
 from .lower import cube_lower, richness_lower_bound
-from .streams import child_seed
 from .upper import (certificate_upper_bound, exact_mad, hoeffding_certificate,
                     mad_floor, uniform_ratio)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Fixed Monte Carlo budgets keep CI widths reproducible run to run."""
-
-    mc_samples: int = 100_000
-    seed: int = 0
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -57,11 +47,9 @@ class BoundReport:
                 "exact upper surrogate exceeds its closed form")
 
 
-def bound_sweep(
-    r: float, n_values: Sequence[int], config: SweepConfig = SweepConfig()
-) -> list[BoundReport]:
-    """One :class:`BoundReport` per n; per-n child seeds keep entries
-    independent and reproducible for any worker count."""
+def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
+    """One :class:`BoundReport` per n.  Every entry is computed exactly (no
+    random draws), so reports are reproducible byte for byte."""
     ns = list(n_values)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("n_values must be nonempty and increasing, all >= 1")
@@ -69,10 +57,7 @@ def bound_sweep(
     cert = hoeffding_certificate(r)
     reports = []
     for n in ns:
-        cube = cube_lower(
-            n, r, mc_samples=config.mc_samples,
-            seed=child_seed(config.seed, "sweep", n), workers=config.workers,
-        )
+        cube = cube_lower(n, r)
         reports.append(BoundReport(
             r=r, n=n, m=cube.m,
             lower=cube.delta, lower_ci=cube.ci_at_star, l_star=cube.l_star,

@@ -105,8 +105,8 @@ def uniform_ratio(f: StepDensity) -> LikelihoodRatio:
 def hoeffding_certificate(r: float) -> CsCertificate:
     """Certificate (C=2, s=2/r^2), valid for every density bounded below by
     1/r on [0, 1] since the ratio then satisfies 0 < g <= r (Hoeffding)."""
-    if r <= 1.0:
-        raise ValueError("requires r > 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("requires finite r > 1")
     return CsCertificate(C=2.0, s=2.0 / r**2)
 
 

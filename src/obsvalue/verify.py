@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import densities, lower, pbin, rates, upper
+from .constants import EXACT_TOL
 from .streams import child_rng
 
 
@@ -311,25 +312,25 @@ def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
     n, r = 2, 2.0
     exact = lower.cube_lower(n, r)
     risks = lower.bayes_risk_curve(r, n + 1).values
-    from .constants import MC_CHUNK
-    from .streams import chunk_sizes
-    samples = budget.mc_samples
-    cache: dict = {}
-    parts = [lower._cube_chunk(n, 2 * n, risks, rows, 21, i, cache)
-             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-    per_l = np.sum([p[0] for p in parts], axis=0) / samples
-    var = np.maximum(np.sum([p[1] for p in parts], axis=0) / samples - per_l**2, 0.0)
-    ci = 3.0 * np.sqrt(var / samples)
+    per_l, ci = lower._mc_reference(lower._cube_chunk, (n, 2 * n, risks),
+                                    budget.mc_samples, 21)
     dev = np.abs(per_l - exact.per_l) / np.maximum(ci, 1e-300)
-    return float(dev.max()) <= 1.0, f"worst_dev_over_ci={dev.max():.2f}"
+    gf_err = 0.0
+    for r_gf in (1.5, 2.0, 4.0):
+        for n_gf in range(1, 5):
+            gf = lower._gf_survival_gap(
+                n_gf, 2 * n_gf, lower.bayes_risk_curve(r_gf, n_gf + 1).values)
+            enum = lower.cube_lower(n_gf, r_gf).per_l
+            gf_err = max(gf_err, np.abs(gf - enum).max())
+    return (bool(dev.max() <= 1.0 and gf_err <= EXACT_TOL),
+            f"worst_dev_over_ci={dev.max():.2f}, gf_vs_enum={gf_err:.1e}")
 
 
 def check_cube_bounds(budget: Budget, rng) -> tuple[bool, str]:
     margin = math.inf
     for r in (1.5, 2.0, 4.0):
         for n in budget.cube_ns:
-            res = lower.cube_lower(n, r, mc_samples=budget.mc_samples,
-                                   seed=31 + n)
+            res = lower.cube_lower(n, r)
             if res.per_l.min() < 0.0:
                 return False, f"negative per-l delta at r={r}, n={n}"
             closed = lower.richness_lower_bound(1.0 - 1.0 / r, 1.0, n)
@@ -344,9 +345,7 @@ def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
         for r in (1.5, 2.0, 4.0):
             for n in (max(1, round(m / 2)), m):
                 table = lower.bayes_risk_curve(r, n).values
-                res = lower.mixedpbin_mass(n, m, np.full(m, 1.0 / m), table,
-                                           mc_samples=budget.mc_samples,
-                                           seed=77)
+                res = lower.mixedpbin_mass(n, m, np.full(m, 1.0 / m), table)
                 scaled = res.mass * math.sqrt(m)
                 ok = ok and scaled >= 1.0 / 6.0
                 lines.append(scaled)
@@ -354,8 +353,26 @@ def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
                 f"cases_above_1/3={sum(v >= 1/3 for v in lines)}/{len(lines)}")
 
 
+# Two-sided level of a 4-sigma normal band, about 6.3e-5.
+_SIM_LEVEL = math.erfc(4.0 / math.sqrt(2.0))
+
+
+def _binom_two_sided(hits: int, trials: int, p: float) -> float:
+    """Exact two-sided tail probability of ``hits`` under Bin(trials, p):
+    twice the smaller of P(X <= hits) and P(X >= hits), capped at 1."""
+    if not 0.0 < p < 1.0:
+        return float(hits == round(p * trials))
+    j = np.arange(trials + 1)
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
+    pmf = np.exp(logfact[-1] - logfact - logfact[::-1]
+                 + j * math.log(p) + (trials - j) * math.log1p(-p))
+    return min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum()))
+
+
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
+    # Exact Binomial tails, not a normal z-score: the targets can lie near
+    # 0 or 1, where a handful of misses already reads as 4+ sigma.
+    worst = 1.0
     trials = max(budget.sim_trials, 10_000)
     for _ in range(5):
         m = int(rng.integers(1, 6))
@@ -363,16 +380,16 @@ def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
         l = int(rng.integers(1, m + 1))
         target = pbin.pbin_survival(risks, l)
         est = lower.simulate_multitest_risk(risks, l, trials, rng)
-        se = math.sqrt(max(target * (1 - target), 1e-12) / trials)
-        worst = max(worst, abs(est - target) / se)
+        worst = min(worst, _binom_two_sided(round(est * trials), trials,
+                                            target))
 
         w = rng.random(m)
         w /= w.sum()
         target = float(risks @ w)
         est = lower.simulate_mixture_risk(risks, w, trials, rng)
-        se = math.sqrt(max(target * (1 - target), 1e-12) / trials)
-        worst = max(worst, abs(est - target) / se)
-    return worst <= 4.0, f"worst_z={worst:.2f}"
+        worst = min(worst, _binom_two_sided(round(est * trials), trials,
+                                            target))
+    return bool(worst >= _SIM_LEVEL), f"min_two_sided_p={worst:.2e}"
 
 
 def check_rate_fit(budget: Budget, rng) -> tuple[bool, str]:
@@ -385,8 +402,7 @@ def check_rate_fit(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_report_orderings(budget: Budget, rng) -> tuple[bool, str]:
-    cfg = rates.SweepConfig(mc_samples=budget.mc_samples, seed=5)
-    reports = rates.bound_sweep(2.0, list(budget.cube_ns), cfg)
+    reports = rates.bound_sweep(2.0, list(budget.cube_ns))
     # BoundReport validates the orderings on construction; re-check scaling.
     scaled = [rep.upper_closed * math.sqrt(rep.n + 1.0) for rep in reports]
     spread = max(scaled) - min(scaled)
@@ -397,12 +413,14 @@ def check_report_orderings(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_sweep_determinism(budget: Budget, rng) -> tuple[bool, str]:
-    cfg1 = rates.SweepConfig(mc_samples=budget.mc_samples, seed=9, workers=1)
-    cfg3 = rates.SweepConfig(mc_samples=budget.mc_samples, seed=9, workers=3)
     ns = [4, 8]
-    csv1 = rates.reports_to_csv(rates.bound_sweep(2.0, ns, cfg1))
-    csv3 = rates.reports_to_csv(rates.bound_sweep(2.0, ns, cfg3))
-    return csv1 == csv3, f"identical={csv1 == csv3}"
+    csv1 = rates.reports_to_csv(rates.bound_sweep(2.0, ns))
+    csv2 = rates.reports_to_csv(rates.bound_sweep(2.0, ns))
+    f = densities.hypercube_density(densities.HypercubeSpec(2.0, 2, (0, 1)))
+    mad1 = upper.mc_mad(f, 2, budget.mc_samples, seed=9, workers=1)
+    mad3 = upper.mc_mad(f, 2, budget.mc_samples, seed=9, workers=3)
+    same = csv1 == csv2 and mad1 == mad3
+    return same, f"identical={same}"
 
 
 CHECKS: tuple[tuple[str, Callable], ...] = (

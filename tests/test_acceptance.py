@@ -87,7 +87,7 @@ def test_c4_lower_constant():
     margins = []
     spot = None
     for n in (1, 2, 4, 8, 16, 32):
-        res = cube_lower(n, r, mc_samples=100_000, seed=1004 + n)
+        res = cube_lower(n, r)
         bound = richness_lower_bound(1.0 - 1.0 / r, 1.0, n)
         margins.append(res.delta - (bound - res.ci_at_star))
         if n == 1:
@@ -106,7 +106,7 @@ def test_c5_rate_sandwich():
     ratio = uniform_ratio(hypercube_density(HypercubeSpec(r, 1, [0]))).two_level
     fit_upper = rate_fit([(n, exact_mad(ratio, n + 1) / 2.0) for n in ns])
     lower_pts = [
-        (n, cube_lower(n, r, mc_samples=100_000, seed=1005 + n).delta)
+        (n, cube_lower(n, r).delta)
         for n in ns
     ]
     fit_lower = rate_fit(lower_pts)
@@ -165,8 +165,7 @@ def test_c8_mixedpbin_mass():
         for r in (1.5, 2.0, 4.0):
             for n in sorted({max(1, round(m / 2)), m}):
                 table = bayes_risk_curve(r, n).values
-                res = mixedpbin_mass(n, m, np.full(m, 1.0 / m), table,
-                                     mc_samples=100_000, seed=1008)
+                res = mixedpbin_mass(n, m, np.full(m, 1.0 / m), table)
                 rows.append((m, r, n, res.mass * math.sqrt(m), res.method))
     elapsed = time.perf_counter() - start
     scaled = [row[3] for row in rows]

@@ -169,6 +169,20 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         assert main(["lower", "cube", "--r", "0.5", "--n", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["lower", "mixedpbin", "--r", "2", "--n", "4", "--m", "0"],
+        ["upper", "chi2", "--r", "nan"],
+        ["upper", "chi2", "--r", "inf"],
+        ["lower", "cube", "--r", "nan", "--n", "1"],
+        ["sweep", "--r", "2", "--n", "1:2", "--workers", "0"],
+        ["upper", "mad", "--r", "2", "--mc", "1000", "--workers", "0"],
+    ])
+    def test_boundary_inputs_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() and "Traceback" not in captured.err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -1,4 +1,5 @@
-"""Lower-bound tests; oracles are exact rationals and hand enumeration."""
+"""Lower-bound tests; oracles are exact rationals, hand enumeration and the
+coupled Monte Carlo reference estimators."""
 
 import itertools
 import math
@@ -7,6 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from obsvalue import lower
+from obsvalue.cli import main as cli_main
+from obsvalue.constants import EXACT_TOL
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
@@ -20,6 +24,46 @@ def rational_risk(r: Fraction, n: int) -> Fraction:
     a = 1 / (2 * r)
     pmf0 = [math.comb(n, k) * a**k * (1 - a)**(n - k) for k in range(n + 1)]
     return Fraction(1, 2) * sum(min(p, q) for p, q in zip(pmf0, pmf0[::-1]))
+
+
+def _mul_trunc(p, q, t):
+    """Product of polynomials in x (lists of z-coefficient lists), truncated
+    at x^t."""
+    out = [[] for _ in range(t + 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q[:t + 1 - i]):
+            acc = out[i + j]
+            acc.extend([Fraction(0)] * (len(a) + len(b) - 1 - len(acc)))
+            for u, x in enumerate(a):
+                for v, y in enumerate(b):
+                    acc[u + v] += x * y
+    return out
+
+
+def rational_mixed_pmf(t: int, m: int, f) -> list:
+    """Exact pmf of PBin(f(N_1), ..., f(N_m)) mixed over N ~ Mult(t, 1/m):
+    t!/m^t [x^t] (sum_k x^k/k! (1 - f(k) + f(k) z))^m, in rationals."""
+    base = [[(1 - f[k]) / math.factorial(k), f[k] / math.factorial(k)]
+            for k in range(t + 1)]
+    acc, e = [[Fraction(1)]], m
+    while e:
+        if e & 1:
+            acc = _mul_trunc(acc, base, t)
+        e >>= 1
+        if e:
+            base = _mul_trunc(base, base, t)
+    coef = acc[t] + [Fraction(0)] * (m + 1 - len(acc[t]))
+    return [Fraction(math.factorial(t), m**t) * c for c in coef]
+
+
+def rational_cube_gaps(n: int, r: Fraction) -> np.ndarray:
+    """Exact per-l survival gaps of the 2n-cell witness, as floats."""
+    risks = [rational_risk(r, k) for k in range(n + 2)]
+    surv = []
+    for t in (n, n + 1):
+        pmf = rational_mixed_pmf(t, 2 * n, risks)
+        surv.append([sum(pmf[l:]) for l in range(1, 2 * n + 1)])
+    return np.array([float(a - b) for a, b in zip(*surv)])
 
 
 def enum_mixed_survival(count_law, risks, l):
@@ -129,14 +173,14 @@ class TestCubeLower:
 
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):
-            res = cube_lower(n, r, mc_samples=5000, seed=n)
+            res = cube_lower(n, r)
             assert res.per_l.min() >= 0.0
             assert res.delta == res.per_l.max()
 
     def test_dominates_closed_form(self):
         for r in (1.5, 2.0, 4.0):
             for n in (1, 2, 4, 8):
-                res = cube_lower(n, r, mc_samples=20_000, seed=50 + n)
+                res = cube_lower(n, r)
                 bound = richness_lower_bound(1.0 - 1.0 / r, 1.0, n)
                 assert res.delta >= bound - res.ci_at_star
 
@@ -144,39 +188,60 @@ class TestCubeLower:
         res = cube_lower(1, 2.0)
         assert res.delta >= richness_lower_bound(0.5, 1.0, 1)
 
-    def test_guard_switches_to_mc(self):
-        assert cube_lower(4, 2.0).method == "exact"
-        res = cube_lower(8, 2.0, mc_samples=2000, seed=1)
-        assert res.method == "mc" and res.samples == 2000
-        assert res.ci_at_star > 0.0
+    def test_guard_switches_to_gf(self):
+        assert cube_lower(7, 2.0).method == "exact"
+        res = cube_lower(8, 2.0)
+        assert res.method == "gf" and res.samples == 0
+        assert not res.ci.any()
 
     def test_mc_agrees_with_exact(self):
         exact = cube_lower(2, 2.0)
-        from obsvalue import lower
-        from obsvalue.constants import MC_CHUNK
-        from obsvalue.streams import chunk_sizes
-        samples = 40_000
         risks = bayes_risk_curve(2.0, 3).values
-        cache = {}
-        parts = [lower._cube_chunk(2, 4, risks, rows, 99, i, cache)
-                 for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-        per_l = np.sum([p[0] for p in parts], axis=0) / samples
-        var = np.maximum(
-            np.sum([p[1] for p in parts], axis=0) / samples - per_l**2, 0.0)
-        ci = 3.0 * np.sqrt(var / samples)
+        per_l, ci = lower._mc_reference(lower._cube_chunk, (2, 4, risks),
+                                        40_000, 99)
         assert np.all(np.abs(per_l - exact.per_l) <= np.maximum(ci, 1e-12))
 
-    def test_worker_count_does_not_change_result(self):
-        one = cube_lower(8, 2.0, mc_samples=20_000, seed=4, workers=1)
-        three = cube_lower(8, 2.0, mc_samples=20_000, seed=4, workers=3)
-        assert one.per_l.tolist() == three.per_l.tolist()
-        assert one.ci.tolist() == three.ci.tolist()
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_gf_agrees_with_coupled_mc(self, n):
+        res = cube_lower(n, 2.0)
+        assert res.method == "gf"
+        risks = bayes_risk_curve(2.0, n + 1).values
+        per_l, ci = lower._mc_reference(lower._cube_chunk, (n, 2 * n, risks),
+                                        20_000, 40 + n)
+        assert np.all(np.abs(per_l - res.per_l) <= np.maximum(ci, 1e-12))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gf_matches_rational_oracle(self, n):
+        want = rational_cube_gaps(n, Fraction(2))
+        risks = bayes_risk_curve(2.0, n + 1).values
+        assert np.abs(lower._gf_survival_gap(n, 2 * n, risks)
+                      - want).max() <= EXACT_TOL
+        if n <= 6:  # enumeration is 1.3e-12 off at n = 7
+            assert np.abs(cube_lower(n, 2.0).per_l - want).max() <= EXACT_TOL
+
+    def test_worker_count_does_not_change_result(self, capsys):
+        outputs = []
+        for workers in ("1", "3"):
+            assert cli_main(["lower", "cube", "--r", "2", "--n", "8:9",
+                             "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [row.split(",")[-1] for row in
+                outputs[0].splitlines()[1:]] == ["gf", "gf"]
+
+    def test_large_n_is_exact_and_repeatable(self):
+        one = cube_lower(1024, 2.0)
+        assert one.method == "gf" and one.per_l.min() >= 0.0
+        assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             cube_lower(0, 2.0)
         with pytest.raises(ValueError):
             cube_lower(1, 1.0)
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cube_lower(1, r)
 
 
 class TestMixedPbinMass:
@@ -210,13 +275,37 @@ class TestMixedPbinMass:
         res = mixedpbin_mass(2, 2, [0.6, 0.4], table)
         assert np.abs(res.masses - want).max() < EXACT
 
-    def test_mc_path_with_ci(self):
+    def test_gf_path_beyond_guard(self):
         table = bayes_risk_curve(2.0, 16).values
-        res = mixedpbin_mass(16, 16, np.full(16, 1 / 16), table,
-                             mc_samples=10_000, seed=6)
-        assert res.method == "mc"
+        res = mixedpbin_mass(16, 16, np.full(16, 1 / 16), table)
+        assert res.method == "gf" and res.samples == 0
         assert res.mass * 4.0 >= 1.0 / 6.0
-        assert res.ci_at_star > 0.0
+        assert not res.ci.any()
+        assert abs(res.masses.sum() - 1.0) <= 1e-10
+        mean, ci = lower._mc_reference(
+            lower._mixed_chunk, (16, 16, np.full(16, 1 / 16), table),
+            20_000, 6)
+        assert np.all(np.abs(mean - res.masses) <= np.maximum(ci, 1e-12))
+
+    @pytest.mark.parametrize("m, n", [(9, 9), (10, 10)])
+    def test_gf_matches_rational_oracle(self, m, n):
+        r = Fraction(2)
+        want = np.array([float(p) for p in rational_mixed_pmf(
+            n, m, [rational_risk(r, k) for k in range(n + 1)])])
+        table = bayes_risk_curve(2.0, n).values
+        got = lower._gf_mixed_pbin(n, [(m, 1.0 / m)], table)
+        assert np.abs(got - want).max() <= EXACT_TOL
+        assert np.abs(mixedpbin_mass(n, m, np.full(m, 1.0 / m), table).masses
+                      - want).max() <= EXACT_TOL
+
+    def test_gf_nonuniform_weights_match_enumeration(self):
+        from obsvalue.pbin import multinomial_enumerate
+        w = [0.1, 0.2, 0.2, 0.5]
+        table = bayes_risk_curve(1.5, 7).values
+        counts, probs = multinomial_enumerate(7, w)
+        want = probs @ lower._pbin_pmf_batch(table[counts])
+        got = lower._gf_mixed_pbin(7, [(1, 0.1), (2, 0.2), (1, 0.5)], table)
+        assert np.abs(got - want).max() <= EXACT_TOL
 
     def test_rejects_non_monotone_table(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -225,6 +314,15 @@ class TestMixedPbinMass:
             mixedpbin_mass(2, 2, [0.5, 0.5], [0.2, 0.3])  # wrong length
         with pytest.raises(ValueError):
             mixedpbin_mass(2, 2, [0.5, 0.5], [0.2, 0.3, 1.4])
+
+    def test_rejects_bad_cell_count_and_weights(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            mixedpbin_mass(2, 0, [], [0.5, 0.4, 0.3])
+        with pytest.raises(ValueError):
+            mixedpbin_mass(2, 2, [0.5], [0.5, 0.4, 0.3])
+        table = bayes_risk_curve(2.0, 16).values
+        with pytest.raises(ValueError):  # beyond the guard: GF path
+            mixedpbin_mass(16, 16, np.full(16, 0.07), table)
 
 
 class TestSimulations:

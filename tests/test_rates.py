@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from obsvalue.densities import HypercubeSpec, hypercube_density
-from obsvalue.rates import (BoundReport, SweepConfig, bound_sweep,
-                            format_number, rate_fit, reports_to_csv,
-                            sweep_summary)
+from obsvalue.rates import (BoundReport, bound_sweep, format_number,
+                            rate_fit, reports_to_csv, sweep_summary)
 from obsvalue.upper import exact_mad, uniform_ratio
 
 EXACT = 1e-12
@@ -53,28 +52,25 @@ class TestRateFit:
 
 class TestBoundSweep:
     def test_first_report_values(self):
-        rep = bound_sweep(2.0, [1], SweepConfig(mc_samples=5000, seed=0))[0]
+        rep = bound_sweep(2.0, [1])[0]
         assert rep.lower >= 0.0208 - rep.lower_ci
         assert abs(rep.upper_closed
                    - 2.0 * math.sqrt(math.pi / 2.0) / math.sqrt(2.0)) < EXACT
         assert rep.lower_method == "exact"
 
     def test_scaled_upper_closed_constant(self):
-        reports = bound_sweep(2.0, [1, 2, 4],
-                              SweepConfig(mc_samples=2000, seed=1))
+        reports = bound_sweep(2.0, [1, 2, 4])
         scaled = [rep.upper_closed * math.sqrt(rep.n + 1.0) for rep in reports]
         assert max(scaled) - min(scaled) < EXACT
 
     def test_frozen_lower_closed_values(self):
-        reports = bound_sweep(2.0, [3, 7, 15, 31],
-                              SweepConfig(mc_samples=2000, seed=2))
+        reports = bound_sweep(2.0, [3, 7, 15, 31])
         want = [0.014731, 0.010417, 0.0073657, 0.0052083]
         got = [rep.lower_closed for rep in reports]
         assert np.abs(np.array(got) - want).max() < 1e-6
 
     def test_intra_report_orderings(self):
-        for rep in bound_sweep(2.0, [1, 2, 4, 8],
-                               SweepConfig(mc_samples=20_000, seed=3)):
+        for rep in bound_sweep(2.0, [1, 2, 4, 8]):
             assert rep.lower_closed <= rep.lower + rep.lower_ci + EXACT
             assert rep.upper_exact <= rep.upper_closed + EXACT
             # a lower bound on the deficiency never exceeds an upper bound
@@ -100,7 +96,7 @@ class TestEmission:
             assert float(format_number(x)) == x
 
     def test_csv_shape(self):
-        reports = bound_sweep(2.0, [1, 2], SweepConfig(mc_samples=2000, seed=4))
+        reports = bound_sweep(2.0, [1, 2])
         lines = reports_to_csv(reports).strip().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
@@ -108,8 +104,7 @@ class TestEmission:
         assert len(lines[1].split(",")) == len(header)
 
     def test_summary_fields(self):
-        reports = bound_sweep(2.0, [1, 2, 4, 8],
-                              SweepConfig(mc_samples=20_000, seed=5))
+        reports = bound_sweep(2.0, [1, 2, 4, 8])
         summary = sweep_summary(reports)
         assert set(summary) == {"r", "exponent_upper", "exponent_lower",
                                 "amplitudes", "residuals", "n_range"}
