@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
             "  certificate_bound closed form C*sqrt(pi/(4s))/sqrt(n+1)\n"
             "  floor_half        MAD floor /2 (rate unimprovable below it)\n"
             "  mc_estimate,mc_ci Monte Carlo MAD and 3-sigma half-width\n"
-            "                    (NaN unless --mc > 0)\n"
+            "                    (NaN unless --mc > 0); each of the --mc\n"
+            "                    draws is one Multinomial vector: how many\n"
+            "                    of n+1 draws fall on each level of 1/f\n"
             "bound/floor emit (r, n, certificate_bound) and "
             "(r, n, floor_half);\nchi2 prints (C, s, radius).\n"
         ),
@@ -385,10 +387,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, SystemExit) as exc:
+    except (ValueError, ArithmeticError, AssertionError, SystemExit) as exc:
         if isinstance(exc, SystemExit) and isinstance(exc.code, int):
             return exc.code
-        print(exc, file=sys.stderr)
+        print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 1
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import CI_SIGMA, ENUM_GUARD, MC_CHUNK
 from .pbin import binom_pmf, multinomial_enumerate, n_compositions
-from .streams import child_rng, chunk_sizes
+from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
 
 _TRIM = 1e-18  # tail mass dropped per side of each cached Binomial window
 
@@ -292,8 +292,9 @@ def _row_histograms(counts: np.ndarray) -> np.ndarray:
 def _cube_chunk(
     n: int, m: int, risks: np.ndarray, rows: int, seed: int, index: int,
     cache: dict,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One MC chunk of the coupled estimator; returns per-l (sum, sumsq).
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """One MC chunk of the coupled estimator; returns per-l
+    ``chunk_moments`` (rows, mean, centered sum of squares).
 
     Couples N' = N + one extra uniformly-placed count; by the shift identity
     the survival gap at threshold l is then
@@ -305,8 +306,7 @@ def _cube_chunk(
     tagged = counts[:, -1]
     hists = _row_histograms(counts[:, :-1])
     gaps = risks[tagged] - risks[tagged + 1]
-    total = np.zeros(m)
-    total_sq = np.zeros(m)
+    vals = np.zeros((rows, m))
     for i in range(rows):
         w = gaps[i]
         if w == 0.0:
@@ -314,10 +314,8 @@ def _cube_chunk(
         groups = [(int(k), float(risks[c]))
                   for c, k in enumerate(hists[i]) if k > 0]
         off, pmf = _grouped_pbin_pmf(groups, cache)
-        vals = w * pmf
-        total[off:off + vals.size] += vals
-        total_sq[off:off + vals.size] += np.square(vals)
-    return total, total_sq
+        vals[i, off:off + pmf.size] = w * pmf
+    return chunk_moments(vals)
 
 
 def cube_lower(n: int, r: float) -> CubeLowerResult:
@@ -374,19 +372,17 @@ class MixedPbinResult:
 def _mixed_chunk(
     n: int, m: int, weights: np.ndarray, table: np.ndarray, rows: int,
     seed: int, index: int, cache: dict,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     rng = child_rng(seed, "mixedpbin", index)
     counts = rng.multinomial(n, weights, size=rows)
     hists = _row_histograms(counts)
-    total = np.zeros(m + 1)
-    total_sq = np.zeros(m + 1)
+    vals = np.zeros((rows, m + 1))
     for i in range(rows):
         groups = [(int(k), float(table[c]))
                   for c, k in enumerate(hists[i]) if k > 0]
         off, pmf = _grouped_pbin_pmf(groups, cache)
-        total[off:off + pmf.size] += pmf
-        total_sq[off:off + pmf.size] += np.square(pmf)
-    return total, total_sq
+        vals[i, off:off + pmf.size] = pmf
+    return chunk_moments(vals)
 
 
 def _mc_reference(chunk, args: tuple, samples: int, seed: int):
@@ -396,11 +392,8 @@ def _mc_reference(chunk, args: tuple, samples: int, seed: int):
     cache: dict = {}
     parts = [chunk(*args, rows, seed, i, cache)
              for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-    total = np.sum([p[0] for p in parts], axis=0)
-    total_sq = np.sum([p[1] for p in parts], axis=0)
-    mean = total / samples
-    var = np.maximum(total_sq / samples - mean**2, 0.0)
-    return mean, CI_SIGMA * np.sqrt(var / samples)
+    _, mean, m2 = merge_moments(parts)
+    return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)
 
 
 def mixedpbin_mass(

@@ -147,26 +147,27 @@ def n_compositions(trials: int, m: int) -> int:
 
 
 def _compositions(trials: int, m: int) -> np.ndarray:
-    """All compositions of ``trials`` into ``m`` parts, one per row."""
-    total = n_compositions(trials, m)
-    out = np.zeros((total, m), dtype=np.int64)
-    if m == 1:
-        out[0, 0] = trials
-        return out
-    # NEXCOM successor algorithm (constant amortized work per row).
-    row = np.zeros(m, dtype=np.int64)
-    row[0] = trials
-    out[0] = row
-    t, h = trials, 0
-    for k in range(1, total):
-        if t != 1:
-            h = 0
-        h += 1
-        t = int(row[h - 1])
-        row[h - 1] = 0
-        row[0] = t - 1
-        row[h] += 1
-        out[k] = row
+    """All compositions of ``trials`` into ``m`` parts, one per row.
+
+    Rows are ordered by the last part, then by the part before it, and so on
+    (the order of the NEXCOM successor algorithm): the compositions of t
+    into j parts are the blocks [compositions of t - last into j - 1 parts,
+    last] for last = 0, ..., t.  Built one column at a time, from the last:
+    each choice of parts k..m-1 is repeated once per composition of what
+    is left into the k parts before it.
+    """
+    out = np.empty((n_compositions(trials, m), m), dtype=np.int64)
+    # One entry per choice of parts k..m-1, in row order: part k's value
+    # and the sum of parts k..m-1.
+    used = np.zeros(1, dtype=np.int64)
+    for k in range(m - 1, 0, -1):
+        width = trials - used + 1  # part k takes 0, ..., trials - used
+        starts = np.cumsum(width) - width
+        part = np.arange(width.sum()) - np.repeat(starts, width)
+        used = np.repeat(used, width) + part
+        below = np.array([n_compositions(s, k) for s in range(trials + 1)])
+        out[:, k] = np.repeat(part, below[trials - used])
+    out[:, 0] = trials - used
     return out
 
 

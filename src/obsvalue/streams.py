@@ -2,8 +2,8 @@
 
 Monte Carlo estimators partition their draws into fixed-size chunks and give
 every chunk its own ``numpy`` generator seeded by ``child_seed(master, tag,
-index)``.  Per-chunk results are reduced in chunk-index order, so the output
-is identical for any worker count.
+index)``.  Per-chunk results are reduced in chunk-index order
+(:func:`merge_moments`), so the output is identical for any worker count.
 
 The mixing function is fixed so the partition of randomness is reproducible
 from the documented recipe alone:
@@ -56,3 +56,27 @@ def chunk_sizes(total: int, chunk: int) -> list[int]:
         return []
     full, rest = divmod(total, chunk)
     return [chunk] * full + ([rest] if rest else [])
+
+
+def chunk_moments(values: np.ndarray):
+    """``(count, mean, m2)`` of one chunk's draws along axis 0, where ``m2``
+    is the centered sum of squares."""
+    mean = values.mean(axis=0)
+    return values.shape[0], mean, np.square(values - mean).sum(axis=0)
+
+
+def merge_moments(parts):
+    """Merge per-chunk ``(count, mean, m2)`` triples in the given order,
+    where ``m2`` is the centered sum of squares, by the pairwise update of
+    Chan, Golub and LeVeque; ``mean`` and ``m2`` may be scalars or arrays.
+    Avoids the cancellation of ``sum_sq/N - mean**2`` for small variances,
+    and the fixed order keeps the result independent of the worker count.
+    """
+    count, mean, m2 = parts[0]
+    for n, mu, s in parts[1:]:
+        total = count + n
+        delta = mu - mean
+        mean = mean + delta * (n / total)
+        m2 = m2 + s + delta * delta * (count * n / total)
+        count = total
+    return count, mean, m2

@@ -9,7 +9,11 @@ the mean absolute deviation (MAD) of the averaged likelihood ratio.  A
 (C, s) concentration certificate for g turns that into the closed form
 C * sqrt(pi / (4 s)) / sqrt(n+1).  For two-level densities the MAD is exact
 via the Binomial sufficient statistic; otherwise it is estimated by Monte
-Carlo.  A universal floor shows the 1/sqrt(n) decay is unimprovable here.
+Carlo over the same kind of statistic: g is a step function, so the average
+depends only on how many of the n+1 draws land in each level set of g, and
+``mc_mad`` draws those counts from Mult(n+1, level masses) instead of the
+draws' positions.  A universal floor shows the 1/sqrt(n) decay is
+unimprovable here.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CI_SIGMA, EXACT_TOL, MC_CHUNK
-from .densities import StepDensity, sample_density
+from .densities import StepDensity
 from .pbin import binom_pmf
-from .streams import child_rng, chunk_sizes
+from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,10 @@ def hoeffding_certificate(r: float) -> CsCertificate:
     1/r on [0, 1] since the ratio then satisfies 0 < g <= r (Hoeffding)."""
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
-    return CsCertificate(C=2.0, s=2.0 / r**2)
+    s = 2.0 / (r * r)  # r * r is inf past 1.3e154, where r**2 would raise
+    if s == 0.0:
+        raise ValueError(f"r = {r!r} is too large: s = 2/r^2 rounds to 0")
+    return CsCertificate(C=2.0, s=s)
 
 
 def certificate_upper_bound(cert: CsCertificate, n: int) -> float:
@@ -158,30 +165,43 @@ def inject_kernel(
 ) -> np.ndarray:
     """Splice one uniform draw into ``sample`` at a uniformly random position.
 
-    The synthetic center measure is fixed to the uniform law on [0, 1].
+    The synthetic center measure is fixed to the uniform law on [0, 1].  A
+    (B, n) array is B independent samples: B positions, then B uniforms,
+    are drawn at once and a (B, n+1) array is returned.
     """
     x = np.asarray(sample, dtype=float)
-    pos = int(rng.integers(0, x.size + 1))
-    return np.insert(x, pos, rng.random())
+    if x.ndim == 1:
+        pos = int(rng.integers(0, x.size + 1))
+        return np.insert(x, pos, rng.random())
+    if x.ndim != 2:
+        raise ValueError("sample must be a 1-D or 2-D array")
+    rows, n = x.shape
+    pos = rng.integers(0, n + 1, size=rows)
+    at = np.arange(n + 1) == pos[:, None]
+    out = np.empty((rows, n + 1))
+    out[at] = rng.random(rows)
+    out[~at] = x.ravel()  # row-major: each row's n values, pos skipped
+    return out
 
 
 def _mad_chunk(
     f: StepDensity, ratio: LikelihoodRatio, k: int, rows: int,
     seed: int, index: int,
-) -> tuple[float, float, int]:
+) -> tuple[int, float, float]:
+    """(rows, mean, centered sum of squares) of ``rows`` draws of
+    |(1/k) sum g(xi_i) - 1|.  The average depends only on how many of the k
+    draws fall in each level set of g, so each row is one Mult(k, level
+    masses) count vector."""
     rng = child_rng(seed, "mc_mad", index)
-    total = 0.0
-    total_sq = 0.0
-    batch = max(1, (1 << 20) // k)
-    done = 0
-    while done < rows:
-        b = min(batch, rows - done)
-        x = sample_density(f, b * k, rng).reshape(b, k)
-        dev = np.abs(ratio(x).mean(axis=1) - 1.0)
-        total += float(dev.sum())
-        total_sq += float(np.square(dev).sum())
-        done += b
-    return total, total_sq, rows
+    levels, level_of = np.unique(ratio.values, return_inverse=True)
+    masses = np.bincount(level_of, weights=f.values * f.widths)
+    probs = masses / masses.sum()
+    dev = np.empty(rows)
+    batch = max(1, (1 << 20) // levels.size)  # bounds the count matrix
+    for start in range(0, rows, batch):
+        counts = rng.multinomial(k, probs, size=min(batch, rows - start))
+        dev[start:start + len(counts)] = np.abs(counts @ levels / k - 1.0)
+    return chunk_moments(dev)
 
 
 def mc_mad(
@@ -189,10 +209,13 @@ def mc_mad(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E | (1/k) sum g(xi_i) - 1 | for g = 1/f.
 
-    Returns ``(estimate, half_width)`` where the half-width is the 3-sigma
-    normal interval.  Draws are partitioned into fixed-size chunks with
-    per-chunk child streams and reduced in chunk order, so the result is
-    identical for any ``workers`` value.
+    Each draw is a vector of level counts ~ Mult(k, level masses of g under
+    f), which determines the average of g over k draws from f, so a draw
+    costs O(levels) rather than O(k).  Returns ``(estimate, half_width)``
+    where the half-width is the 3-sigma normal interval.  Draws are
+    partitioned into fixed-size chunks with per-chunk child streams; the
+    per-chunk means and centered sums of squares are merged in chunk order
+    (Chan et al.), so the result is identical for any ``workers`` value.
     """
     if k < 1:
         raise ValueError("requires k >= 1")
@@ -206,9 +229,6 @@ def mc_mad(
             parts = list(pool.map(lambda t: _mad_chunk(*t), tasks))
     else:
         parts = [_mad_chunk(*t) for t in tasks]
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    estimate = total / draws
-    variance = max(total_sq / draws - estimate**2, 0.0)
-    half_width = CI_SIGMA * math.sqrt(variance / draws)
-    return estimate, half_width
+    _, estimate, m2 = merge_moments(parts)
+    half_width = CI_SIGMA * math.sqrt(m2 / draws / draws)
+    return float(estimate), half_width

@@ -267,13 +267,10 @@ def check_chi2_quadrature(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_inject_positions(budget: Budget, rng) -> tuple[bool, str]:
-    base = np.array([0.25, 0.75])
     reps = budget.inject_reps
-    hits = np.zeros(3)
-    for _ in range(reps):
-        out = upper.inject_kernel(base, rng)
-        pos = 0 if out[0] != 0.25 else (1 if out[1] != 0.75 else 2)
-        hits[pos] += 1
+    out = upper.inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
+    pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
+    hits = np.bincount(pos, minlength=3)
     se = math.sqrt((1 / 3) * (2 / 3) / reps)
     worst = np.abs(hits / reps - 1 / 3).max() / se
     return worst <= 4.0, f"reps={reps}, worst_z={worst:.2f}"
@@ -285,8 +282,7 @@ def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
     p_cell = densities.density_integral(f, 0.0, 0.5)
     ref = pbin.pbin_pmf([p_cell] * n + [0.5])
     x = densities.sample_density(f, reps * n, rng).reshape(reps, n)
-    y = rng.random(reps)
-    counts = (x < 0.5).sum(axis=1) + (y < 0.5)
+    counts = np.count_nonzero(upper.inject_kernel(x, rng) < 0.5, axis=1)
     worst = 0.0
     for k, p in enumerate(ref):
         freq = np.count_nonzero(counts == k) / reps

@@ -176,12 +176,27 @@ class TestExitCodes:
         ["lower", "cube", "--r", "nan", "--n", "1"],
         ["sweep", "--r", "2", "--n", "1:2", "--workers", "0"],
         ["upper", "mad", "--r", "2", "--mc", "1000", "--workers", "0"],
+        ["upper", "mad", "--r", "1e200"],
+        ["upper", "bound", "--r", "1e200"],
+        ["upper", "chi2", "--r", "1e200"],
+        ["sweep", "--r", "1e300", "--n", "1:2"],
     ])
     def test_boundary_inputs_exit_one(self, capsys, argv):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip() and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
+                                     AssertionError()])
+    def test_numeric_and_assertion_errors_exit_one(self, capsys,
+                                                   monkeypatch, exc):
+        def fail(r):
+            raise exc
+        monkeypatch.setattr("obsvalue.cli.hoeffding_certificate", fail)
+        assert main(["upper", "chi2", "--r", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.strip()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -7,12 +7,36 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from obsvalue.pbin import (EnumerationGuardError, binom_pmf,
+from obsvalue.pbin import (EnumerationGuardError, _compositions, binom_pmf,
                            multinomial_enumerate, multinomial_sample,
                            n_compositions, pbin_pmf, pbin_shift_difference,
                            pbin_survival)
 
 EXACT = 1e-12
+
+
+def nexcom_compositions(trials, m):
+    """Order oracle: the NEXCOM successor loop (constant amortized work per
+    row) that ``_compositions`` replaced."""
+    total = n_compositions(trials, m)
+    out = np.zeros((total, m), dtype=np.int64)
+    if m == 1:
+        out[0, 0] = trials
+        return out
+    row = np.zeros(m, dtype=np.int64)
+    row[0] = trials
+    out[0] = row
+    t, h = trials, 0
+    for k in range(1, total):
+        if t != 1:
+            h = 0
+        h += 1
+        t = int(row[h - 1])
+        row[h - 1] = 0
+        row[0] = t - 1
+        row[h] += 1
+        out[k] = row
+    return out
 
 
 def enum_pmf(probs):
@@ -200,6 +224,13 @@ class TestMultinomial:
             w /= w.sum()
             _, probs = multinomial_enumerate(int(rng.integers(0, 8)), w)
             assert abs(probs.sum() - 1.0) < 1e-10
+
+    def test_compositions_match_nexcom_order(self):
+        for trials in range(9):
+            for m in range(1, 15):
+                got = _compositions(trials, m)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, nexcom_compositions(trials, m))
 
     def test_guard_refuses_large_enumerations(self):
         assert n_compositions(9, 16) == 1307504

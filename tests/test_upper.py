@@ -10,7 +10,7 @@ from scipy import integrate
 
 from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
                                 hypercube_density, sample_density)
-from obsvalue.pbin import pbin_pmf
+from obsvalue.pbin import multinomial_enumerate, pbin_pmf
 from obsvalue.upper import (CsCertificate, TwoLevelRatio,
                             certificate_upper_bound, chi2_radius, exact_mad,
                             hoeffding_certificate, inject_kernel, mad_floor,
@@ -18,6 +18,11 @@ from obsvalue.upper import (CsCertificate, TwoLevelRatio,
 
 EXACT = 1e-12
 UNIFORM = StepDensity([0.0, 1.0], [1.0])
+# g = 1/f takes the levels 2, 1/2, 2, 1 on the quarters; under f the level
+# masses are 1/4 (g = 2, two cells), 1/2 (g = 1/2) and 1/4 (g = 1).
+THREE_LEVEL = StepDensity([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 2.0, 0.5, 1.0])
+THREE_LEVEL_G = np.array([2.0, 0.5, 1.0])
+THREE_LEVEL_P = [0.25, 0.5, 0.25]
 
 
 def ratio_for(r: float) -> TwoLevelRatio:
@@ -80,6 +85,14 @@ class TestCertificates:
             CsCertificate(0.5, 1.0)
         with pytest.raises(ValueError):
             CsCertificate(2.0, 0.0)
+        for r in (1.35e154, 1e200, 1.7e308):  # s = 2/r^2 rounds to 0
+            with pytest.raises(ValueError):
+                hoeffding_certificate(r)
+
+    def test_largest_r_keeps_a_positive_s(self):
+        cert = hoeffding_certificate(1.3e154)
+        assert 0.0 < cert.s and math.isfinite(chi2_radius(cert))
+        assert abs(cert.s * 1.3e154**2 / 2.0 - 1.0) < 1e-15
 
     def test_closed_form_bound(self):
         got = certificate_upper_bound(CsCertificate(2.0, 0.5), 1)
@@ -164,6 +177,21 @@ class TestMadFloor:
             assert exact_mad(tl, k) >= mad_floor(tl, k) - EXACT
 
 
+def position_mad(f: StepDensity, k: int, draws: int, seed: int):
+    """Reference estimator: all k positions of each row drawn from f and
+    averaged through g = 1/f; returns the mean and 3-sigma half-width."""
+    rng = np.random.default_rng(seed)
+    x = sample_density(f, draws * k, rng).reshape(draws, k)
+    dev = np.abs(uniform_ratio(f)(x).mean(axis=1) - 1.0)
+    return float(dev.mean()), 3.0 * float(dev.std()) / math.sqrt(draws)
+
+
+def three_level_exact_mad(k: int) -> float:
+    """E|(1/k) sum g(xi_i) - 1| for THREE_LEVEL over all level counts."""
+    counts, probs = multinomial_enumerate(k, THREE_LEVEL_P)
+    return float(probs @ np.abs(counts @ THREE_LEVEL_G / k - 1.0))
+
+
 class TestMcMad:
     def test_agrees_with_exact(self):
         f = hypercube_density(HypercubeSpec(2.0, 1, [0]))
@@ -185,20 +213,48 @@ class TestMcMad:
             mc_mad(UNIFORM, 2, 99)
 
     def test_worker_count_does_not_change_result(self):
-        f = hypercube_density(HypercubeSpec(2.0, 2, [1, 0]))
-        one = mc_mad(f, 3, 50_000, seed=5, workers=1)
-        four = mc_mad(f, 3, 50_000, seed=5, workers=4)
-        assert one == four
+        for f in (hypercube_density(HypercubeSpec(2.0, 2, [1, 0])),
+                  THREE_LEVEL):
+            one = mc_mad(f, 3, 50_000, seed=5, workers=1)
+            assert mc_mad(f, 3, 50_000, seed=5, workers=2) == one
+            assert mc_mad(f, 3, 50_000, seed=5, workers=4) == one
 
     def test_ci_coverage_over_seeded_runs(self):
+        # Bin(20000, 1/16) law: a correct estimator misses its 3-sigma
+        # interval at rate 0.286%, so more than 20 misses in 2000 runs has
+        # probability 6.6e-7, and a 1% miss rate fails with probability 0.44.
         f = hypercube_density(HypercubeSpec(2.0, 1, [0]))
         exact = exact_mad(ratio_for(2.0), 2)
-        misses = sum(
-            abs(mc_mad(f, 2, 20_000, seed=s)[0] - exact) > mc_mad(
-                f, 2, 20_000, seed=s)[1]
-            for s in range(200)
-        )
-        assert misses <= 2  # >= 99% coverage of the 3-sigma interval
+        misses = 0
+        for s in range(2000):
+            est, hw = mc_mad(f, 2, 20_000, seed=s)
+            misses += abs(est - exact) > hw
+        assert misses <= 20  # >= 99% coverage of the 3-sigma interval
+
+    def test_three_level_oracle_by_hand(self):
+        assert abs(three_level_exact_mad(1) - 0.5) < EXACT  # E|g - 1|
+        # k = 2: |mean - 1| is 1, 1/4, 1/2, 1/2, 1/4, 0 for the level pairs
+        # (2,2), (2,1/2), (2,1), (1/2,1/2), (1/2,1), (1,1)
+        want = (1 / 16 * 1 + 2 / 8 * 0.25 + 2 / 16 * 0.5 + 1 / 4 * 0.5
+                + 2 / 8 * 0.25)
+        assert abs(three_level_exact_mad(2) - want) < EXACT
+
+    def test_three_level_agrees_with_exact_oracle(self):
+        for k in range(1, 7):
+            est, hw = mc_mad(THREE_LEVEL, k, 200_000, seed=30 + k)
+            assert abs(est - three_level_exact_mad(k)) <= 4.0 / 3.0 * hw
+
+    def test_agrees_with_position_sampler(self):
+        # 300 distinct levels: count matrices are drawn in several batches
+        rng = np.random.default_rng(77)
+        many = StepDensity(np.linspace(0.0, 1.0, 301),
+                           rng.uniform(0.2, 3.0, size=300), normalize=True)
+        cases = [(THREE_LEVEL, k, 100_000) for k in (1, 3, 8, 40)]
+        for f, k, draws in cases + [(many, 3, 20_000)]:
+            est, hw = mc_mad(f, k, draws, seed=k)
+            ref, ref_hw = position_mad(f, k, draws, seed=50 + k)
+            # 4 sigma of the difference of two independent estimates
+            assert abs(est - ref) <= 4.0 / 3.0 * math.hypot(hw, ref_hw)
 
 
 class TestInjectKernel:
@@ -208,15 +264,24 @@ class TestInjectKernel:
 
     def test_position_frequencies(self):
         rng = np.random.default_rng(12)
-        base = np.array([0.25, 0.75])
         reps = 10**6
-        hits = np.zeros(3)
-        for _ in range(reps):
-            out = inject_kernel(base, rng)
-            pos = 0 if out[0] != 0.25 else (1 if out[1] != 0.75 else 2)
-            hits[pos] += 1
+        out = inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
+        pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
+        hits = np.bincount(pos, minlength=3)
         se = math.sqrt((1 / 3) * (2 / 3) / reps)
         assert np.abs(hits / reps - 1 / 3).max() <= 4.0 * se
+
+    def test_batch_draws_positions_then_uniforms(self):
+        x = np.random.default_rng(5).random((50, 4))
+        out = inject_kernel(x, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        pos = rng.integers(0, 5, size=50)
+        u = rng.random(50)
+        for i in range(50):
+            assert np.array_equal(out[i], np.insert(x[i], pos[i], u[i]))
+        assert inject_kernel(np.empty((3, 0)), rng).shape == (3, 1)
+        with pytest.raises(ValueError):
+            inject_kernel(np.zeros((2, 2, 2)), rng)
 
     def test_output_law_matches_mixture(self):
         # cell count of (n P_f draws + 1 uniform draw) follows the
@@ -226,11 +291,8 @@ class TestInjectKernel:
         rng = np.random.default_rng(21)
         p_cell = density_integral(f, 0.0, 0.5)
         ref = pbin_pmf([p_cell] * n + [0.5])
-        counts = np.empty(reps, dtype=int)
         x = sample_density(f, reps * n, rng).reshape(reps, n)
-        for i in range(reps):
-            out = inject_kernel(x[i], rng)
-            counts[i] = np.count_nonzero(out < 0.5)
+        counts = np.count_nonzero(inject_kernel(x, rng) < 0.5, axis=1)
         for k, p in enumerate(ref):
             se = math.sqrt(max(p * (1 - p), 1e-12) / reps)
             assert abs(np.count_nonzero(counts == k) / reps - p) <= 4.0 * se
