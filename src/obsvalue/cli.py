@@ -137,14 +137,15 @@ def _cmd_upper(args) -> int:
     ns = parse_n_values(args.n)
     f = hypercube_density(HypercubeSpec(args.r, 1, [0]))
     ratio = uniform_ratio(f).two_level
-    cert = hoeffding_certificate(args.r)
     if args.action == "bound":
+        cert = hoeffding_certificate(args.r)
         rows = [(args.r, n, certificate_upper_bound(cert, n)) for n in ns]
         _emit(_table(("r", "n", "certificate_bound"), rows, args), args.out)
     elif args.action == "floor":
         rows = [(args.r, n, mad_floor(ratio, n + 1) / 2.0) for n in ns]
         _emit(_table(("r", "n", "floor_half"), rows, args), args.out)
     else:  # mad
+        cert = hoeffding_certificate(args.r)
         columns = ("r", "n", "exact_mad_half", "certificate_bound",
                    "floor_half", "mc_estimate", "mc_ci")
         rows = []

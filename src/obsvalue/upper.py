@@ -171,8 +171,7 @@ def inject_kernel(
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim == 1:
-        pos = int(rng.integers(0, x.size + 1))
-        return np.insert(x, pos, rng.random())
+        return inject_kernel(x[None], rng)[0]
     if x.ndim != 2:
         raise ValueError("sample must be a 1-D or 2-D array")
     rows, n = x.shape
@@ -195,13 +194,8 @@ def _mad_chunk(
     rng = child_rng(seed, "mc_mad", index)
     levels, level_of = np.unique(ratio.values, return_inverse=True)
     masses = np.bincount(level_of, weights=f.values * f.widths)
-    probs = masses / masses.sum()
-    dev = np.empty(rows)
-    batch = max(1, (1 << 20) // levels.size)  # bounds the count matrix
-    for start in range(0, rows, batch):
-        counts = rng.multinomial(k, probs, size=min(batch, rows - start))
-        dev[start:start + len(counts)] = np.abs(counts @ levels / k - 1.0)
-    return chunk_moments(dev)
+    counts = rng.multinomial(k, masses / masses.sum(), size=rows)
+    return chunk_moments(np.abs(counts @ levels / k - 1.0))
 
 
 def mc_mad(

@@ -187,6 +187,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.strip() and "Traceback" not in captured.err
 
+    def test_huge_r_floor_needs_no_certificate(self, capsys):
+        code, out = run_cli(capsys, "upper", "floor", "--r", "1e200",
+                            "--n", "1")
+        assert code == 0 and "0.25" in out
+
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])
     def test_numeric_and_assertion_errors_exit_one(self, capsys,

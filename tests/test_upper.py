@@ -245,7 +245,7 @@ class TestMcMad:
             assert abs(est - three_level_exact_mad(k)) <= 4.0 / 3.0 * hw
 
     def test_agrees_with_position_sampler(self):
-        # 300 distinct levels: count matrices are drawn in several batches
+        # 300 distinct levels, one per cell
         rng = np.random.default_rng(77)
         many = StepDensity(np.linspace(0.0, 1.0, 301),
                            rng.uniform(0.2, 3.0, size=300), normalize=True)
@@ -279,6 +279,12 @@ class TestInjectKernel:
         u = rng.random(50)
         for i in range(50):
             assert np.array_equal(out[i], np.insert(x[i], pos[i], u[i]))
+        # a 1-D sample draws one position, then one uniform
+        for n in (0, 1, 4):
+            one = inject_kernel(x[0, :n], np.random.default_rng(n))
+            rng = np.random.default_rng(n)
+            pos = int(rng.integers(0, n + 1))
+            assert np.array_equal(one, np.insert(x[0, :n], pos, rng.random()))
         assert inject_kernel(np.empty((3, 0)), rng).shape == (3, 1)
         with pytest.raises(ValueError):
             inject_kernel(np.zeros((2, 2, 2)), rng)
