@@ -22,7 +22,7 @@ from .densities import (HypercubeSpec, StepDensity, hypercube_density,
 from .lower import bayes_risk_curve, cube_lower, mixedpbin_mass, richness_lower_bound
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from .rates import (bound_sweep, format_number, reports_to_csv,
-                    summary_to_json, sweep_summary)
+                    summary_to_json, sweep_summary, to_csv, to_record)
 from .streams import child_rng
 from .upper import (certificate_upper_bound, chi2_radius, exact_mad,
                     hoeffding_certificate, mad_floor, mc_mad, uniform_ratio)
@@ -36,15 +36,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_n_values(text: str) -> list[int]:
-    """``7`` | ``1:32`` | ``1:32:4`` (arithmetic) | ``4:1024:x2`` (geometric)."""
+    """``7`` | ``1:32`` | ``1:32:4`` (arithmetic) | ``4:1024:x2`` (geometric).
+
+    A range must hold at least one value, in increasing order."""
     parts = text.split(":")
     try:
+        if len(parts) > 3:
+            raise ValueError
         if len(parts) == 1:
             return [int(parts[0])]
         start, stop = int(parts[0]), int(parts[1])
         if len(parts) == 2:
-            return list(range(start, stop + 1))
-        if parts[2].startswith("x"):
+            out = list(range(start, stop + 1))
+        elif parts[2].startswith("x"):
             factor = int(parts[2][1:])
             if factor < 2 or start < 1:
                 raise ValueError
@@ -52,8 +56,14 @@ def parse_n_values(text: str) -> list[int]:
             while start <= stop:
                 out.append(start)
                 start *= factor
-            return out
-        return list(range(start, stop + 1, int(parts[2])))
+        else:
+            step = int(parts[2])
+            if step < 1:
+                raise ValueError
+            out = list(range(start, stop + 1, step))
+        if not out:
+            raise ValueError
+        return out
     except ValueError:
         raise SystemExit(f"error: bad n range {text!r}") from None
 
@@ -75,20 +85,11 @@ def _load_density(path: str) -> StepDensity:
     return StepDensity.from_json(Path(path).read_text())
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _table(columns, rows, args) -> str:
     if args.format == "json":
-        recs = [{c: (v if isinstance(v, (str, int)) else float(v))
-                 for c, v in zip(columns, row)} for row in rows]
+        recs = [to_record(columns, row) for row in rows]
         return json.dumps(recs, indent=2) + "\n"
-    return _csv(columns, rows)
+    return to_csv(columns, rows)
 
 
 def _cmd_pbin(args) -> int:
@@ -193,11 +194,8 @@ def _cmd_sweep(args) -> int:
     reports = bound_sweep(args.r, parse_n_values(args.n))
     if args.format == "json":
         payload = {
-            "reports": [
-                {k: (v if isinstance(v, (str, int)) else float(v))
-                 for k, v in vars(rep).items()}
-                for rep in reports
-            ],
+            "reports": [to_record(vars(rep), vars(rep).values())
+                        for rep in reports],
             "summary": sweep_summary(reports),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -8,7 +8,7 @@ EXACT_TOL = 1e-12
 SUM_TOL = 1e-10
 
 # Refuse exact enumeration above this many multinomial compositions;
-# callers fall back to the Monte Carlo path.
+# callers use the generating-function engine instead.
 ENUM_GUARD = 10**6
 
 # All confidence intervals are 3-sigma normal intervals.

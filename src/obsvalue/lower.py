@@ -13,8 +13,7 @@ Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
 enumeration while the number of compositions stays under the guard
 (``method="exact"``), otherwise an exact generating-function engine
 (``method="gf"``).  Neither draws random numbers.  The coupled Monte Carlo
-estimators ``_cube_chunk`` and ``_mixed_chunk`` remain as independent
-reference estimators for ``verify`` and the tests.
+reference estimators that cross-check both live in ``verify``.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CI_SIGMA, ENUM_GUARD, MC_CHUNK
-from .pbin import binom_pmf, multinomial_enumerate, n_compositions
-from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
-
-_TRIM = 1e-18  # tail mass dropped per side of each cached Binomial window
+from .constants import ENUM_GUARD
+from .pbin import (bernoulli_step, log_factorials, multinomial_enumerate,
+                   n_compositions, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,7 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     values[0] = 0.5
     pmf = np.array([1.0])
     for n in range(1, n_max + 1):
-        nxt = np.zeros(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - a)
-        nxt[1:] += pmf * a
-        pmf = nxt
+        pmf = bernoulli_step(pmf, a)
         values[n] = 0.5 * float(np.minimum(pmf, pmf[::-1]).sum())
     # The curve is nonincreasing with exactly-flat steps; clamp out
     # last-ulp rounding disagreements between neighbouring evaluations.
@@ -91,51 +85,6 @@ def richness_lower_bound(alpha: float, beta: float, n: int) -> float:
     if n < 1:
         raise ValueError("requires n >= 1")
     return alpha * beta / (12.0 * math.sqrt(2.0) * math.sqrt(n + 1.0))
-
-
-def _pbin_pmf_batch(probs: np.ndarray) -> np.ndarray:
-    """Row-wise PBin pmf by convolution DP: (B, m) probs -> (B, m+1) pmfs."""
-    rows, m = probs.shape
-    pmf = np.ones((rows, 1))
-    for j in range(m):
-        q = probs[:, j:j + 1]
-        nxt = np.zeros((rows, pmf.shape[1] + 1))
-        nxt[:, :-1] = pmf * (1.0 - q)
-        nxt[:, 1:] += pmf * q
-        pmf = nxt
-    return pmf
-
-
-def _binom_window(k: int, q: float, cache: dict) -> tuple[int, np.ndarray]:
-    """Bin(k, q) pmf with <= _TRIM tail mass dropped per side, as
-    (offset, window)."""
-    key = (k, q)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    pmf = binom_pmf(k, q)
-    c = np.cumsum(pmf)
-    lo = int(np.searchsorted(c, _TRIM))
-    hi = int(np.searchsorted(c, 1.0 - _TRIM))
-    out = (lo, pmf[lo:hi + 1])
-    cache[key] = out
-    return out
-
-
-def _grouped_pbin_pmf(
-    groups: Sequence[tuple[int, float]], cache: dict
-) -> tuple[int, np.ndarray]:
-    """PBin pmf for parameters given as (multiplicity, value) groups, via
-    convolution of per-group Binomial windows; returns (offset, window)."""
-    windows = [_binom_window(k, q, cache) for k, q in groups if k > 0]
-    if not windows:
-        return 0, np.array([1.0])
-    windows.sort(key=lambda w: w[1].size)
-    off, acc = windows[0]
-    for o, w in windows[1:]:
-        acc = np.convolve(acc, w)
-        off += o
-    return off, acc
 
 
 @dataclass(frozen=True)
@@ -173,7 +122,7 @@ def _exact_survival_gap(
     acc = []
     for trials in (n, n + 1):
         counts, probs = multinomial_enumerate(trials, weights)
-        pmfs = _pbin_pmf_batch(risks[counts])
+        pmfs = pbin_pmf_rows(risks[counts])
         surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
         acc.append(probs @ surv)
     return (acc[0] - acc[1])[1:]
@@ -195,8 +144,7 @@ def _poisson_pmf(t: int, lam: float) -> np.ndarray:
         out[0] = 1.0
         return out
     k = np.arange(t + 1, dtype=float)
-    logfact = np.array([math.lgamma(i + 1.0) for i in range(t + 1)])
-    return np.exp(k * math.log(lam) - lam - logfact)
+    return np.exp(k * math.log(lam) - lam - log_factorials(t))
 
 
 def _gf_mixed_pbin(
@@ -280,44 +228,6 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
                           tagged=(1.0 / m, risks[:n + 1] - risks[1:n + 2]))
 
 
-def _row_histograms(counts: np.ndarray) -> np.ndarray:
-    """Row-wise histogram of small nonnegative ints: (B, m) -> (B, max+1)."""
-    rows = counts.shape[0]
-    top = int(counts.max(initial=0)) + 1
-    offsets = np.arange(rows)[:, None] * top
-    flat = np.bincount((counts + offsets).ravel(), minlength=rows * top)
-    return flat.reshape(rows, top)
-
-
-def _cube_chunk(
-    n: int, m: int, risks: np.ndarray, rows: int, seed: int, index: int,
-    cache: dict,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """One MC chunk of the coupled estimator; returns per-l
-    ``chunk_moments`` (rows, mean, centered sum of squares).
-
-    Couples N' = N + one extra uniformly-placed count; by the shift identity
-    the survival gap at threshold l is then
-    (r(c) - r(c+1)) * P(PBin(other cells' risks) = l - 1) with c the tagged
-    cell's count, which is evaluated exactly.  Every contribution is >= 0.
-    """
-    rng = child_rng(seed, "cube_lower", index)
-    counts = rng.multinomial(n, np.full(m, 1.0 / m), size=rows)
-    tagged = counts[:, -1]
-    hists = _row_histograms(counts[:, :-1])
-    gaps = risks[tagged] - risks[tagged + 1]
-    vals = np.zeros((rows, m))
-    for i in range(rows):
-        w = gaps[i]
-        if w == 0.0:
-            continue
-        groups = [(int(k), float(risks[c]))
-                  for c, k in enumerate(hists[i]) if k > 0]
-        off, pmf = _grouped_pbin_pmf(groups, cache)
-        vals[i, off:off + pmf.size] = w * pmf
-    return chunk_moments(vals)
-
-
 def cube_lower(n: int, r: float) -> CubeLowerResult:
     """Deficiency lower bound from the 2n-cell uniform-weight witness.
 
@@ -369,33 +279,6 @@ class MixedPbinResult:
         return float(self.ci[self.k_star])
 
 
-def _mixed_chunk(
-    n: int, m: int, weights: np.ndarray, table: np.ndarray, rows: int,
-    seed: int, index: int, cache: dict,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    rng = child_rng(seed, "mixedpbin", index)
-    counts = rng.multinomial(n, weights, size=rows)
-    hists = _row_histograms(counts)
-    vals = np.zeros((rows, m + 1))
-    for i in range(rows):
-        groups = [(int(k), float(table[c]))
-                  for c, k in enumerate(hists[i]) if k > 0]
-        off, pmf = _grouped_pbin_pmf(groups, cache)
-        vals[i, off:off + pmf.size] = pmf
-    return chunk_moments(vals)
-
-
-def _mc_reference(chunk, args: tuple, samples: int, seed: int):
-    """Mean and 3-sigma half-width of the reference estimator ``chunk``
-    (``_cube_chunk`` or ``_mixed_chunk``, whose leading arguments are
-    ``args``) over ``samples`` count vectors."""
-    cache: dict = {}
-    parts = [chunk(*args, rows, seed, i, cache)
-             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-    _, mean, m2 = merge_moments(parts)
-    return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)
-
-
 def mixedpbin_mass(
     n: int,
     m: int,
@@ -427,7 +310,7 @@ def mixedpbin_mass(
         raise ValueError("need exactly m weights")
     if n_compositions(n, m) <= ENUM_GUARD:
         counts, probs = multinomial_enumerate(n, w)
-        masses = probs @ _pbin_pmf_batch(table[counts])
+        masses = probs @ pbin_pmf_rows(table[counts])
         method = "exact"
     else:
         if not np.all(np.isfinite(w)) or w.min() < 0.0:

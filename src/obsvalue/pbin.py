@@ -19,7 +19,7 @@ from .constants import ENUM_GUARD
 class EnumerationGuardError(ValueError):
     """Raised when an exact enumeration would exceed the composition guard.
 
-    Callers should fall back to the Monte Carlo path.
+    Callers should use the generating-function engine of ``lower`` instead.
     """
 
 
@@ -33,6 +33,24 @@ def _as_probs(probs: Iterable[float]) -> np.ndarray:
     return p
 
 
+def bernoulli_step(pmf: np.ndarray, q) -> np.ndarray:
+    """Pmf of S + X along the last axis from the pmf of S, for X ~
+    Bernoulli(q) independent of S; ``q`` broadcasts against ``pmf``."""
+    nxt = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+    nxt[..., :-1] = pmf * (1.0 - q)
+    nxt[..., 1:] += pmf * q
+    return nxt
+
+
+def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
+    """Row-wise PBin pmf by convolution DP: (B, m) probabilities -> (B, m+1)
+    pmfs.  Inputs are not validated; see :func:`pbin_pmf`."""
+    pmf = np.ones((probs.shape[0], 1))
+    for q in probs.T[:, :, None]:
+        pmf = bernoulli_step(pmf, q)
+    return pmf
+
+
 def pbin_pmf(probs: Sequence[float]) -> np.ndarray:
     """Probability mass function of PBin(probs), length ``len(probs) + 1``.
 
@@ -40,14 +58,7 @@ def pbin_pmf(probs: Sequence[float]) -> np.ndarray:
     rounding and invariant under permutation of ``probs``.  The empty
     parameter list yields the point mass at zero.
     """
-    p = _as_probs(probs)
-    mass = np.array([1.0])
-    for q in p:
-        nxt = np.zeros(mass.size + 1)
-        nxt[:-1] = mass * (1.0 - q)
-        nxt[1:] += mass * q
-        mass = nxt
-    return mass
+    return pbin_pmf_rows(_as_probs(probs)[None])[0]
 
 
 def pbin_survival(probs: Sequence[float], l: int) -> float:
@@ -91,6 +102,11 @@ def pbin_shift_difference(
     return lhs, rhs
 
 
+def log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0, ..., n, by ``math.lgamma``."""
+    return np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+
+
 def binom_pmf(n: int, p: float) -> np.ndarray:
     """Bin(n, p) pmf of length n+1 (lgamma form; ~1e-14 relative accuracy).
 
@@ -108,7 +124,7 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
         out[n] = 1.0
         return out
     k = np.arange(n + 1, dtype=float)
-    logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    logfact = log_factorials(n)
     logpmf = (logfact[n] - logfact - logfact[::-1]
               + k * math.log(p) + (n - k) * math.log1p(-p))
     return np.exp(logpmf)
@@ -178,7 +194,7 @@ def multinomial_enumerate(
 
     Returns ``(counts, probs)`` where ``counts`` has one composition per row.
     Probabilities sum to 1 within 1e-10.  Raises :class:`EnumerationGuardError`
-    when the number of compositions exceeds the guard (use Monte Carlo then).
+    when the number of compositions exceeds the guard.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -188,7 +204,7 @@ def multinomial_enumerate(
     if total > ENUM_GUARD:
         raise EnumerationGuardError(
             f"{total} compositions exceed the {ENUM_GUARD} guard; "
-            "use the Monte Carlo path"
+            "use the generating-function engine"
         )
     counts = _compositions(trials, m)
     probs = multinomial_logpmf(counts, w)
@@ -203,8 +219,7 @@ def multinomial_logpmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     counts = np.atleast_2d(counts)
     n = int(counts[0].sum())
-    # logfact[i] = log(i!)
-    logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    logfact = log_factorials(n)
     out = np.full(counts.shape[0], logfact[n])
     out -= logfact[counts].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -119,18 +119,30 @@ def format_number(x) -> str:
     return format(float(x), ".17g")
 
 
-def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for rep in reports:
-        row = [getattr(rep, col) for col in _CSV_COLUMNS]
+def to_csv(columns: Sequence[str], rows) -> str:
+    """CSV text with a header line; strings verbatim, numbers by
+    :func:`format_number`."""
+    lines = [",".join(columns)]
+    for row in rows:
         lines.append(",".join(
             v if isinstance(v, str) else format_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
+def to_record(columns: Sequence[str], row) -> dict:
+    """JSON-ready record: strings and ints kept, other numbers as float."""
+    return {c: (v if isinstance(v, (str, int)) else float(v))
+            for c, v in zip(columns, row)}
+
+
+def reports_to_csv(reports: Sequence[BoundReport]) -> str:
+    return to_csv(_CSV_COLUMNS, ([getattr(rep, col) for col in _CSV_COLUMNS]
+                                 for rep in reports))
+
+
 def sweep_summary(reports: Sequence[BoundReport]) -> dict:
-    """Rate fits of the exact upper and MC/exact lower surrogates, as the
-    JSON-ready summary emitted next to the consolidated CSV."""
+    """Rate fits of the exact upper and lower surrogates, as the JSON-ready
+    summary emitted next to the consolidated CSV."""
     fit_upper = rate_fit([(rep.n, rep.upper_exact) for rep in reports])
     fit_lower = rate_fit([(rep.n, rep.lower) for rep in reports])
     return {

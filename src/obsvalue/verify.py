@@ -4,6 +4,11 @@ Every identity, oracle equivalence, and simulation contract the library
 relies on is re-checked here from scratch (brute-force enumeration, Simpson
 quadrature, empirical frequencies) and reported as one PASS/FAIL line per
 property.
+
+The independent oracles these checks compare against are public, so the
+test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration) and
+the coupled Monte Carlo reference estimators ``mc_cube_gaps`` and
+``mc_mixed_pmf`` of the exact engines in ``lower``.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import densities, lower, pbin, rates, upper
-from .constants import EXACT_TOL
-from .streams import child_rng
+from .constants import CI_SIGMA, EXACT_TOL, MC_CHUNK
+from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,56 @@ QUICK = Budget(pmf_sets=60, shift_sets=200, sample_draws=200_000,
 FULL = Budget()
 
 
-def _enum_pmf(probs: np.ndarray) -> np.ndarray:
+def enum_pmf(probs: np.ndarray) -> np.ndarray:
     """Brute-force PBin pmf over all 2^m Bernoulli outcomes."""
     m = probs.size
     ids = np.arange(1 << m, dtype=np.uint32)
     bits = (ids[:, None] >> np.arange(m)) & 1
     terms = np.where(bits == 1, probs, 1.0 - probs).prod(axis=1)
     return np.bincount(bits.sum(axis=1), weights=terms, minlength=m + 1)
+
+
+def _mc_reference(tag: str, values: Callable, samples: int, seed: int):
+    """Mean and 3-sigma half-width of the rows of ``values(rng, rows)`` over
+    ``samples`` rows, drawn in chunks of ``MC_CHUNK`` from
+    ``child_rng(seed, tag, chunk index)``."""
+    parts = [chunk_moments(values(child_rng(seed, tag, i), rows))
+             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
+    _, mean, m2 = merge_moments(parts)
+    return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)
+
+
+def mc_cube_gaps(n: int, r: float, samples: int, seed: int):
+    """Coupled Monte Carlo estimate of ``lower.cube_lower(n, r).per_l``, as
+    (per-l mean, 3-sigma half-width) over ``samples`` count vectors.
+
+    Couples N' = N + one extra count in the last (tagged) cell; by the shift
+    identity the gap at threshold l is then
+    (r(c) - r(c+1)) * P(PBin(other cells' risks) = l - 1), c the tagged
+    cell's count, which is evaluated exactly for every draw.
+    """
+    m = 2 * n
+    risks = lower.bayes_risk_curve(r, n + 1).values
+
+    def values(rng, rows):
+        counts = rng.multinomial(n, np.full(m, 1.0 / m), size=rows)
+        tagged = counts[:, -1]
+        gaps = risks[tagged] - risks[tagged + 1]
+        return gaps[:, None] * pbin.pbin_pmf_rows(risks[counts[:, :-1]])
+
+    return _mc_reference("cube_lower", values, samples, seed)
+
+
+def mc_mixed_pmf(n: int, weights: np.ndarray, table: np.ndarray,
+                 samples: int, seed: int):
+    """Monte Carlo estimate of ``lower.mixedpbin_mass(n, m, weights,
+    table).masses``: the PBin(table[N]) pmf averaged over ``samples`` draws
+    of N ~ Mult(n, weights), with its 3-sigma half-width."""
+    def values(rng, rows):
+        counts = rng.multinomial(n, weights, size=rows)
+        return pbin.pbin_pmf_rows(table[counts])
+
+    return _mc_reference("mixedpbin", values, samples, seed)
 
 
 def _simpson(f: Callable, a: float, b: float, n: int = 40001) -> float:
@@ -89,7 +137,7 @@ def check_pmf_enumeration(budget: Budget, rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(budget.pmf_sets):
         p = rng.random(int(rng.integers(0, 11)))
-        worst = max(worst, np.abs(pbin.pbin_pmf(p) - _enum_pmf(p)).max())
+        worst = max(worst, np.abs(pbin.pbin_pmf(p) - enum_pmf(p)).max())
     return worst <= 1e-12, f"sets={budget.pmf_sets}, max_err={worst:.3e}"
 
 
@@ -307,9 +355,7 @@ def check_risk_curve(budget: Budget, rng) -> tuple[bool, str]:
 def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
     n, r = 2, 2.0
     exact = lower.cube_lower(n, r)
-    risks = lower.bayes_risk_curve(r, n + 1).values
-    per_l, ci = lower._mc_reference(lower._cube_chunk, (n, 2 * n, risks),
-                                    budget.mc_samples, 21)
+    per_l, ci = mc_cube_gaps(n, r, budget.mc_samples, 21)
     dev = np.abs(per_l - exact.per_l) / np.maximum(ci, 1e-300)
     gf_err = 0.0
     for r_gf in (1.5, 2.0, 4.0):

@@ -17,19 +17,12 @@ from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
 from obsvalue.pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from obsvalue.rates import rate_fit
 from obsvalue.upper import exact_mad, mad_floor, uniform_ratio
+from obsvalue.verify import enum_pmf
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def enum_pmf(probs: np.ndarray) -> np.ndarray:
-    ids = np.arange(1 << probs.size, dtype=np.uint32)
-    bits = (ids[:, None] >> np.arange(probs.size)) & 1
-    terms = np.where(bits == 1, probs, 1.0 - probs).prod(axis=1)
-    return np.bincount(bits.sum(axis=1), weights=terms,
-                       minlength=probs.size + 1)
 
 
 def test_c1_pbin_oracle_equivalence():

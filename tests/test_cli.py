@@ -1,12 +1,15 @@
 """CLI tests: dispatch, formats, exit codes, and worker determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obsvalue
 from obsvalue.cli import main, parse_n_values
 
 
@@ -29,6 +32,9 @@ class TestParseNValues:
             parse_n_values("4:x")
         with pytest.raises(SystemExit):
             parse_n_values("4:16:x1")
+        for text in ("5:1", "1:32:-1", "5:1:-2", "1:10:x2:5", "1:2:3:4"):
+            with pytest.raises(SystemExit, match="bad n range"):
+                parse_n_values(text)
 
 
 class TestPbinCommand:
@@ -180,6 +186,8 @@ class TestExitCodes:
         ["upper", "bound", "--r", "1e200"],
         ["upper", "chi2", "--r", "1e200"],
         ["sweep", "--r", "1e300", "--n", "1:2"],
+        ["lower", "cube", "--r", "2", "--n", "5:1"],
+        ["lower", "risks", "--r", "2", "--n", "5:1"],
     ])
     def test_boundary_inputs_exit_one(self, capsys, argv):
         assert main(argv) == 1
@@ -240,9 +248,12 @@ class TestExitCodes:
 
 
 def test_console_entry_point():
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(obsvalue.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "obsvalue.cli", "pbin", "pmf", "0.5", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert [float(v) for v in result.stdout.split()] == [0.25, 0.5, 0.25]

@@ -1,5 +1,5 @@
 """Lower-bound tests; oracles are exact rationals, hand enumeration and the
-coupled Monte Carlo reference estimators."""
+coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
 import itertools
 import math
@@ -14,7 +14,8 @@ from obsvalue.constants import EXACT_TOL
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
-from obsvalue.pbin import pbin_survival
+from obsvalue.pbin import pbin_pmf_rows, pbin_survival
+from obsvalue.verify import mc_cube_gaps, mc_mixed_pmf
 
 EXACT = 1e-12
 
@@ -196,18 +197,14 @@ class TestCubeLower:
 
     def test_mc_agrees_with_exact(self):
         exact = cube_lower(2, 2.0)
-        risks = bayes_risk_curve(2.0, 3).values
-        per_l, ci = lower._mc_reference(lower._cube_chunk, (2, 4, risks),
-                                        40_000, 99)
+        per_l, ci = mc_cube_gaps(2, 2.0, 40_000, 99)
         assert np.all(np.abs(per_l - exact.per_l) <= np.maximum(ci, 1e-12))
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_gf_agrees_with_coupled_mc(self, n):
         res = cube_lower(n, 2.0)
         assert res.method == "gf"
-        risks = bayes_risk_curve(2.0, n + 1).values
-        per_l, ci = lower._mc_reference(lower._cube_chunk, (n, 2 * n, risks),
-                                        20_000, 40 + n)
+        per_l, ci = mc_cube_gaps(n, 2.0, 20_000, 40 + n)
         assert np.all(np.abs(per_l - res.per_l) <= np.maximum(ci, 1e-12))
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -282,9 +279,7 @@ class TestMixedPbinMass:
         assert res.mass * 4.0 >= 1.0 / 6.0
         assert not res.ci.any()
         assert abs(res.masses.sum() - 1.0) <= 1e-10
-        mean, ci = lower._mc_reference(
-            lower._mixed_chunk, (16, 16, np.full(16, 1 / 16), table),
-            20_000, 6)
+        mean, ci = mc_mixed_pmf(16, np.full(16, 1 / 16), table, 20_000, 6)
         assert np.all(np.abs(mean - res.masses) <= np.maximum(ci, 1e-12))
 
     @pytest.mark.parametrize("m, n", [(9, 9), (10, 10)])
@@ -303,7 +298,7 @@ class TestMixedPbinMass:
         w = [0.1, 0.2, 0.2, 0.5]
         table = bayes_risk_curve(1.5, 7).values
         counts, probs = multinomial_enumerate(7, w)
-        want = probs @ lower._pbin_pmf_batch(table[counts])
+        want = probs @ pbin_pmf_rows(table[counts])
         got = lower._gf_mixed_pbin(7, [(1, 0.1), (2, 0.2), (1, 0.5)], table)
         assert np.abs(got - want).max() <= EXACT_TOL
 

@@ -1,6 +1,6 @@
-"""Distribution-core tests; the oracle is full 2^m Bernoulli enumeration."""
+"""Distribution-core tests; the oracle is full 2^m Bernoulli enumeration
+(``obsvalue.verify.enum_pmf``)."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -9,8 +9,9 @@ import pytest
 
 from obsvalue.pbin import (EnumerationGuardError, _compositions, binom_pmf,
                            multinomial_enumerate, multinomial_sample,
-                           n_compositions, pbin_pmf, pbin_shift_difference,
-                           pbin_survival)
+                           n_compositions, pbin_pmf, pbin_pmf_rows,
+                           pbin_shift_difference, pbin_survival)
+from obsvalue.verify import enum_pmf
 
 EXACT = 1e-12
 
@@ -39,19 +40,10 @@ def nexcom_compositions(trials, m):
     return out
 
 
-def enum_pmf(probs):
-    """Brute force: sum the product probability of every outcome vector."""
-    out = [0.0] * (len(probs) + 1)
-    for bits in itertools.product((0, 1), repeat=len(probs)):
-        term = 1.0
-        for b, p in zip(bits, probs):
-            term *= p if b else 1.0 - p
-        out[sum(bits)] += term
-    return np.array(out)
-
-
 def enum_survival(probs, l):
-    return float(enum_pmf(probs)[max(l, 0):].sum()) if l <= len(probs) else 0.0
+    if l > len(probs):
+        return 0.0
+    return float(enum_pmf(np.asarray(probs, dtype=float))[max(l, 0):].sum())
 
 
 class TestPmf:
@@ -63,7 +55,7 @@ class TestPmf:
 
     def test_three_bernoullis_vs_enumeration(self):
         probs = [0.1, 0.2, 0.3]
-        expected = enum_pmf(probs)
+        expected = enum_pmf(np.array(probs))
         assert np.abs(expected - [0.504, 0.398, 0.092, 0.006]).max() < EXACT
         assert np.abs(pbin_pmf(probs) - expected).max() < EXACT
 
@@ -79,6 +71,14 @@ class TestPmf:
             probs = rng.random(8)
             base = pbin_pmf(probs)
             assert np.abs(pbin_pmf(rng.permutation(probs)) - base).max() < EXACT
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_row_kernel_equals_per_row_pmf(self, m):
+        rng = np.random.default_rng(300 + m)
+        probs = rng.random((17, m))
+        got = pbin_pmf_rows(probs)
+        assert got.shape == (17, m + 1)
+        assert np.array_equal(got, np.array([pbin_pmf(p) for p in probs]))
 
     def test_mass_sums_to_one(self):
         rng = np.random.default_rng(5)

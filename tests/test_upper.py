@@ -125,14 +125,20 @@ class TestExactMad:
         assert exact_mad(tl, 7) < 1e-9
 
     def test_matches_exact_rational_oracle(self):
-        a, b, q = Fraction(2), Fraction(2, 3), Fraction(1, 4)
-        for k in (1, 2, 3, 5, 8):
-            want = sum(
-                math.comb(k, j) * q**j * (1 - q)**(k - j)
-                * abs((j * a + (k - j) * b) / k - 1)
-                for j in range(k + 1)
-            )
-            assert abs(exact_mad(ratio_for(2.0), k) - float(want)) < EXACT
+        for r in (2, 4):
+            # g = r on the low half (probability 1/(2r)), else r/(2r-1)
+            a, b, q = Fraction(r), Fraction(r, 2 * r - 1), Fraction(1, 2 * r)
+            tl = ratio_for(float(r))
+            assert np.allclose([tl.a, tl.b, tl.q],
+                               [float(a), float(b), float(q)],
+                               rtol=0.0, atol=EXACT)
+            for k in range(1, 13):
+                want = sum(
+                    math.comb(k, j) * q**j * (1 - q)**(k - j)
+                    * abs((j * a + (k - j) * b) / k - 1)
+                    for j in range(k + 1)
+                )
+                assert abs(exact_mad(tl, k) - float(want)) < EXACT
 
     def test_dominated_by_closed_form(self):
         for r in (1.5, 2.0, 4.0):
