@@ -65,10 +65,12 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     a = 1.0 / (2.0 * r)
     values = np.empty(n_max + 1)
     values[0] = 0.5
-    pmf = np.array([1.0])
+    pmf = np.zeros(n_max + 1)
+    pmf[0] = 1.0
+    scratch = np.empty_like(pmf)
     for n in range(1, n_max + 1):
-        pmf = bernoulli_step(pmf, a)
-        values[n] = 0.5 * float(np.minimum(pmf, pmf[::-1]).sum())
+        bernoulli_step(pmf, n - 1, a, scratch)
+        values[n] = 0.5 * float(np.minimum(pmf[:n + 1], pmf[n::-1]).sum())
     # The curve is nonincreasing with exactly-flat steps; clamp out
     # last-ulp rounding disagreements between neighbouring evaluations.
     values = np.minimum.accumulate(values)

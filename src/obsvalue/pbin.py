@@ -33,22 +33,50 @@ def _as_probs(probs: Iterable[float]) -> np.ndarray:
     return p
 
 
-def bernoulli_step(pmf: np.ndarray, q) -> np.ndarray:
-    """Pmf of S + X along the last axis from the pmf of S, for X ~
-    Bernoulli(q) independent of S; ``q`` broadcasts against ``pmf``."""
-    nxt = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-    nxt[..., :-1] = pmf * (1.0 - q)
-    nxt[..., 1:] += pmf * q
-    return nxt
+def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
+    """In place, turn the pmf of S in ``pmf[:k+1]`` into that of S + X in
+    ``pmf[:k+2]``, for X ~ Bernoulli(q) independent of S; ``pmf[k+1]`` must
+    be 0 on entry.  Support runs along axis 0 and ``q`` broadcasts against
+    one row ``pmf[j]``; ``scratch`` holds at least ``pmf[:k+1]``.  Each
+    entry becomes fl(fl(p[j](1-q)) + fl(p[j-1] q)), p[k+1] = fl(p[k] q)."""
+    up = np.multiply(pmf[:k + 1], q, out=scratch[:k + 1])
+    pmf[:k + 1] *= 1.0 - q
+    pmf[1:k + 2] += up
+
+
+# Entries per block of ``pbin_pmf_rows``; the block and its scratch (about
+# 512 KiB each) stay in cache for all m steps.
+_PMF_BLOCK = 1 << 16
 
 
 def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
     """Row-wise PBin pmf by convolution DP: (B, m) probabilities -> (B, m+1)
-    pmfs.  Inputs are not validated; see :func:`pbin_pmf`."""
-    pmf = np.ones((probs.shape[0], 1))
-    for q in probs.T[:, :, None]:
-        pmf = bernoulli_step(pmf, q)
-    return pmf
+    pmfs, C-ordered.  Inputs are not validated; see :func:`pbin_pmf`.
+
+    Rows are processed in blocks of about ``_PMF_BLOCK`` entries.  A block
+    is held transposed, (m+1, rows), so each of the m Bernoulli steps runs
+    over contiguous memory, in place, on buffers allocated once per call;
+    each block is then copied into its rows of the output.  The extra
+    memory is two blocks, whatever B is.  The arithmetic is the allocating
+    recursion's, operation for operation: every entry is
+    fl(fl(p[j](1-q)) + fl(p[j-1] q)) in the same step order, so the pmfs
+    are bit-identical to it.
+    """
+    rows, m = probs.shape
+    out = np.empty((rows, m + 1))
+    width = max(1, _PMF_BLOCK // (m + 1))
+    pmf = np.empty((m + 1, min(width, rows)))
+    scratch = np.empty_like(pmf)
+    for lo in range(0, rows, width):
+        block = probs[lo:lo + width]
+        b = block.shape[0]
+        p = pmf[:, :b]
+        p[0] = 1.0
+        p[1:] = 0.0
+        for k in range(m):
+            bernoulli_step(p, k, block[:, k], scratch[:, :b])
+        out[lo:lo + b] = p.T
+    return out
 
 
 def pbin_pmf(probs: Sequence[float]) -> np.ndarray:

@@ -184,18 +184,42 @@ def inject_kernel(
 
 
 def _mad_chunk(
-    f: StepDensity, ratio: LikelihoodRatio, k: int, rows: int,
+    levels: np.ndarray, probs: np.ndarray, k: int, rows: int,
     seed: int, index: int,
-) -> tuple[int, float, float]:
-    """(rows, mean, centered sum of squares) of ``rows`` draws of
-    |(1/k) sum g(xi_i) - 1|.  The average depends only on how many of the k
-    draws fall in each level set of g, so each row is one Mult(k, level
-    masses) count vector."""
+):
+    """``((rows, mean, centered sum of squares), level totals)`` of ``rows``
+    draws of |(1/k) sum g(xi_i) - 1|.  The average depends only on how many
+    of the k draws fall in each level set of g, so each row is one
+    Mult(k, level masses) count vector; the totals add them up per level."""
     rng = child_rng(seed, "mc_mad", index)
-    levels, level_of = np.unique(ratio.values, return_inverse=True)
-    masses = np.bincount(level_of, weights=f.values * f.widths)
-    counts = rng.multinomial(k, masses / masses.sum(), size=rows)
-    return chunk_moments(np.abs(counts @ levels / k - 1.0))
+    counts = rng.multinomial(k, probs, size=rows)
+    return (chunk_moments(np.abs(counts @ levels / k - 1.0)),
+            counts.sum(axis=0))
+
+
+def _unseen_bound(levels: np.ndarray, probs: np.ndarray, seen: np.ndarray,
+                  k: int) -> float:
+    """Bound B on |E[Y] - E[Y | A]| for Y = |(1/k) sum g(xi_i) - 1|, where
+    A is the event that none of the k draws lands in an unseen level U:
+
+        B = sum_{L in U} p_L L + k pi (2 + M),
+        pi = sum_{L in U} p_L,   M = max over seen levels l of |l - 1|.
+
+    Proof.  On A the average is a mean of seen levels, so Y <= M there and
+    E[Y | A] <= M; by the union bound P(not A) <= k pi.  Split the average
+    into g_U + g_S, the sums of g(xi_i)/k over draws in U and outside it.
+    As g > 0, Y <= g_U + g_S + 1, where g_S <= max l <= 1 + M; so
+    E[Y; not A] <= E[g_U] + (2 + M) P(not A) <= B, since g_U = 0 on A and
+    E[g_U] is the first term of B.  Finally
+    E[Y] - E[Y | A] = E[Y; not A] - E[Y | A] P(not A) is the difference of
+    two numbers in [0, B] (the second is at most M k pi), so its modulus is
+    at most B.  Rows that drew no unseen level are draws of Y given A, so
+    their normal interval widened by B covers E[Y].
+    """
+    unseen = ~seen
+    pi = float(probs[unseen].sum())
+    spread = float(np.abs(levels[seen] - 1.0).max())
+    return float(probs[unseen] @ levels[unseen]) + k * pi * (2.0 + spread)
 
 
 def mc_mad(
@@ -210,19 +234,31 @@ def mc_mad(
     partitioned into fixed-size chunks with per-chunk child streams; the
     per-chunk means and centered sums of squares are merged in chunk order
     (Chan et al.), so the result is identical for any ``workers`` value.
+
+    Every level of g has positive mass (f > 0).  If some level is never
+    drawn, the draws carry no sample variance from it (a level of mass
+    1e-100 gives a half-width of 0), so the half-width is widened by the
+    deterministic bound of :func:`_unseen_bound` on what the unseen levels
+    can contribute; the rows then estimate E[Y | no draw in them].
     """
     if k < 1:
         raise ValueError("requires k >= 1")
     if draws < 100:
         raise ValueError("requires draws >= 100")
     ratio = uniform_ratio(f)
+    levels, level_of = np.unique(ratio.values, return_inverse=True)
+    masses = np.bincount(level_of, weights=f.values * f.widths)
+    probs = masses / masses.sum()
     sizes = chunk_sizes(draws, MC_CHUNK)
-    tasks = [(f, ratio, k, rows, seed, i) for i, rows in enumerate(sizes)]
+    tasks = [(levels, probs, k, rows, seed, i) for i, rows in enumerate(sizes)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda t: _mad_chunk(*t), tasks))
     else:
         parts = [_mad_chunk(*t) for t in tasks]
-    _, estimate, m2 = merge_moments(parts)
+    _, estimate, m2 = merge_moments([moments for moments, _ in parts])
     half_width = CI_SIGMA * math.sqrt(m2 / draws / draws)
+    seen = sum(totals for _, totals in parts) > 0
+    if not seen.all():
+        half_width += _unseen_bound(levels, probs, seen, k)
     return float(estimate), half_width

@@ -1,5 +1,7 @@
 """CLI tests: dispatch, formats, exit codes, and worker determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obsvalue
 from obsvalue.cli import main, parse_n_values
@@ -35,6 +39,82 @@ class TestParseNValues:
         for text in ("5:1", "1:32:-1", "5:1:-2", "1:10:x2:5", "1:2:3:4"):
             with pytest.raises(SystemExit, match="bad n range"):
                 parse_n_values(text)
+
+
+# Small bounds keep every generated range short.
+ints = st.integers(-1000, 1000)
+pos = st.integers(1, 1000)
+
+
+@st.composite
+def valid_ranges(draw):
+    """(text, a, b) for the forms a, a:b, a:b:s and a:b:xF."""
+    form = draw(st.sampled_from(["a", "a:b", "a:b:s", "a:b:xF"]))
+    a = draw(pos if form == "a:b:xF" else ints)
+    if form == "a":
+        return str(a), a, a
+    b = a + draw(st.integers(0, 500))
+    text = f"{a}:{b}"
+    if form == "a:b:s":
+        text += f":{draw(pos)}"
+    elif form == "a:b:xF":
+        text += f":x{draw(st.integers(2, 10))}"
+    return text, a, b
+
+
+word = st.text(st.characters(blacklist_characters=":"), min_size=1).filter(
+    lambda t: not t.strip().lstrip("+-").replace("_", "").isdecimal())
+bad_ranges = st.one_of(
+    word,                                                     # not an int
+    st.builds("{}:{}".format, ints, word),
+    st.builds("{}:{}:{}".format, ints, ints, word),
+    st.builds("{}:{}:x{}".format, ints, ints, word),
+    st.builds(lambda a, d: f"{a}:{a - d}", ints, pos),        # empty
+    st.builds(lambda a, d, s: f"{a}:{a + d}:{s}", ints, ints,
+              st.integers(-5, 0)),                            # step < 1
+    st.builds(lambda a, d, f: f"{a}:{a + d}:x{f}", pos, ints,
+              st.integers(-5, 1)),                            # factor < 2
+    st.builds(lambda a, d: f"{a}:{a + d}:x2", st.integers(-5, 0), pos),
+    st.builds(lambda parts: ":".join(map(str, parts)),
+              st.lists(ints, min_size=4, max_size=6)),        # > 3 parts
+    st.sampled_from(["", ":", "::", "1:", ":5", "1::2", "1:5:", "1:5:x"]),
+)
+
+
+class TestParseNValueProperties:
+    @settings(database=None, deadline=None)
+    @given(valid_ranges())
+    def test_valid_forms_give_increasing_values_in_range(self, case):
+        text, a, b = case
+        values = parse_n_values(text)
+        assert values and values[0] == a and values[-1] <= b
+        assert all(x < y for x, y in zip(values, values[1:]))
+
+    @settings(database=None, deadline=None)
+    @given(bad_ranges)
+    def test_other_text_raises_system_exit(self, text):
+        with pytest.raises(SystemExit, match="bad n range"):
+            parse_n_values(text)
+
+    @settings(database=None, deadline=None)
+    @given(st.text(max_size=8))
+    def test_any_text_gives_values_or_system_exit(self, text):
+        try:
+            values = parse_n_values(text)
+        except SystemExit:
+            return
+        assert values and all(x < y for x, y in zip(values, values[1:]))
+
+    @settings(database=None, deadline=None, max_examples=50)
+    @given(bad_ranges)
+    def test_bad_range_exits_one_without_traceback(self, text):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["lower", "risks", "--r", "2", f"--n={text}"])
+        assert code == 1 and out.getvalue() == ""
+        assert "bad n range" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPbinCommand:
@@ -247,13 +327,24 @@ class TestExitCodes:
         assert "FAIL synthetic" in capsys.readouterr().out
 
 
-def test_console_entry_point():
+def run_module(module, *argv):
     # The child imports the same package as this process, installed or not.
     src = str(Path(obsvalue.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "obsvalue.cli", "pbin", "pmf", "0.5", "0.5"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    result = run_module("obsvalue.cli", "pbin", "pmf", "0.5", "0.5")
     assert result.returncode == 0
     assert [float(v) for v in result.stdout.split()] == [0.25, 0.5, 0.25]
+
+
+def test_package_runs_as_module():
+    result = run_module("obsvalue", "pbin", "pmf", "0.5", "0.5")
+    assert result.returncode == 0
+    assert [float(v) for v in result.stdout.split()] == [0.25, 0.5, 0.25]
+    assert run_module("obsvalue", "frobnicate").returncode == 1

@@ -2,15 +2,18 @@
 (``obsvalue.verify.enum_pmf``)."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from obsvalue.pbin import (EnumerationGuardError, _compositions, binom_pmf,
-                           multinomial_enumerate, multinomial_sample,
-                           n_compositions, pbin_pmf, pbin_pmf_rows,
-                           pbin_shift_difference, pbin_survival)
+from obsvalue.lower import bayes_risk_curve
+from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
+                           binom_pmf, multinomial_enumerate,
+                           multinomial_sample, n_compositions, pbin_pmf,
+                           pbin_pmf_rows, pbin_shift_difference,
+                           pbin_survival)
 from obsvalue.verify import enum_pmf
 
 EXACT = 1e-12
@@ -38,6 +41,35 @@ def nexcom_compositions(trials, m):
         row[h] += 1
         out[k] = row
     return out
+
+
+def alloc_step(pmf, q):
+    """Oracle: the allocating Bernoulli step that the in-place
+    ``pbin.bernoulli_step`` replaced (pmf of S + Bernoulli(q) along the
+    last axis)."""
+    nxt = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+    nxt[..., :-1] = pmf * (1.0 - q)
+    nxt[..., 1:] += pmf * q
+    return nxt
+
+
+def alloc_pmf_rows(probs):
+    pmf = np.ones((probs.shape[0], 1))
+    for q in probs.T[:, :, None]:
+        pmf = alloc_step(pmf, q)
+    return pmf
+
+
+def alloc_risk_curve(r, n_max):
+    """Oracle: ``bayes_risk_curve``'s values by the allocating step."""
+    a = 1.0 / (2.0 * r)
+    values = np.empty(n_max + 1)
+    values[0] = 0.5
+    pmf = np.array([1.0])
+    for n in range(1, n_max + 1):
+        pmf = alloc_step(pmf, a)
+        values[n] = 0.5 * float(np.minimum(pmf, pmf[::-1]).sum())
+    return np.minimum.accumulate(values)
 
 
 def enum_survival(probs, l):
@@ -79,6 +111,32 @@ class TestPmf:
         got = pbin_pmf_rows(probs)
         assert got.shape == (17, m + 1)
         assert np.array_equal(got, np.array([pbin_pmf(p) for p in probs]))
+
+    @pytest.mark.parametrize("m", [0, 1, 14, 64])
+    def test_blocked_kernel_equals_allocating_steps(self, m):
+        width = max(1, _PMF_BLOCK // (m + 1))  # rows per block
+        rng = np.random.default_rng(400 + m)
+        for rows in (0, 1, width - 1, width, width + 1, 3 * width + 7):
+            probs = rng.random((rows, m))
+            got = pbin_pmf_rows(probs)
+            assert got.flags.c_contiguous and got.shape == (rows, m + 1)
+            assert np.array_equal(got, alloc_pmf_rows(probs))
+
+    def test_kernel_extra_memory_is_the_output(self):
+        # the size of cube_lower(7, r)'s call: 203 490 rows of 14
+        probs = np.random.default_rng(9).random((203_490, 14))
+        tracemalloc.start()
+        try:
+            out = pbin_pmf_rows(probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_risk_curve_equals_allocating_steps(self, r):
+        assert np.array_equal(bayes_risk_curve(r, 1024).values,
+                              alloc_risk_curve(r, 1024))
 
     def test_mass_sums_to_one(self):
         rng = np.random.default_rng(5)

@@ -225,6 +225,16 @@ class TestMcMad:
             assert mc_mad(f, 3, 50_000, seed=5, workers=2) == one
             assert mc_mad(f, 3, 50_000, seed=5, workers=4) == one
 
+    @pytest.mark.parametrize("r", [1e6, 1e100])
+    def test_unseen_level_widens_interval_to_cover_exact(self, r):
+        # g = r has mass 1/(2r): 1000 rows of k <= 5 draws never see it,
+        # every row averages the other level and the sample variance is 0.
+        f = hypercube_density(HypercubeSpec(r, 1, [0]))
+        for n in range(1, 5):
+            est, hw = mc_mad(f, n + 1, 1000, seed=0)
+            assert abs(est - 0.5) < 1e-6  # |1/2 - 1|, the draws' only value
+            assert abs(est - exact_mad(ratio_for(r), n + 1)) <= hw
+
     def test_ci_coverage_over_seeded_runs(self):
         # Bin(20000, 1/16) law: a correct estimator misses its 3-sigma
         # interval at rate 0.286%, so more than 20 misses in 2000 runs has
