@@ -16,8 +16,8 @@ from .lower import (CubeLowerResult, MixedPbinResult, RiskCurve,
                     richness_lower_bound, simulate_mixture_risk,
                     simulate_multitest_risk)
 from .pbin import (EnumerationGuardError, binom_pmf, multinomial_enumerate,
-                   multinomial_sample, n_compositions, pbin_pmf,
-                   pbin_shift_difference, pbin_survival)
+                   n_compositions, pbin_pmf, pbin_shift_difference,
+                   pbin_survival)
 from .rates import (BoundReport, RateFit, bound_sweep, rate_fit,
                     reports_to_csv, sweep_summary)
 from .upper import (CsCertificate, LikelihoodRatio, TwoLevelRatio,
@@ -29,8 +29,7 @@ __all__ = [
     "__version__",
     # distributions
     "EnumerationGuardError", "binom_pmf", "multinomial_enumerate",
-    "multinomial_sample", "n_compositions", "pbin_pmf",
-    "pbin_shift_difference", "pbin_survival",
+    "n_compositions", "pbin_pmf", "pbin_shift_difference", "pbin_survival",
     # experiment model
     "HypercubeSpec", "RichnessWitness", "StepDensity", "density_integral",
     "hypercube_density", "richness_witness", "sample_density", "tv_distance",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid arguments, 2 a verify property failed,
-3 I/O failure.  Numbers go to stdout in shortest round-trip form; CSV files
-use 17 significant digits; JSON uses native number encoding.  Identical
-flags (including ``--seed``) produce byte-identical output for any
-``--workers`` value.
+Exit codes: 0 success, 1 invalid arguments (also an input too large for
+memory), 2 a verify property failed, 3 I/O failure.  Numbers go to stdout in
+shortest round-trip form; CSV files use 17 significant digits; JSON uses
+native number encoding.  Identical flags (including ``--seed``) produce
+byte-identical output.  Monte Carlo draws run in the calling thread;
+``--workers`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -153,8 +154,7 @@ def _cmd_upper(args) -> int:
         for n in ns:
             mc_est, mc_ci = (np.nan, np.nan)
             if args.mc:
-                mc_est, mc_ci = mc_mad(f, n + 1, args.mc, seed=args.seed,
-                                       workers=args.workers)
+                mc_est, mc_ci = mc_mad(f, n + 1, args.mc, seed=args.seed)
             rows.append((args.r, n, exact_mad(ratio, n + 1) / 2.0,
                          certificate_upper_bound(cert, n),
                          mad_floor(ratio, n + 1) / 2.0, mc_est, mc_ci))
@@ -219,8 +219,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, *, mc_default: int = 100_000) -> None:
-    p.add_argument("--mc", type=int, default=mc_default,
+def _add_common(p) -> None:
+    p.add_argument("--mc", type=int, default=0,
                    help="Monte Carlo draws of `upper mad` (0: none); "
                         "accepted and ignored by `lower` and `sweep`, "
                         "which are exact")
@@ -228,9 +228,8 @@ def _add_common(p, *, mc_default: int = 100_000) -> None:
                    help="master 64-bit seed of `upper mad`; accepted and "
                         "ignored by `lower` and `sweep`")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker threads of `upper mad`, output identical "
-                        "for any value; accepted and ignored by `lower` "
-                        "and `sweep`")
+                   help="accepted for compatibility and ignored: Monte "
+                        "Carlo draws run in the calling thread")
     p.add_argument("--out", help="write the report to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format")
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("mad", "bound", "floor", "chi2"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n", default="1", help="n or range (1:32, 4:1024:x2)")
-    _add_common(p, mc_default=0)
+    _add_common(p)
     p.set_defaults(fn=_cmd_upper)
 
     p = sub.add_parser(
@@ -386,7 +385,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, AssertionError, SystemExit) as exc:
+    except (ValueError, ArithmeticError, AssertionError, MemoryError,
+            SystemExit) as exc:
         if isinstance(exc, SystemExit) and isinstance(exc.code, int):
             return exc.code
         print(str(exc) or type(exc).__name__, file=sys.stderr)

@@ -28,7 +28,7 @@ class StepDensity:
     nonnegative height per interval.  Construction rejects inputs whose
     integral differs from 1 by more than 1e-12 unless ``normalize=True`` is
     passed explicitly (silent normalization would mask construction bugs).
-    Instances are immutable; concurrent reads are safe.
+    Instances are immutable.
     """
 
     breakpoints: np.ndarray

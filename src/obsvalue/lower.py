@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import ENUM_GUARD
-from .pbin import (bernoulli_step, log_factorials, multinomial_enumerate,
-                   n_compositions, pbin_pmf_rows)
+from .pbin import (_as_weights, bernoulli_step, log_factorials,
+                   multinomial_enumerate, n_compositions, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -310,15 +310,12 @@ def mixedpbin_mass(
     w = np.asarray(weights, dtype=float)
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
+    w = _as_weights(w)
     if n_compositions(n, m) <= ENUM_GUARD:
         counts, probs = multinomial_enumerate(n, w)
         masses = probs @ pbin_pmf_rows(table[counts])
         method = "exact"
     else:
-        if not np.all(np.isfinite(w)) or w.min() < 0.0:
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
         values, mults = np.unique(w / w.sum(), return_counts=True)
         groups = [(int(k), float(v)) for k, v in zip(mults, values)]
         masses, method = _gf_mixed_pbin(n, groups, table), "gf"

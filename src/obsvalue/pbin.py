@@ -2,8 +2,8 @@
 
 The Poisson-binomial distribution PBin(p_1, ..., p_m) is the law of a sum of
 independent Bernoulli variables with success probabilities p_1, ..., p_m.
-Everything here is computed by exact convolution or exact enumeration; the
-only randomness is an explicit generator passed by the caller.
+Everything here is computed by exact convolution or exact enumeration;
+nothing draws random numbers.
 """
 
 from __future__ import annotations
@@ -168,21 +168,6 @@ def _as_weights(weights: Iterable[float]) -> np.ndarray:
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1 within 1e-12")
     return w
-
-
-def multinomial_sample(
-    trials: int,
-    weights: Sequence[float],
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw from Mult(trials, weights): one integer count vector, or a
-    (size, m) matrix of independent draws when ``size`` is given."""
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    w = _as_weights(weights)
-    # Compensate sub-1e-12 rounding in the caller's weights for numpy.
-    return rng.multinomial(trials, w / w.sum(), size=size)
 
 
 def n_compositions(trials: int, m: int) -> int:

@@ -1,9 +1,12 @@
-"""Deterministic derivation of child random streams.
+"""Deterministic derivation of child random streams, and the one Monte
+Carlo loop.
 
-Monte Carlo estimators partition their draws into fixed-size chunks and give
-every chunk its own ``numpy`` generator seeded by ``child_seed(master, tag,
-index)``.  Per-chunk results are reduced in chunk-index order
-(:func:`merge_moments`), so the output is identical for any worker count.
+Every Monte Carlo estimator runs through :func:`mc_mean`: it partitions the
+draws into fixed-size chunks, gives every chunk its own ``numpy`` generator
+seeded by ``child_seed(master, tag, index)``, draws the chunks one after
+another in the calling thread, and reduces the per-chunk moments in
+chunk-index order (:func:`merge_moments`).  The output therefore depends
+only on the seed, the tag and the number of draws.
 
 The mixing function is fixed so the partition of randomness is reproducible
 from the documented recipe alone:
@@ -19,7 +22,11 @@ z ^= z>>27; z *= 0x94D049BB133111EB; z ^= z>>31`` with 64-bit wraparound.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+from .constants import CI_SIGMA, MC_CHUNK
 
 _MASK = (1 << 64) - 1
 
@@ -70,7 +77,7 @@ def merge_moments(parts):
     where ``m2`` is the centered sum of squares, by the pairwise update of
     Chan, Golub and LeVeque; ``mean`` and ``m2`` may be scalars or arrays.
     Avoids the cancellation of ``sum_sq/N - mean**2`` for small variances,
-    and the fixed order keeps the result independent of the worker count.
+    and the fixed order makes the result a function of the draws alone.
     """
     count, mean, m2 = parts[0]
     for n, mu, s in parts[1:]:
@@ -80,3 +87,19 @@ def merge_moments(parts):
         m2 = m2 + s + delta * delta * (count * n / total)
         count = total
     return count, mean, m2
+
+
+def mc_mean(tag: str, seed: int, samples: int,
+            draw: Callable[[np.random.Generator, int], np.ndarray]):
+    """Mean and ``CI_SIGMA`` half-width of ``samples`` >= 1 Monte Carlo rows.
+
+    Chunk ``i`` of ``MC_CHUNK`` rows (the last may be short) is
+    ``draw(child_rng(seed, tag, i), rows)``, an array with one row per draw
+    along axis 0; the rows may be scalars or vectors, and the mean and
+    half-width have the shape of one row.  Chunks are drawn in order in the
+    calling thread and their moments merged in that order.
+    """
+    parts = [chunk_moments(draw(child_rng(seed, tag, i), rows))
+             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
+    _, mean, m2 = merge_moments(parts)
+    return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)

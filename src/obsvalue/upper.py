@@ -12,22 +12,22 @@ via the Binomial sufficient statistic; otherwise it is estimated by Monte
 Carlo over the same kind of statistic: g is a step function, so the average
 depends only on how many of the n+1 draws land in each level set of g, and
 ``mc_mad`` draws those counts from Mult(n+1, level masses) instead of the
-draws' positions.  A universal floor shows the 1/sqrt(n) decay is
-unimprovable here.
+draws' positions, through the one Monte Carlo loop
+:func:`streams.mc_mean`, in the calling thread.  A universal floor shows
+the 1/sqrt(n) decay is unimprovable here.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CI_SIGMA, EXACT_TOL, MC_CHUNK
+from .constants import EXACT_TOL
 from .densities import StepDensity
 from .pbin import binom_pmf
-from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
+from .streams import mc_mean
 
 
 @dataclass(frozen=True)
@@ -183,20 +183,6 @@ def inject_kernel(
     return out
 
 
-def _mad_chunk(
-    levels: np.ndarray, probs: np.ndarray, k: int, rows: int,
-    seed: int, index: int,
-):
-    """``((rows, mean, centered sum of squares), level totals)`` of ``rows``
-    draws of |(1/k) sum g(xi_i) - 1|.  The average depends only on how many
-    of the k draws fall in each level set of g, so each row is one
-    Mult(k, level masses) count vector; the totals add them up per level."""
-    rng = child_rng(seed, "mc_mad", index)
-    counts = rng.multinomial(k, probs, size=rows)
-    return (chunk_moments(np.abs(counts @ levels / k - 1.0)),
-            counts.sum(axis=0))
-
-
 def _unseen_bound(levels: np.ndarray, probs: np.ndarray, seen: np.ndarray,
                   k: int) -> float:
     """Bound B on |E[Y] - E[Y | A]| for Y = |(1/k) sum g(xi_i) - 1|, where
@@ -230,10 +216,10 @@ def mc_mad(
     Each draw is a vector of level counts ~ Mult(k, level masses of g under
     f), which determines the average of g over k draws from f, so a draw
     costs O(levels) rather than O(k).  Returns ``(estimate, half_width)``
-    where the half-width is the 3-sigma normal interval.  Draws are
-    partitioned into fixed-size chunks with per-chunk child streams; the
-    per-chunk means and centered sums of squares are merged in chunk order
-    (Chan et al.), so the result is identical for any ``workers`` value.
+    where the half-width is the 3-sigma normal interval.  The draws run in
+    the calling thread through :func:`streams.mc_mean` (tag ``"mc_mad"``),
+    so the result depends only on ``f``, ``k``, ``draws`` and ``seed``;
+    ``workers`` is accepted for compatibility and has no effect.
 
     Every level of g has positive mass (f > 0).  If some level is never
     drawn, the draws carry no sample variance from it (a level of mass
@@ -249,16 +235,15 @@ def mc_mad(
     levels, level_of = np.unique(ratio.values, return_inverse=True)
     masses = np.bincount(level_of, weights=f.values * f.widths)
     probs = masses / masses.sum()
-    sizes = chunk_sizes(draws, MC_CHUNK)
-    tasks = [(levels, probs, k, rows, seed, i) for i, rows in enumerate(sizes)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda t: _mad_chunk(*t), tasks))
-    else:
-        parts = [_mad_chunk(*t) for t in tasks]
-    _, estimate, m2 = merge_moments([moments for moments, _ in parts])
-    half_width = CI_SIGMA * math.sqrt(m2 / draws / draws)
-    seen = sum(totals for _, totals in parts) > 0
+    seen = np.zeros(levels.size, dtype=bool)
+
+    def draw(rng, rows):
+        nonlocal seen
+        counts = rng.multinomial(k, probs, size=rows)
+        seen |= counts.any(axis=0)
+        return np.abs(counts @ levels / k - 1.0)
+
+    estimate, half_width = mc_mean("mc_mad", seed, draws, draw)
     if not seen.all():
         half_width += _unseen_bound(levels, probs, seen, k)
-    return float(estimate), half_width
+    return float(estimate), float(half_width)

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import densities, lower, pbin, rates, upper
-from .constants import CI_SIGMA, EXACT_TOL, MC_CHUNK
-from .streams import child_rng, chunk_moments, chunk_sizes, merge_moments
+from .constants import EXACT_TOL
+from .streams import child_rng, mc_mean
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ def enum_pmf(probs: np.ndarray) -> np.ndarray:
     return np.bincount(bits.sum(axis=1), weights=terms, minlength=m + 1)
 
 
-def _mc_reference(tag: str, values: Callable, samples: int, seed: int):
-    """Mean and 3-sigma half-width of the rows of ``values(rng, rows)`` over
-    ``samples`` rows, drawn in chunks of ``MC_CHUNK`` from
-    ``child_rng(seed, tag, chunk index)``."""
-    parts = [chunk_moments(values(child_rng(seed, tag, i), rows))
-             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-    _, mean, m2 = merge_moments(parts)
-    return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)
-
-
 def mc_cube_gaps(n: int, r: float, samples: int, seed: int):
     """Coupled Monte Carlo estimate of ``lower.cube_lower(n, r).per_l``, as
     (per-l mean, 3-sigma half-width) over ``samples`` count vectors.
@@ -80,7 +70,7 @@ def mc_cube_gaps(n: int, r: float, samples: int, seed: int):
         gaps = risks[tagged] - risks[tagged + 1]
         return gaps[:, None] * pbin.pbin_pmf_rows(risks[counts[:, :-1]])
 
-    return _mc_reference("cube_lower", values, samples, seed)
+    return mc_mean("cube_lower", seed, samples, values)
 
 
 def mc_mixed_pmf(n: int, weights: np.ndarray, table: np.ndarray,
@@ -92,7 +82,7 @@ def mc_mixed_pmf(n: int, weights: np.ndarray, table: np.ndarray,
         counts = rng.multinomial(n, weights, size=rows)
         return pbin.pbin_pmf_rows(table[counts])
 
-    return _mc_reference("mixedpbin", values, samples, seed)
+    return mc_mean("mixedpbin", seed, samples, values)
 
 
 def _simpson(f: Callable, a: float, b: float, n: int = 40001) -> float:

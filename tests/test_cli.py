@@ -117,6 +117,33 @@ class TestParseNValueProperties:
         assert "Traceback" not in err.getvalue()
 
 
+def csv_records(text: str) -> list[dict]:
+    lines = text.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+
+
+class TestJsonMatchesCsv:
+    @settings(database=None, deadline=None, max_examples=30)
+    @given(st.floats(1.0, 1e6, exclude_min=True), st.integers(0, 40),
+           st.integers(0, 40), st.sampled_from(["0", "100"]))
+    def test_upper_mad_records(self, r, a, d, mc):
+        argv = ["upper", "mad", "--r", repr(r), "--n", f"{a}:{a + d}",
+                "--mc", mc]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as js:
+            assert main(argv + ["--format", "json"]) == 0
+        records = json.loads(js.getvalue())
+        rows = csv_records(out.getvalue())
+        assert len(records) == len(rows) == d + 1
+        for rec, row in zip(records, rows):
+            assert list(rec) == list(row)
+            for key, text in row.items():
+                x = float(text)
+                assert x == rec[key] or (np.isnan(x) and np.isnan(rec[key]))
+
+
 class TestPbinCommand:
     def test_pmf(self, capsys):
         code, out = run_cli(capsys, "pbin", "pmf", "0.1", "0.2", "0.3")
@@ -279,6 +306,23 @@ class TestExitCodes:
         code, out = run_cli(capsys, "upper", "floor", "--r", "1e200",
                             "--n", "1")
         assert code == 0 and "0.25" in out
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError(),
+        MemoryError("Unable to allocate 2.24 GiB for an array with shape "
+                    "(300000001,) and data type float64"),
+    ])
+    def test_memory_error_exits_one_without_traceback(self, capsys,
+                                                      monkeypatch, exc):
+        def fail(ratio, k):
+            raise exc
+        monkeypatch.setattr("obsvalue.cli.exact_mad", fail)
+        assert main(["upper", "mad", "--r", "2", "--n", "300000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert (str(exc) or "MemoryError") in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])

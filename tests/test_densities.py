@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
                                 hypercube_density, richness_witness,
@@ -11,6 +13,12 @@ from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
 
 EXACT = 1e-12
 UNIFORM = StepDensity([0.0, 1.0], [1.0])
+
+# Interior breakpoints and heights of a valid density (normalized on
+# construction); heights are bounded so the normalization cannot overflow.
+cuts = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                max_size=12, unique=True).map(sorted)
+heights = st.floats(1e-3, 1e3)
 
 
 def random_density(rng):
@@ -44,6 +52,17 @@ class TestStepDensity:
 
     def test_json_round_trip(self):
         f = hypercube_density(HypercubeSpec(2.0, 2, [0, 1]))
+        g = StepDensity.from_json(f.to_json())
+        assert np.array_equal(f.breakpoints, g.breakpoints)
+        assert np.array_equal(f.values, g.values)
+
+    @settings(database=None, deadline=None)
+    @given(cuts.flatmap(lambda c: st.tuples(
+        st.just(c), st.lists(heights, min_size=len(c) + 1,
+                             max_size=len(c) + 1))))
+    def test_json_round_trip_property(self, case):
+        inner, vals = case
+        f = StepDensity([0.0, *inner, 1.0], vals, normalize=True)
         g = StepDensity.from_json(f.to_json())
         assert np.array_equal(f.breakpoints, g.breakpoints)
         assert np.array_equal(f.values, g.values)
@@ -91,6 +110,13 @@ class TestHypercubeDensity:
 
     def test_spec_json_round_trip(self):
         spec = HypercubeSpec(2.5, 3, [1, 0, 1])
+        assert HypercubeSpec.from_json(spec.to_json()) == spec
+
+    @settings(database=None, deadline=None)
+    @given(st.floats(1.0, 1e300, exclude_min=True),
+           st.lists(st.integers(0, 1), min_size=1, max_size=64))
+    def test_spec_json_round_trip_property(self, r, bits):
+        spec = HypercubeSpec(r, len(bits), bits)
         assert HypercubeSpec.from_json(spec.to_json()) == spec
 
 

@@ -319,6 +319,23 @@ class TestMixedPbinMass:
         with pytest.raises(ValueError):  # beyond the guard: GF path
             mixedpbin_mass(16, 16, np.full(16, 0.07), table)
 
+    @pytest.mark.parametrize("n", [2, 16])  # enumeration, then GF
+    @pytest.mark.parametrize("bad, message", [
+        ("negative", "weights must be nonnegative"),
+        ("nan", "weights must be nonnegative"),
+        ("sum", "weights must sum to 1 within 1e-12"),
+    ])
+    def test_rejects_bad_weights_alike_on_both_paths(self, n, bad, message):
+        w = np.full(n, 1.0 / n)
+        if bad == "negative":
+            w[0], w[1] = -w[0], w[1] + 2.0 * w[0]  # still sums to 1
+        elif bad == "nan":
+            w[0] = np.nan
+        else:
+            w *= 1.1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mixedpbin_mass(n, n, w, bayes_risk_curve(2.0, n).values)
+
 
 class TestSimulations:
     def test_multitest_fair_pair(self):

@@ -10,9 +10,8 @@ import pytest
 
 from obsvalue.lower import bayes_risk_curve
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
-                           binom_pmf, multinomial_enumerate,
-                           multinomial_sample, n_compositions, pbin_pmf,
-                           pbin_pmf_rows, pbin_shift_difference,
+                           binom_pmf, multinomial_enumerate, n_compositions,
+                           pbin_pmf, pbin_pmf_rows, pbin_shift_difference,
                            pbin_survival)
 from obsvalue.verify import enum_pmf
 
@@ -236,17 +235,6 @@ class TestBinomPmf:
 
 
 class TestMultinomial:
-    def test_sample_trivial_cases(self):
-        rng = np.random.default_rng(0)
-        assert multinomial_sample(0, [0.4, 0.6], rng).tolist() == [0, 0]
-        assert multinomial_sample(5, [1.0, 0.0], rng).tolist() == [5, 0]
-
-    def test_sample_binomial_marginal(self):
-        rng = np.random.default_rng(77)
-        counts = multinomial_sample(10**5, [0.5, 0.5], rng)
-        assert counts.sum() == 10**5
-        assert abs(counts[0] - 5e4) < 3.0 * math.sqrt(10**5 * 0.25)
-
     def test_enumerate_one_trial(self):
         counts, probs = multinomial_enumerate(1, [0.5, 0.5])
         table = dict(zip(map(tuple, counts.tolist()), probs))
@@ -300,7 +288,7 @@ class TestMultinomial:
         trials, draws = 3, 10**6
         counts, probs = multinomial_enumerate(trials, weights)
         rng = np.random.default_rng(2024)
-        samples = multinomial_sample(trials, weights, rng, size=draws)
+        samples = rng.multinomial(trials, weights / weights.sum(), size=draws)
         key = samples @ np.array([1, 5, 25])
         for row, p in zip(counts, probs):
             freq = np.count_nonzero(key == row @ np.array([1, 5, 25])) / draws

@@ -1,13 +1,17 @@
 """Sweep and rate-fit tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsvalue.densities import HypercubeSpec, hypercube_density
 from obsvalue.rates import (BoundReport, bound_sweep, format_number,
-                            rate_fit, reports_to_csv, sweep_summary)
+                            rate_fit, reports_to_csv, sweep_summary, to_csv,
+                            to_record)
 from obsvalue.upper import exact_mad, uniform_ratio
 
 EXACT = 1e-12
@@ -110,3 +114,31 @@ class TestEmission:
                                 "amplitudes", "residuals", "n_range"}
         assert -1.0 < summary["exponent_upper"] < 0.0
         assert -1.0 < summary["exponent_lower"] < 0.0
+
+
+def same_value(csv_text: str, value) -> bool:
+    """A CSV cell and a JSON value carry the same string or number (NaN
+    matches NaN)."""
+    if isinstance(value, str):
+        return csv_text == value
+    x = float(csv_text)
+    return x == value or (math.isnan(x) and math.isnan(value))
+
+
+# Cells of the kinds the reports hold: ints, doubles (NaN when a Monte Carlo
+# column is off) and method names.
+cells = st.one_of(st.integers(-10**9, 10**9), st.floats(),
+                  st.sampled_from(["exact", "gf"]))
+
+
+@settings(database=None, deadline=None)
+@given(st.lists(st.lists(cells, min_size=3, max_size=3), max_size=6))
+def test_json_records_parse_back_to_csv_rows(rows):
+    columns = ("a", "b", "c")
+    lines = to_csv(columns, rows).splitlines()
+    records = json.loads(json.dumps([to_record(columns, r) for r in rows]))
+    assert lines[0] == "a,b,c" and len(records) == len(lines) - 1 == len(rows)
+    for line, rec in zip(lines[1:], records):
+        assert list(rec) == list(columns)
+        assert all(same_value(text, rec[c])
+                   for text, c in zip(line.split(","), columns))

@@ -2,6 +2,7 @@
 scipy quadrature."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,28 @@ class TestMcMad:
             one = mc_mad(f, 3, 50_000, seed=5, workers=1)
             assert mc_mad(f, 3, 50_000, seed=5, workers=2) == one
             assert mc_mad(f, 3, 50_000, seed=5, workers=4) == one
+
+    def test_draws_run_in_the_calling_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("mc_mad started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        f = hypercube_density(HypercubeSpec(2.0, 2, [1, 0]))
+        assert (mc_mad(f, 3, 50_000, seed=5, workers=2)
+                == mc_mad(f, 3, 50_000, seed=5))
+
+    def test_seeded_values_are_pinned(self):
+        # Recorded before the draws moved to streams.mc_mean; any change to
+        # the chunking, the child streams or the moment merge shows here.
+        two = hypercube_density(HypercubeSpec(2.0, 1, [0]))
+        cells64 = hypercube_density(
+            HypercubeSpec(2.0, 64, [j % 2 for j in range(64)]))
+        assert mc_mad(two, 5, 20_000, seed=3) == (
+            0.2115733333333334, 0.0031442210609306702)
+        assert mc_mad(cells64, 257, 20_000, seed=4) == (
+            0.028462516212710776, 0.00045663275778280016)
+        assert mc_mad(THREE_LEVEL, 7, 20_000, seed=6) == (
+            0.1846892857142857, 0.002950171937980558)
 
     @pytest.mark.parametrize("r", [1e6, 1e100])
     def test_unseen_level_widens_interval_to_cover_exact(self, r):

@@ -4,8 +4,49 @@ import math
 
 import numpy as np
 
-from obsvalue import pbin, verify
+from obsvalue import lower, pbin, verify
 from obsvalue.streams import child_rng
+
+# Reference-estimator values recorded before the draws moved to
+# streams.mc_mean: (mean, 3-sigma half-width) of mc_cube_gaps(8, 2.0,
+# 20000, 3) and of mc_mixed_pmf(16, uniform, bayes_risk_curve(2, 16),
+# 20000, 4).
+CUBE_GAPS = (
+    [6.678328290581703e-05, 0.0007042466595768928, 0.0034218412488698957,
+     0.010155511999875307, 0.02057450100108981, 0.030119113886356352,
+     0.03288966397792101, 0.027261191799491644, 0.017280471988767386,
+     0.00837136145979166, 0.003072003918886185, 0.0008380947165191173,
+     0.00016445023491978646, 2.1898558735847475e-05, 1.7687216401100159e-06,
+     6.529465317726135e-08],
+    [1.2773232808256466e-06, 1.291211366381063e-05, 6.030516879183113e-05,
+     0.0001727711665502454, 0.00033992840332809247, 0.0004870729962700161,
+     0.0005255727286365729, 0.0004351123465610676, 0.00027860600063007545,
+     0.0001378395981547181, 5.2170265158559806e-05, 1.4799229360846418e-05,
+     3.037625834072363e-06, 4.2476046406664613e-07, 3.609621030921023e-08,
+     1.40280675870216e-09],
+)
+MIXED_PMF = (
+    [0.0012634509909181361, 0.010885324324399698, 0.043294770512051765,
+     0.10548977212799945, 0.176184269531678, 0.2138121927650296,
+     0.19498002263167, 0.13625677485662746, 0.0737259442940769,
+     0.030982823978678787, 0.010076760974971694, 0.002509229777555447,
+     0.00046888207594311096, 6.354862953303382e-05, 5.890297898440621e-06,
+     3.3354017650708555e-07, 8.6907919467194e-09],
+    [1.2809437595702855e-05, 8.696013522516881e-05, 0.00025844774780282376,
+     0.0004281600211560892, 0.00039501073263480444, 0.00012365297033375793,
+     0.0002542308550468807, 0.00039985979500031094, 0.000335232510677924,
+     0.00018986327643860488, 7.734190189634288e-05, 2.3048157970118503e-05,
+     4.994819927868727e-06, 7.669804891007916e-07, 7.907959013863968e-08,
+     4.906728586349933e-09, 1.3834714280853768e-10],
+)
+
+
+def test_reference_estimators_are_pinned():
+    mean, ci = verify.mc_cube_gaps(8, 2.0, 20000, 3)
+    assert (mean.tolist(), ci.tolist()) == CUBE_GAPS
+    table = lower.bayes_risk_curve(2.0, 16).values
+    mean, ci = verify.mc_mixed_pmf(16, np.full(16, 1 / 16), table, 20000, 4)
+    assert (mean.tolist(), ci.tolist()) == MIXED_PMF
 
 
 def test_binomial_tail_matches_pmf_sums():
