@@ -7,9 +7,11 @@ EXACT_TOL = 1e-12
 # Absolute tolerance for sums over full enumerations.
 SUM_TOL = 1e-10
 
-# Refuse exact enumeration above this many multinomial compositions;
-# callers use the generating-function engine instead.
-ENUM_GUARD = 10**6
+# Refuse exact enumeration whose table, compositions x (cells + 1), holds
+# more entries than this (about 64 MiB an array); callers use the
+# generating-function engine instead.  2^23 keeps the largest enumeration
+# in use, Mult(8) over 16 cells (490 314 x 17), exact.
+ENUM_GUARD = 1 << 23
 
 # All confidence intervals are 3-sigma normal intervals.
 CI_SIGMA = 3.0

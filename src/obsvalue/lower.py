@@ -10,9 +10,9 @@ together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
 certifies.
 
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
-enumeration while the number of compositions stays under the guard
-(``method="exact"``), otherwise an exact generating-function engine
-(``method="gf"``).  Neither draws random numbers.  The coupled Monte Carlo
+enumeration while its table stays under the guard (``method="exact"``),
+otherwise an exact generating-function engine (``method="gf"``).  Neither
+draws random numbers.  The coupled Monte Carlo
 reference estimators that cross-check both live in ``verify``.
 """
 
@@ -24,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ENUM_GUARD
-from .pbin import (_as_weights, bernoulli_step, log_factorials,
-                   multinomial_enumerate, n_compositions, pbin_pmf_rows)
+from .pbin import (_as_weights, bernoulli_step, enumeration_fits,
+                   log_factorials, multinomial_enumerate, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -149,6 +148,21 @@ def _poisson_pmf(t: int, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - lam - log_factorials(t))
 
 
+def _mul_power(acc: np.ndarray, base: np.ndarray, mult: int) -> None:
+    """In place, acc *= base ** mult for an integer mult >= 0, by repeated
+    squaring over the bits of mult from the lowest: floor(log2 mult)
+    squarings of ``base`` (which is overwritten) and one multiply into
+    ``acc`` per set bit.  The first rounding of a square is raised to the
+    power mult/2, so the relative error is of order mult * eps, as for any
+    double-precision method."""
+    while mult:
+        if mult & 1:
+            acc *= base
+        mult >>= 1
+        if mult:
+            base *= base
+
+
 def _gf_mixed_pbin(
     t: int,
     groups: Sequence[tuple[int, float]],
@@ -175,6 +189,12 @@ def _gf_mixed_pbin(
     z-coefficients come from the values at roots of unity by an inverse
     real DFT, keeping the half of them that conjugate symmetry determines;
     the z-nodes are processed in blocks of at most ``_GF_BLOCK`` entries.
+
+    Cost: K (d/2 + 1) complex entries, each taking about 2 log2(M) complex
+    multiplies per group of multiplicity M (``_mul_power``), plus the
+    DFTs.  The powers are not taken with ``**``: numpy squares only below
+    exponent 100 and above that calls libm ``cpow``, exp(M log w), which is
+    several times slower per entry and less accurate.
     """
     fft = np.fft  # loaded on first use, off the import path
     size = 1 + sum(mult for mult, _ in groups)
@@ -190,7 +210,7 @@ def _gf_mixed_pbin(
         pois = _poisson_pmf(t, t * weight)
         a, b = at_nodes(pois * (1.0 - table)), at_nodes(pois * table)
         factors.append((mult, a, b))
-        plain *= (a + b) ** mult
+        _mul_power(plain, a + b, mult)
     if tagged is not None:
         weight, c = tagged
         pois = _poisson_pmf(t, t * weight)
@@ -205,11 +225,16 @@ def _gf_mixed_pbin(
     zs = np.exp(-2j * math.pi * np.arange(size // 2 + 1) / size)
     values = np.empty(zs.size, dtype=complex)
     step = max(1, _GF_BLOCK // K)
+    acc_buf = np.empty((min(step, zs.size), K), dtype=complex)
+    base_buf = np.empty_like(acc_buf)
     for lo in range(0, zs.size, step):
         z = zs[lo:lo + step, None]
-        acc = np.tile(extra, (z.shape[0], 1))
+        acc, base = acc_buf[:z.shape[0]], base_buf[:z.shape[0]]
+        acc[:] = extra
         for mult, a, b in factors:
-            acc *= (a + z * b) ** mult
+            np.multiply(z, b, out=base)
+            base += a
+            _mul_power(acc, base, mult)
         values[lo:lo + step] = acc @ pick
     coef = fft.irfft(values / norm, n=size)
     # Every coefficient is an expectation of nonnegative terms; what the
@@ -230,7 +255,8 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
                           tagged=(1.0 / m, risks[:n + 1] - risks[1:n + 2]))
 
 
-def cube_lower(n: int, r: float) -> CubeLowerResult:
+def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
+               ) -> CubeLowerResult:
     """Deficiency lower bound from the 2n-cell uniform-weight witness.
 
     Computes, for every threshold l, the drop in the best multi-test risk
@@ -239,16 +265,19 @@ def cube_lower(n: int, r: float) -> CubeLowerResult:
     while both enumerations stay under the guard (``method="exact"``),
     otherwise the generating-function engine (``method="gf"``); both are
     exact up to rounding, so ``ci`` is all zeros.
+
+    ``_risks``, for sweeps only, is ``bayes_risk_curve(r, N).values`` for
+    some N > n; the curve is prefix-stable, so its first n + 2 values are
+    those of ``bayes_risk_curve(r, n + 1)`` bit for bit.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
     m = 2 * n
-    risks = bayes_risk_curve(r, n + 1).values
-    exact_ok = (n_compositions(n, m) <= ENUM_GUARD
-                and n_compositions(n + 1, m) <= ENUM_GUARD)
-    if exact_ok:
+    risks = (bayes_risk_curve(r, n + 1).values if _risks is None
+             else _risks[:n + 2])
+    if enumeration_fits(n + 1, m):  # the larger of the two enumerations
         per_l, method = _exact_survival_gap(n, m, risks), "exact"
     else:
         per_l, method = _gf_survival_gap(n, m, risks), "gf"
@@ -311,7 +340,7 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if n_compositions(n, m) <= ENUM_GUARD:
+    if enumeration_fits(n, m):
         counts, probs = multinomial_enumerate(n, w)
         masses = probs @ pbin_pmf_rows(table[counts])
         method = "exact"

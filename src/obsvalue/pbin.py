@@ -17,7 +17,7 @@ from .constants import ENUM_GUARD
 
 
 class EnumerationGuardError(ValueError):
-    """Raised when an exact enumeration would exceed the composition guard.
+    """Raised when an exact enumeration's table would exceed the guard.
 
     Callers should use the generating-function engine of ``lower`` instead.
     """
@@ -175,6 +175,13 @@ def n_compositions(trials: int, m: int) -> int:
     return math.comb(trials + m - 1, m - 1)
 
 
+def enumeration_fits(trials: int, m: int) -> bool:
+    """Whether exact enumeration of Mult(trials) over m cells stays within
+    ``ENUM_GUARD`` table entries: one row per composition, m + 1 columns
+    (the count vector, or a PBin pmf of it)."""
+    return n_compositions(trials, m) * (m + 1) <= ENUM_GUARD
+
+
 def _compositions(trials: int, m: int) -> np.ndarray:
     """All compositions of ``trials`` into ``m`` parts, one per row.
 
@@ -206,18 +213,19 @@ def multinomial_enumerate(
     """All count vectors of Mult(trials, weights) with their probabilities.
 
     Returns ``(counts, probs)`` where ``counts`` has one composition per row.
-    Probabilities sum to 1 within 1e-10.  Raises :class:`EnumerationGuardError`
-    when the number of compositions exceeds the guard.
+    Probabilities sum to 1 within 1e-10.  Raises
+    :class:`EnumerationGuardError`, before allocating, when the table
+    exceeds the guard (:func:`enumeration_fits`).
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     w = _as_weights(weights)
     m = w.size
-    total = n_compositions(trials, m)
-    if total > ENUM_GUARD:
+    if not enumeration_fits(trials, m):
         raise EnumerationGuardError(
-            f"{total} compositions exceed the {ENUM_GUARD} guard; "
-            "use the generating-function engine"
+            f"{n_compositions(trials, m)} compositions x {m + 1} columns "
+            f"exceed the {ENUM_GUARD}-entry guard; use the "
+            "generating-function engine"
         )
     counts = _compositions(trials, m)
     probs = multinomial_logpmf(counts, w)

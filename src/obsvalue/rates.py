@@ -11,7 +11,7 @@ import numpy as np
 
 from .constants import EXACT_TOL
 from .densities import HypercubeSpec, hypercube_density
-from .lower import cube_lower, richness_lower_bound
+from .lower import bayes_risk_curve, cube_lower, richness_lower_bound
 from .upper import (certificate_upper_bound, exact_mad, hoeffding_certificate,
                     mad_floor, uniform_ratio)
 
@@ -55,9 +55,10 @@ def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
         raise ValueError("n_values must be nonempty and increasing, all >= 1")
     ratio = uniform_ratio(hypercube_density(HypercubeSpec(r, 1, [0]))).two_level
     cert = hoeffding_certificate(r)
+    risks = bayes_risk_curve(r, ns[-1] + 1).values  # one curve for every n
     reports = []
     for n in ns:
-        cube = cube_lower(n, r)
+        cube = cube_lower(n, r, _risks=risks)
         reports.append(BoundReport(
             r=r, n=n, m=cube.m,
             lower=cube.delta, lower_ci=cube.ci_at_star, l_star=cube.l_star,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +240,22 @@ class TestUpperLowerCommands:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert abs(float(row[4]) - 0.5) < 1e-12
+
+    def test_lower_mixedpbin_many_cells_takes_the_gf(self, capsys):
+        # 10^5 compositions of 10^5 + 1 entries each: beyond the guard.
+        m = 100_000
+        code, out = run_cli(capsys, "lower", "mixedpbin", "--r", "2",
+                            "--n", "1", "--m", str(m))
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[-1] == "gf"
+        # The one observation lands in some cell, whose risk drops to
+        # r(1) = 1/4; the other m - 1 cells keep risk 1/2, so the mass at k
+        # is (3 C(m-1, k) + C(m-1, k-1)) / (4 2^(m-1)).  C(m-1, m/2 - 1) =
+        # C(m-1, m/2) are the largest, so k = m/2 is the best outcome.
+        mass = math.comb(m - 1, m // 2) / 2 ** (m - 1)
+        assert row[3] == str(m // 2)
+        assert abs(float(row[4]) - mass) <= 1e-12 * mass
 
 
 class TestSweepCommand:

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,6 +120,14 @@ class TestBayesRiskCurve:
         with pytest.raises(ValueError):
             bayes_risk_curve(1.0, 4)
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_prefix_of_a_longer_curve_is_bit_identical(self, r):
+        # What lets a sweep build one curve and hand each n its prefix.
+        long = bayes_risk_curve(r, 1025).values
+        for n in (0, 1, 6, 7, 63, 500, 1023):
+            want = bayes_risk_curve(r, n + 1).values
+            assert long[:n + 2].tobytes() == want.tobytes()
+
 
 class TestRichnessLowerBound:
     def test_spot_value(self):
@@ -231,6 +240,18 @@ class TestCubeLower:
         assert one.method == "gf" and one.per_l.min() >= 0.0
         assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
 
+    # (n, l_star, delta) of cube_lower(n, 2.0), recorded when the engine
+    # still took its powers with numpy's ``**``.
+    PINS = [(64, 52, 0.01172381803360226),
+            (256, 205, 0.005869019655509488),
+            (1024, 820, 0.0029357770469854464)]
+
+    @pytest.mark.parametrize("n, l_star, delta", PINS)
+    def test_pinned_values(self, n, l_star, delta):
+        res = cube_lower(n, 2.0)
+        assert res.method == "gf" and res.l_star == l_star
+        assert abs(res.delta - delta) <= 1e-15
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             cube_lower(0, 2.0)
@@ -282,7 +303,10 @@ class TestMixedPbinMass:
         mean, ci = mc_mixed_pmf(16, np.full(16, 1 / 16), table, 20_000, 6)
         assert np.all(np.abs(mean - res.masses) <= np.maximum(ci, 1e-12))
 
-    @pytest.mark.parametrize("m, n", [(9, 9), (10, 10)])
+    # (128, 4) raises each group factor to the power 128 (numpy's ``**``
+    # took that power with libm cpow, above its squaring cut-off of 100);
+    # there mixedpbin_mass dispatches to the GF too.
+    @pytest.mark.parametrize("m, n", [(9, 9), (10, 10), (128, 4)])
     def test_gf_matches_rational_oracle(self, m, n):
         r = Fraction(2)
         want = np.array([float(p) for p in rational_mixed_pmf(
@@ -335,6 +359,33 @@ class TestMixedPbinMass:
             w *= 1.1
         with pytest.raises(ValueError, match=f"^{message}$"):
             mixedpbin_mass(n, n, w, bayes_risk_curve(2.0, n).values)
+
+
+class TestMulPower:
+    @pytest.mark.parametrize("mult", [0, 1, 2, 3, 99, 100, 101, 511, 65535])
+    def test_matches_high_precision_powers(self, mult):
+        """acc * w**mult on the closed unit disk against 100-bit mpmath.
+
+        Squaring's first rounding is raised to the power mult/2, so the
+        error is of order mult * eps (log2(mult) * eps is out of reach for
+        any double-precision method); measured here: at most 0.48 mult eps.
+        Below the normal range the bound is taken relative to the smallest
+        normal double."""
+        rng = np.random.default_rng(11)
+        radius = np.concatenate([np.sqrt(rng.random(150)),  # uniform
+                                 1.0 - 10.0 ** -rng.uniform(3, 12, 100),
+                                 np.ones(50)])
+        w = radius * np.exp(2j * np.pi * rng.random(radius.size))
+        w = np.concatenate([w, [0.0, 1.0, -1.0, 1j, -0.5 + 0.5j]])
+        acc = np.exp(2j * np.pi * rng.random(w.size))
+        got = acc.copy()
+        lower._mul_power(got, w.copy(), mult)
+        with mpmath.workprec(100):
+            want = np.array([complex(mpmath.mpc(x) * mpmath.mpc(y) ** mult)
+                             for x, y in zip(acc, w)])
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        bound = 2.0 * max(mult, 1) * eps * np.maximum(np.abs(want), tiny)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestSimulations:

@@ -10,7 +10,8 @@ import pytest
 
 from obsvalue.lower import bayes_risk_curve
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
-                           binom_pmf, multinomial_enumerate, n_compositions,
+                           binom_pmf, enumeration_fits, multinomial_enumerate,
+                           n_compositions,
                            pbin_pmf, pbin_pmf_rows, pbin_shift_difference,
                            pbin_survival)
 from obsvalue.verify import enum_pmf
@@ -282,6 +283,26 @@ class TestMultinomial:
         assert n_compositions(9, 16) == 1307504
         with pytest.raises(EnumerationGuardError):
             multinomial_enumerate(9, [1.0 / 16] * 16)
+
+    def test_guard_counts_table_entries(self):
+        # The largest enumerations in use stay exact: cube_lower(7, r) at
+        # Mult(8) over 14 cells, c8's mixedpbin_mass(8, 16).
+        assert enumeration_fits(8, 14) and enumeration_fits(8, 16)
+        assert not enumeration_fits(9, 16)
+        # 10^5 compositions pass a count of rows, not of entries.
+        assert n_compositions(1, 100_000) == 100_000
+        assert not enumeration_fits(1, 100_000)
+
+    def test_guard_raises_before_allocating(self):
+        w = np.full(100_000, 1e-5)  # the table would take 74.5 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationGuardError):
+                multinomial_enumerate(1, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sample_frequencies_match_enumeration(self):
         weights = np.array([0.2, 0.3, 0.5])

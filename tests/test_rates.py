@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obsvalue import lower, rates
 from obsvalue.densities import HypercubeSpec, hypercube_density
+from obsvalue.lower import bayes_risk_curve, cube_lower
 from obsvalue.rates import (BoundReport, bound_sweep, format_number,
                             rate_fit, reports_to_csv, sweep_summary, to_csv,
                             to_record)
@@ -79,6 +81,22 @@ class TestBoundSweep:
             assert rep.upper_exact <= rep.upper_closed + EXACT
             # a lower bound on the deficiency never exceeds an upper bound
             assert rep.lower - rep.lower_ci <= rep.upper_exact
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_rows_equal_standalone_cube_lower(self, r, monkeypatch):
+        curves = []
+        def counted(r, n_max):
+            curves.append(n_max)
+            return bayes_risk_curve(r, n_max)
+        monkeypatch.setattr(rates, "bayes_risk_curve", counted)
+        monkeypatch.setattr(lower, "bayes_risk_curve", counted)
+        ns = [1, 3, 6, 8, 20, 64]
+        reports = bound_sweep(r, ns)
+        assert curves == [65]  # one curve for the whole sweep
+        for n, rep in zip(ns, reports):
+            cube = cube_lower(n, r)
+            assert (rep.lower, rep.l_star, rep.delta_avg, rep.lower_method) \
+                == (cube.delta, cube.l_star, cube.delta_avg, cube.method)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
