@@ -22,8 +22,8 @@ from .densities import (HypercubeSpec, StepDensity, hypercube_density,
                         sample_density, tv_distance)
 from .lower import bayes_risk_curve, cube_lower, mixedpbin_mass, richness_lower_bound
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
-from .rates import (bound_sweep, format_number, reports_to_csv,
-                    summary_to_json, sweep_summary, to_csv, to_record)
+from .rates import (bound_sweep, format_number, reports_to_csv, sweep_summary,
+                    to_csv, to_record)
 from .streams import child_rng
 from .upper import (certificate_upper_bound, chi2_radius, exact_mad,
                     hoeffding_certificate, mad_floor, mc_mad, uniform_ratio)
@@ -203,7 +203,7 @@ def _cmd_sweep(args) -> int:
         _emit(reports_to_csv(reports), args.out)
         if args.summary:
             Path(args.summary).write_text(
-                summary_to_json(sweep_summary(reports)))
+                json.dumps(sweep_summary(reports), indent=2) + "\n")
     return 0
 
 

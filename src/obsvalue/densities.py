@@ -157,19 +157,12 @@ def sample_density(
     return f.breakpoints[idx] + offset
 
 
-def _merged_heights(
-    f: StepDensity, g: StepDensity
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return grid, f(mids), g(mids)
-
-
 def tv_distance(f: StepDensity, g: StepDensity) -> float:
     """Total variation distance between two step densities, computed exactly
     on the merged breakpoint grid."""
-    grid, hf, hg = _merged_heights(f, g)
-    return float(0.5 * np.sum(np.abs(hf - hg) * np.diff(grid)))
+    grid = np.union1d(f.breakpoints, g.breakpoints)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return float(0.5 * np.sum(np.abs(f(mids) - g(mids)) * np.diff(grid)))
 
 
 @dataclass(frozen=True)

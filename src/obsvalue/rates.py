@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -156,7 +155,3 @@ def sweep_summary(reports: Sequence[BoundReport]) -> dict:
                       "lower": fit_lower.residual},
         "n_range": list(fit_upper.n_range),
     }
-
-
-def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2) + "\n"

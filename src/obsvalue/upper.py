@@ -12,9 +12,10 @@ via the Binomial sufficient statistic; otherwise it is estimated by Monte
 Carlo over the same kind of statistic: g is a step function, so the average
 depends only on how many of the n+1 draws land in each level set of g, and
 ``mc_mad`` draws those counts from Mult(n+1, level masses) instead of the
-draws' positions, through the one Monte Carlo loop
-:func:`streams.mc_mean`, in the calling thread.  A universal floor shows
-the 1/sqrt(n) decay is unimprovable here.
+draws' positions, through the one Monte Carlo loop :func:`streams.mc_mean`,
+in the calling thread.  Both read g's law, its levels and their masses,
+from ``uniform_ratio``.  A universal floor shows the 1/sqrt(n) decay is
+unimprovable here.
 """
 
 from __future__ import annotations
@@ -70,40 +71,37 @@ class TwoLevelRatio:
 
 @dataclass(frozen=True)
 class LikelihoodRatio:
-    """Step function g = (uniform density) / f with unit mean under f."""
+    """Law of g = (uniform density) / f under f: the distinct values of g,
+    increasing, in ``levels`` and their masses under f, normalized to sum
+    to 1, in ``probs``.  ``mean`` is E_f[g], which is 1; ``two_level`` is
+    the same law as a :class:`TwoLevelRatio` when g takes exactly two
+    values, else None."""
 
-    breakpoints: np.ndarray
-    values: np.ndarray
+    levels: np.ndarray
+    probs: np.ndarray
     mean: float
     two_level: TwoLevelRatio | None
 
-    def __call__(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float),
-                              side="right") - 1
-        idx = np.clip(idx, 0, self.values.size - 1)
-        return self.values[idx]
-
 
 def uniform_ratio(f: StepDensity) -> LikelihoodRatio:
-    """Ratio g = 1/f of the uniform measure against a strictly positive step
-    density, classified as two-level iff f takes exactly two height values."""
+    """Law of g = 1/f, the ratio of the uniform measure against a strictly
+    positive step density, under f: intervals where f has the same height
+    form one level of g, with their total mass."""
     if f.values.min() <= 0.0:
         raise ValueError("requires a strictly positive density")
-    values = 1.0 / f.values
-    mean = float(np.sum(values * f.values * f.widths))
-    levels = np.unique(f.values)
-    two_level = None
-    if levels.size == 2:
-        lo, hi = levels
-        q = float(lo * np.sum(f.widths[f.values == lo]))
-        two_level = TwoLevelRatio(a=1.0 / lo, b=1.0 / hi, q=q)
-    ratio = LikelihoodRatio(
-        breakpoints=f.breakpoints, values=values, mean=mean,
-        two_level=two_level,
-    )
+    g = 1.0 / f.values
+    levels, level_of = np.unique(g, return_inverse=True)
+    masses = np.bincount(level_of, weights=f.values * f.widths)
+    probs = masses / masses.sum()
+    mean = float(np.sum(g * f.values * f.widths))
     if abs(mean - 1.0) > EXACT_TOL:
         raise AssertionError(f"ratio mean {mean!r} deviates from 1")
-    return ratio
+    two_level = None
+    if levels.size == 2:
+        two_level = TwoLevelRatio(a=float(levels[1]), b=float(levels[0]),
+                                  q=float(probs[1]))
+    return LikelihoodRatio(levels=levels, probs=probs, mean=mean,
+                           two_level=two_level)
 
 
 def hoeffding_certificate(r: float) -> CsCertificate:
@@ -213,13 +211,14 @@ def mc_mad(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E | (1/k) sum g(xi_i) - 1 | for g = 1/f.
 
-    Each draw is a vector of level counts ~ Mult(k, level masses of g under
-    f), which determines the average of g over k draws from f, so a draw
-    costs O(levels) rather than O(k).  Returns ``(estimate, half_width)``
-    where the half-width is the 3-sigma normal interval.  The draws run in
-    the calling thread through :func:`streams.mc_mean` (tag ``"mc_mad"``),
-    so the result depends only on ``f``, ``k``, ``draws`` and ``seed``;
-    ``workers`` is accepted for compatibility and has no effect.
+    Each draw is a vector of level counts ~ Mult(k, probs) over g's law
+    (``levels``, ``probs``) from :func:`uniform_ratio`; it determines the
+    average of g over k draws from f, so a draw costs O(levels) rather
+    than O(k).  Returns ``(estimate, half_width)`` where the half-width is
+    the 3-sigma normal interval.  The draws run in the calling thread
+    through :func:`streams.mc_mean` (tag ``"mc_mad"``), so the result
+    depends only on ``f``, ``k``, ``draws`` and ``seed``; ``workers`` is
+    accepted for compatibility and has no effect.
 
     Every level of g has positive mass (f > 0).  If some level is never
     drawn, the draws carry no sample variance from it (a level of mass
@@ -231,10 +230,8 @@ def mc_mad(
         raise ValueError("requires k >= 1")
     if draws < 100:
         raise ValueError("requires draws >= 100")
-    ratio = uniform_ratio(f)
-    levels, level_of = np.unique(ratio.values, return_inverse=True)
-    masses = np.bincount(level_of, weights=f.values * f.widths)
-    probs = masses / masses.sum()
+    law = uniform_ratio(f)
+    levels, probs = law.levels, law.probs
     seen = np.zeros(levels.size, dtype=bool)
 
     def draw(rng, rows):

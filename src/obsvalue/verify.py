@@ -392,13 +392,8 @@ _SIM_LEVEL = math.erfc(4.0 / math.sqrt(2.0))
 def _binom_two_sided(hits: int, trials: int, p: float) -> float:
     """Exact two-sided tail probability of ``hits`` under Bin(trials, p):
     twice the smaller of P(X <= hits) and P(X >= hits), capped at 1."""
-    if not 0.0 < p < 1.0:
-        return float(hits == round(p * trials))
-    j = np.arange(trials + 1)
-    logfact = np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
-    pmf = np.exp(logfact[-1] - logfact - logfact[::-1]
-                 + j * math.log(p) + (trials - j) * math.log1p(-p))
-    return min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum()))
+    pmf = pbin.binom_pmf(trials, p)
+    return float(min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum())))
 
 
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:

@@ -3,6 +3,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,9 +227,29 @@ class TestBinomPmf:
                         for k in range(n + 1)]
                 assert np.abs(got - want).max() < 1e-13
 
+    @pytest.mark.parametrize("n", [1000, 10_000, 99_999])
+    def test_mode_matches_exact_integers(self, n):
+        # the lgamma form was 1.3e-13, 1.4e-11 and 3.4e-10 off here
+        want = math.comb(n, n // 2) / 2**n
+        assert abs(binom_pmf(n, 0.5)[n // 2] / want - 1.0) < 1e-14
+
     def test_degenerate(self):
         assert binom_pmf(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
         assert binom_pmf(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("n, p", [
+        (0, 0.3), (5, 5e-324), (5, 1e-300), (5, 1 - 2**-53),
+        (10, 0.01), (10, 0.99),  # mode at 0 and at n
+    ])
+    def test_edge_cases_are_finite_and_normalized(self, n, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = binom_pmf(n, p)
+        assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-15
+        frac = Fraction(p)
+        want = [float(math.comb(n, k) * frac**k * (1 - frac)**(n - k))
+                for k in range(n + 1)]
+        assert np.abs(got - want).max() < 1e-15
 
     def test_agrees_with_convolution(self):
         for n, p in ((17, 0.3), (64, 0.05)):

@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 
-from obsvalue import lower, pbin, verify
+from obsvalue import lower, verify
 from obsvalue.streams import child_rng
 
 # Reference-estimator values recorded before the draws moved to
@@ -49,11 +50,23 @@ def test_reference_estimators_are_pinned():
     assert (mean.tolist(), ci.tolist()) == MIXED_PMF
 
 
+def mp_binom_tails(trials: int, p: float, hits: int):
+    """P(X <= hits) and P(X >= hits) for X ~ Bin(trials, p) in 200-bit
+    arithmetic: P(0) = (1-p)^trials, then P(j+1) = P(j) (trials-j) p /
+    ((j+1) (1-p)); relative error about trials * 2^-200."""
+    with mpmath.workprec(200):
+        p = mpmath.mpf(p)
+        odds = p / (1 - p)
+        pmf = [(1 - p) ** trials]
+        for j in range(trials):
+            pmf.append(pmf[-1] * odds * (trials - j) / (j + 1))
+        return float(sum(pmf[:hits + 1])), float(sum(pmf[hits:]))
+
+
 def test_binomial_tail_matches_pmf_sums():
     for trials, p, hits in ((10_000, 0.3, 2_950), (50_000, 0.99999, 49_996),
                             (20_000, 0.5, 10_000)):
-        pmf = pbin.binom_pmf(trials, p)
-        want = min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum()))
+        want = min(1.0, 2.0 * min(mp_binom_tails(trials, p, hits)))
         assert math.isclose(verify._binom_two_sided(hits, trials, p), want,
                             rel_tol=1e-8)
 
