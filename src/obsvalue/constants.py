@@ -4,9 +4,6 @@
 # shift identity, unit-mean ratios, density integrals).
 EXACT_TOL = 1e-12
 
-# Absolute tolerance for sums over full enumerations.
-SUM_TOL = 1e-10
-
 # Refuse exact enumeration whose table, compositions x (cells + 1), holds
 # more entries than this (about 64 MiB an array); callers use the
 # generating-function engine instead.  2^23 keeps the largest enumeration

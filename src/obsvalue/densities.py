@@ -174,7 +174,6 @@ class RichnessWitness:
     m: int
     alpha: float
     beta: float
-    boundaries: np.ndarray
     weights: np.ndarray
     pairs: tuple[tuple[StepDensity, StepDensity], ...]
 
@@ -214,14 +213,11 @@ def richness_witness(r: float, m: int) -> RichnessWitness:
     if m < 1:
         raise ValueError("requires m >= 1")
     alpha = 1.0 - 1.0 / r
-    boundaries = np.arange(m + 1, dtype=float) / m
-    boundaries[-1] = 1.0
     weights = np.full(m, 1.0 / m)
     pairs = tuple(_cell_pair(r, m, j) for j in range(m))
     for q0, q1 in pairs:
         if tv_distance(q0, q1) < alpha - EXACT_TOL:
             raise AssertionError("cell pair separation below alpha")
     return RichnessWitness(
-        m=m, alpha=alpha, beta=1.0, boundaries=boundaries,
-        weights=weights, pairs=pairs,
+        m=m, alpha=alpha, beta=1.0, weights=weights, pairs=pairs,
     )

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pbin import (_as_weights, bernoulli_step, enumeration_fits,
-                   log_factorials, multinomial_enumerate, pbin_pmf_rows)
+from .pbin import (_as_weights, _poisson_pmf, bernoulli_step,
+                   enumeration_fits, multinomial_enumerate, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,6 @@ _GF_ALIAS = 45
 _GF_BLOCK = 1 << 16
 
 
-def _poisson_pmf(t: int, lam: float) -> np.ndarray:
-    """Pois(lam) pmf on {0, ..., t} (lgamma form)."""
-    if lam == 0.0:
-        out = np.zeros(t + 1)
-        out[0] = 1.0
-        return out
-    k = np.arange(t + 1, dtype=float)
-    return np.exp(k * math.log(lam) - lam - log_factorials(t))
-
-
 def _mul_power(acc: np.ndarray, base: np.ndarray, mult: int) -> None:
     """In place, acc *= base ** mult for an integer mult >= 0, by repeated
     squaring over the bits of mult from the lowest: floor(log2 mult)
@@ -189,6 +179,13 @@ def _gf_mixed_pbin(
     z-coefficients come from the values at roots of unity by an inverse
     real DFT, keeping the half of them that conjugate symmetry determines;
     the z-nodes are processed in blocks of at most ``_GF_BLOCK`` entries.
+
+    Each factor's Poisson law is needed only up to a constant, which
+    cancels against the normalizer (the ``_GF_ALIAS`` bound is relative to
+    it); ``pbin._poisson_pmf`` divides it by its sum, so no factor exceeds
+    1 on the unit circle.  Anchored at 1 at its mode instead, the cube's
+    factor at x = 1 would be e^(1/2), and its (2n-1)-th power would
+    overflow a double near n = 710.
 
     Cost: K (d/2 + 1) complex entries, each taking about 2 log2(M) complex
     multiplies per group of multiplicity M (``_mul_power``), plus the
@@ -283,10 +280,10 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
         per_l, method = _gf_survival_gap(n, m, risks), "gf"
     l_star = int(np.argmax(per_l)) + 1
     pair_avg = 0.5 * (per_l[:-1] + per_l[1:])
-    delta_avg = float(pair_avg.max()) if m >= 2 else float(per_l[0])
     return CubeLowerResult(
         r=r, n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
-        delta_avg=delta_avg, per_l=per_l, ci=np.zeros(m), method=method,
+        delta_avg=float(pair_avg.max()), per_l=per_l, ci=np.zeros(m),
+        method=method,
     )
 
 

@@ -106,6 +106,15 @@ def _random_hypercube(rng: np.random.Generator) -> densities.HypercubeSpec:
     return densities.HypercubeSpec(r, m, rng.integers(0, 2, size=m))
 
 
+def _worst_z(hits, trials: int, probs) -> float:
+    """Largest |hits/trials - p| over cells, in standard errors of a
+    Binomial frequency, sqrt(p (1 - p) / trials) with the variance floored
+    at 1e-12 / trials."""
+    p = np.asarray(probs, dtype=float)
+    se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / trials)
+    return float((np.abs(np.asarray(hits) / trials - p) / se).max())
+
+
 def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
     checks = [
         abs(pbin.pbin_pmf([0.1, 0.2, 0.3])
@@ -182,13 +191,10 @@ def check_multinomial_frequencies(budget: Budget, rng) -> tuple[bool, str]:
     trials, draws = 3, budget.sample_draws
     counts, probs = pbin.multinomial_enumerate(trials, w)
     samples = rng.multinomial(trials, w, size=draws)
-    key = samples @ np.array([1, 10, 100])
-    ref_key = counts @ np.array([1, 10, 100])
-    worst = 0.0
-    for k, p in zip(ref_key, probs):
-        freq = np.count_nonzero(key == k) / draws
-        se = math.sqrt(p * (1.0 - p) / draws)
-        worst = max(worst, abs(freq - p) / max(se, 1e-300))
+    digits = np.array([1, 10, 100])
+    key = samples @ digits
+    hits = [np.count_nonzero(key == k) for k in counts @ digits]
+    worst = _worst_z(hits, draws, probs)
     return worst <= 4.0, f"draws={draws}, worst_z={worst:.2f}"
 
 
@@ -232,12 +238,11 @@ def check_sampler_frequencies(budget: Budget, rng) -> tuple[bool, str]:
     for _ in range(5):
         f = _random_density(rng)
         x = densities.sample_density(f, n, rng)
-        cells = np.linspace(0.0, 1.0, 5)
-        for a, b in zip(cells[:-1], cells[1:]):
-            p = densities.density_integral(f, float(a), float(b))
-            freq = np.count_nonzero((x >= a) & (x < b)) / n
-            se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
-            worst = max(worst, abs(freq - p) / se)
+        # cells [k/4, (k+1)/4); 4x is exact, so floor(4x) = k there
+        hits = np.bincount((4.0 * x).astype(int), minlength=5)[:4]
+        probs = [densities.density_integral(f, k / 4, (k + 1) / 4)
+                 for k in range(4)]
+        worst = max(worst, _worst_z(hits, n, probs))
     return worst <= 4.0, f"worst_z={worst:.2f}"
 
 
@@ -308,9 +313,7 @@ def check_inject_positions(budget: Budget, rng) -> tuple[bool, str]:
     reps = budget.inject_reps
     out = upper.inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
     pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
-    hits = np.bincount(pos, minlength=3)
-    se = math.sqrt((1 / 3) * (2 / 3) / reps)
-    worst = np.abs(hits / reps - 1 / 3).max() / se
+    worst = _worst_z(np.bincount(pos, minlength=3), reps, np.full(3, 1 / 3))
     return worst <= 4.0, f"reps={reps}, worst_z={worst:.2f}"
 
 
@@ -321,11 +324,7 @@ def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
     ref = pbin.pbin_pmf([p_cell] * n + [0.5])
     x = densities.sample_density(f, reps * n, rng).reshape(reps, n)
     counts = np.count_nonzero(upper.inject_kernel(x, rng) < 0.5, axis=1)
-    worst = 0.0
-    for k, p in enumerate(ref):
-        freq = np.count_nonzero(counts == k) / reps
-        se = math.sqrt(max(p * (1.0 - p), 1e-12) / reps)
-        worst = max(worst, abs(freq - p) / se)
+    worst = _worst_z(np.bincount(counts, minlength=ref.size), reps, ref)
     return worst <= 4.0, f"worst_z={worst:.2f}"
 
 

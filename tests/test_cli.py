@@ -388,24 +388,36 @@ class TestExitCodes:
         assert "FAIL synthetic" in capsys.readouterr().out
 
 
-def run_module(module, *argv):
+def run_python(*argv):
     # The child imports the same package as this process, installed or not.
     src = str(Path(obsvalue.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
 def test_console_entry_point():
-    result = run_module("obsvalue.cli", "pbin", "pmf", "0.5", "0.5")
+    result = run_python("-m", "obsvalue.cli", "pbin", "pmf", "0.5", "0.5")
     assert result.returncode == 0
     assert [float(v) for v in result.stdout.split()] == [0.25, 0.5, 0.25]
 
 
 def test_package_runs_as_module():
-    result = run_module("obsvalue", "pbin", "pmf", "0.5", "0.5")
+    result = run_python("-m", "obsvalue", "pbin", "pmf", "0.5", "0.5")
     assert result.returncode == 0
     assert [float(v) for v in result.stdout.split()] == [0.25, 0.5, 0.25]
-    assert run_module("obsvalue", "frobnicate").returncode == 1
+    assert run_python("-m", "obsvalue", "frobnicate").returncode == 1
+
+
+def test_cli_import_loads_no_fft_or_thread_pool():
+    # np.fft is loaded at call time only, and nothing starts a pool, so
+    # importing the CLI costs no more than importing numpy.
+    code = ("import sys, numpy; before = set(sys.modules);"
+            " import obsvalue.cli;"
+            " print(*sorted(name for name in set(sys.modules) - before"
+            " if name.startswith(('numpy.fft', 'concurrent'))))")
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

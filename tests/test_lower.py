@@ -15,7 +15,7 @@ from obsvalue.constants import EXACT_TOL
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
-from obsvalue.pbin import pbin_pmf_rows, pbin_survival
+from obsvalue.pbin import binom_pmf, pbin_pmf_rows, pbin_survival
 from obsvalue.verify import mc_cube_gaps, mc_mixed_pmf
 
 EXACT = 1e-12
@@ -316,6 +316,17 @@ class TestMixedPbinMass:
         assert np.abs(got - want).max() <= EXACT_TOL
         assert np.abs(mixedpbin_mass(n, m, np.full(m, 1.0 / m), table).masses
                       - want).max() <= EXACT_TOL
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_gf_at_large_poisson_means(self, n):
+        # Two cells of weight 1/2: the count law is Bin(n, 1/2), and each
+        # cell's Poisson mean in the engine is n / 2.
+        table = 0.5 * np.exp(-3.0 * np.arange(n + 1) / n)
+        law = binom_pmf(n, 0.5)
+        pmfs = pbin_pmf_rows(np.stack([table, table[::-1]], axis=1))
+        want = [math.fsum(law * pmfs[:, k]) for k in range(3)]
+        got = lower._gf_mixed_pbin(n, [(2, 0.5)], table)
+        assert np.abs(got - want).max() <= 1e-15
 
     def test_gf_nonuniform_weights_match_enumeration(self):
         from obsvalue.pbin import multinomial_enumerate

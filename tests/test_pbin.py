@@ -6,13 +6,14 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from obsvalue.lower import bayes_risk_curve
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
-                           binom_pmf, enumeration_fits, multinomial_enumerate,
-                           n_compositions,
+                           _poisson_pmf, binom_pmf, enumeration_fits,
+                           multinomial_enumerate, n_compositions,
                            pbin_pmf, pbin_pmf_rows, pbin_shift_difference,
                            pbin_survival)
 from obsvalue.verify import enum_pmf
@@ -254,6 +255,34 @@ class TestBinomPmf:
     def test_agrees_with_convolution(self):
         for n, p in ((17, 0.3), (64, 0.05)):
             assert np.abs(binom_pmf(n, p) - pbin_pmf([p] * n)).max() < 1e-13
+
+
+class TestPoissonPmf:
+    @pytest.mark.parametrize("lam", [32, 512, 8192, 32_768])
+    def test_ratios_to_the_mode_match_high_precision(self, lam):
+        # P(k) / P(mode) within 6 sqrt(lam) of lam, on {0, ..., 2 lam};
+        # the lgamma form was 5.2e-14, 7.5e-13, 2.9e-11 and 1.1e-10 off
+        t, mode = 2 * lam, lam
+        got = _poisson_pmf(t, float(lam))
+        half = math.floor(6.0 * math.sqrt(lam))
+        ks = range(max(0, lam - half), min(t, lam + half) + 1)
+        with mpmath.workprec(200):
+            log_mode = mpmath.loggamma(mode + 1)
+            want = [mpmath.exp((k - mode) * mpmath.log(lam) + log_mode
+                               - mpmath.loggamma(k + 1)) for k in ks]
+            worst = max(abs(float(mpmath.mpf(got[k] / got[mode]) / w - 1))
+                        for k, w in zip(ks, want))
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize("t", [0, 7, 1000])
+    @pytest.mark.parametrize("lam", ["zero", "tiny", "t"])
+    def test_edge_cases_are_finite_and_normalized(self, t, lam):
+        lam = {"zero": 0.0, "tiny": 1e-300, "t": float(t)}[lam]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _poisson_pmf(t, lam)
+        assert got.shape == (t + 1,)
+        assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-15
 
 
 class TestMultinomial:
