@@ -27,7 +27,6 @@ from .rates import (bound_sweep, format_number, reports_to_csv, sweep_summary,
 from .streams import child_rng
 from .upper import (certificate_upper_bound, chi2_radius, exact_mad,
                     hoeffding_certificate, mad_floor, mc_mad, uniform_ratio)
-from .verify import run_verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,6 +207,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verify  # only this subcommand needs it
     failures = run_verify(quick=args.quick, seed=args.seed)
     return 2 if failures else 0
 

@@ -9,11 +9,15 @@ valid deficiency lower bound for every threshold l; this module computes it,
 together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
 certifies.
 
-Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
-enumeration while its table stays under the guard (``method="exact"``),
-otherwise an exact generating-function engine (``method="gf"``).  Neither
-draws random numbers.  The coupled Monte Carlo
-reference estimators that cross-check both live in ``verify``.
+The risk curve costs O(n) for each r: each r(n) is a Binomial upper tail,
+summed forward from its first term (``bayes_risk_curve``).  Method dispatch
+of ``cube_lower`` and ``mixedpbin_mass``: composition enumeration while its
+table stays under the guard (``method="exact"``), otherwise an exact
+generating-function engine (``method="gf"``), whose DFT sizes in x and in z
+are both of order sqrt(n) for the 2n-cell witness, as the x- and z-laws
+concentrate there, so a call costs about n log n.  Neither draws random
+numbers.  The coupled Monte Carlo reference estimators that cross-check
+both, and the quadratic Bernoulli-step risk curve, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pbin import (_as_weights, _poisson_pmf, bernoulli_step,
-                   enumeration_fits, multinomial_enumerate, pbin_pmf_rows)
+from .pbin import (_as_weights, _poisson_pmf, enumeration_fits,
+                   multinomial_enumerate, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -52,27 +56,92 @@ class RiskCurve:
         return self.values.size - 1
 
 
+# n values per block of ``bayes_risk_curve``; bounds its extra memory (a
+# few arrays of this many entries) for any n_max.
+_CURVE_BLOCK = 1 << 16
+
+
 def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     """Exact risks r(n) = (1/2) sum_k min(Bin(n, a)(k), Bin(n, 1-a)(k)) with
     a = 1/(2r): the left-half count within a cell is a sufficient statistic
     for the cell's two-level pair, whose left-half masses are a and 1 - a.
+
+    Tail identity: r(n) = P(B > n/2) + P(B = n/2) / 2 for B ~ Bin(n, a).
+    Proof: Bin(n, a)(k) / Bin(n, 1-a)(k) = (a/(1-a))^(2k-n), so the minimum
+    is Bin(n, a)(k) for k > n/2 and Bin(n, 1-a)(k) = Bin(n, a)(n-k) for
+    k < n/2, and the two halves are the same upper tail.
+
+    The tail is summed forward from its first term t0 = Bin(n, a)(k0),
+    k0 = ceil(n/2), h = floor(n/2): r(n) = t0 (w0 + sum_{j>=1} prod_{i<j}
+    rho (h-i)/(k0+1+i)), with w0 = 1/2 for even n and 1 for odd n, and
+    rho = a/(1-a).  At most h terms are nonzero, and the sum stops where
+    what it drops is below 2^-60 of it: every ratio is at most rho, which
+    gives a count L that depends on r alone, and the j-th term is at most
+    exp(-j^2/(h+j)), which gives a count of order sqrt(h log h) for r near
+    1, where L is large.  t0 is C(2h, h) 4^-h (4a(1-a))^h, times
+    (n/(n+1))/r for odd n: the central binomial is a running product of
+    (2h-1)/(2h), and the power is exp(h s) with s = log(4a(1-a)), taken
+    by log1p(-((r-1)/r)^2) near r = 1.  Its error is then of order
+    |h s| eps, at most 745 eps for any t0 that does not underflow, where
+    a running product of the rounded 4a(1-a) would carry h times its
+    rounding error.  Only sums and products of positive terms enter, so
+    tiny tails keep their relative accuracy, and every operation on one n
+    is the same whatever n_max is: the curve is prefix-stable bit for bit.
+
+    Cost: O(n_max min(L, sqrt(n_max log n_max))) operations, linear in
+    n_max for fixed r (L = 38 at r = 2) and never above the n_max^2/2 of
+    the Bernoulli-step DP (``verify.dp_risk_curve``); the extra memory is a
+    few arrays of ``_CURVE_BLOCK`` entries.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    a = 1.0 / (2.0 * r)
+    a = 0.5 / r
+    rho = a / (1.0 - a)
+    d = (r - 1.0) / r  # 1 - 2a, without the cancellation near r = 1
+    s = math.log1p(-d * d) if d < 0.7 else math.log(4.0 * a * (1.0 - a))
+    # The terms after the L-th add up to at most rho^(L+1) / (1 - rho)
+    # times t0, and the sum is at least t0 / 2.
+    L = max(0, math.ceil(math.log(2.0 ** -61 * (1.0 - rho)) / math.log(rho))
+            - 1)
     values = np.empty(n_max + 1)
-    values[0] = 0.5
-    pmf = np.zeros(n_max + 1)
-    pmf[0] = 1.0
-    scratch = np.empty_like(pmf)
-    for n in range(1, n_max + 1):
-        bernoulli_step(pmf, n - 1, a, scratch)
-        values[n] = 0.5 * float(np.minimum(pmf[:n + 1], pmf[n::-1]).sum())
+    central = 1.0  # C(2h, h) 4^-h at the last h of the previous block
+    for lo in range(0, n_max + 1, _CURVE_BLOCK):  # lo is even
+        if s * (lo >> 1) < -746.0:  # exp(h s), so every t0 from here, is 0
+            values[lo:] = 0.0
+            break
+        n = np.arange(lo, min(lo + _CURVE_BLOCK, n_max + 1))
+        h = n >> 1
+        hs = np.arange(h[0], h[-1] + 1)  # the block's distinct h
+        q = np.maximum(hs - 0.5, 0.5) / np.maximum(hs, 0.5)  # (2h-1)/(2h)
+        q[0] *= central
+        np.cumprod(q, out=q)
+        central = q[-1]
+        q *= np.fromiter((math.exp(s * j) for j in hs.tolist()), float,
+                         hs.size)
+        t0 = q[h - hs[0]]
+        t0[1::2] *= n[1::2] / (n[1::2] + 1.0) / r
+        acc = np.ones(n.size)
+        acc[::2] = 0.5
+        term = np.ones(n.size)
+        k1 = n - h + 1
+        # Terms per row.  From the j-th term on, the ratios are at most
+        # (h-j)/(h+j+1), so what is left is at most exp(-j^2/(h+j))
+        # (h+j+1)/(2j+1) <= 2^-61 once j^2 >= (h+j) c with c >= log(2^61
+        # (h+1)); c is taken at the block's last possible h, so each row's
+        # count depends on its n alone and does not decrease along the block.
+        c = (61 + ((lo + _CURVE_BLOCK) >> 1).bit_length()) * math.log(2.0)
+        stop = np.minimum(np.minimum(h, L), np.ceil(c + np.sqrt(h * c)))
+        # The i-th pass updates the rows from f on, those with stop > i.
+        firsts = np.searchsorted(stop, np.arange(stop[-1]), side="right")
+        for i, f in enumerate(firsts.tolist()):
+            term[f:] *= (h[f:] - i) * rho / (k1[f:] + i)
+            acc[f:] += term[f:]
+        np.multiply(t0, acc, out=values[lo:lo + n.size])
     # The curve is nonincreasing with exactly-flat steps; clamp out
     # last-ulp rounding disagreements between neighbouring evaluations.
-    values = np.minimum.accumulate(values)
+    np.minimum.accumulate(values, out=values)
     return RiskCurve(r=r, values=values)
 
 
@@ -153,6 +222,16 @@ def _mul_power(acc: np.ndarray, base: np.ndarray, mult: int) -> None:
             base *= base
 
 
+def _gf_z_size(t: int, size: int) -> int:
+    """Number K_z of z-nodes of ``_gf_mixed_pbin`` for t observations and
+    size - 1 Bernoulli cells: min(size, 2u + 3) for the least u with
+    2 exp(-2u^2/(size - 1)) sqrt(2 pi t) e^(1/(12t)) <= e^-45."""
+    level = (_GF_ALIAS + math.log(2.0) + 0.5 * math.log(2.0 * math.pi * t)
+             + 1.0 / (12.0 * t))
+    u = math.ceil(math.sqrt((size - 1) * level / 2.0))
+    return min(size, 2 * u + 3)
+
+
 def _gf_mixed_pbin(
     t: int,
     groups: Sequence[tuple[int, float]],
@@ -176,9 +255,31 @@ def _gf_mixed_pbin(
     coefficients are bounded by Pois(j; t), so what the DFT folds in from
     j = t +- K is below Pois(t; t) e^-K(K+1)/(2(t+K)) (see ``_GF_ALIAS``),
     for K of order sqrt(t) rather than the product's degree.  The
-    z-coefficients come from the values at roots of unity by an inverse
-    real DFT, keeping the half of them that conjugate symmetry determines;
-    the z-nodes are processed in blocks of at most ``_GF_BLOCK`` entries.
+    z-coefficients come from the values at K_z roots of unity by an
+    inverse real DFT, keeping the half of them that conjugate symmetry
+    determines; the z-nodes are processed in blocks of at most
+    ``_GF_BLOCK`` entries.
+
+    Windowed z-DFT: with K_z < d + 1 nodes the inverse DFT returns the
+    coefficients folded mod K_z, F_q = sum over l = q (mod K_z) of [z^l].
+    They are unfolded on the window W of K_z consecutive thresholds
+    centred at the Poissonized mean mu, and the thresholds outside W are
+    reported as 0, so each coefficient is off by at most the mass outside
+    W.  Proof that this mass is below e^-45: under the Poissonization the
+    d Bernoulli cells are independent, so their error count L is a sum of
+    d independent {0, 1} variables, and Hoeffding's inequality (1963)
+    gives P(|L - mu| >= u) <= 2 exp(-2u^2/d).  Here mu = sum_j sum_k
+    Pois(k; t w_j) f(k) with each law normalized on {0, ..., t}; this is
+    the exact mean once f is extended by that cell's mean beyond t, where
+    its values do not matter, as the total is t.  Conditioning on the
+    total multiplies a probability by at most 1/Pois(t; t) <= sqrt(2 pi t)
+    e^(1/(12t)) (Robbins' Stirling bound), and the tagged factor, in
+    [0, 1] as the engine uses it, only lowers the mass.  ``_gf_z_size``
+    picks the least u for which 2 exp(-2u^2/d) sqrt(2 pi t) e^(1/(12t))
+    <= e^-45, the level of ``_GF_ALIAS``, and K_z = 2u + 3, so that W
+    holds every l with |l - mu| < u + 1 and the rounding of mu is
+    covered; K_z is capped at d + 1, where nothing is folded and the
+    arithmetic is that of the full DFT.
 
     Each factor's Poisson law is needed only up to a constant, which
     cancels against the normalizer (the ``_GF_ALIAS`` bound is relative to
@@ -187,9 +288,10 @@ def _gf_mixed_pbin(
     factor at x = 1 would be e^(1/2), and its (2n-1)-th power would
     overflow a double near n = 710.
 
-    Cost: K (d/2 + 1) complex entries, each taking about 2 log2(M) complex
-    multiplies per group of multiplicity M (``_mul_power``), plus the
-    DFTs.  The powers are not taken with ``**``: numpy squares only below
+    Cost: K (K_z/2 + 1) complex entries, with K_z of order
+    sqrt(d (45 + log t)) and at most d + 1, each taking about 2 log2(M)
+    complex multiplies per group of multiplicity M (``_mul_power``), plus
+    the DFTs.  The powers are not taken with ``**``: numpy squares only below
     exponent 100 and above that calls libm ``cpow``, exp(M log w), which is
     several times slower per entry and less accurate.
     """
@@ -202,9 +304,10 @@ def _gf_mixed_pbin(
     def at_nodes(coef):  # sum_k coef[k] x^k at x = e^(-2 pi i s / K)
         return fft.fft(np.bincount(wrap, weights=coef, minlength=K))
 
-    factors, plain = [], np.ones(K, dtype=complex)
+    factors, plain, mean = [], np.ones(K, dtype=complex), 0.0
     for mult, weight in groups:
         pois = _poisson_pmf(t, t * weight)
+        mean += mult * float(pois @ table)
         a, b = at_nodes(pois * (1.0 - table)), at_nodes(pois * table)
         factors.append((mult, a, b))
         _mul_power(plain, a + b, mult)
@@ -219,7 +322,8 @@ def _gf_mixed_pbin(
     pick = np.exp(2j * math.pi * ((t * np.arange(K)) % K) / K) / K
     norm = (plain @ pick).real
 
-    zs = np.exp(-2j * math.pi * np.arange(size // 2 + 1) / size)
+    K_z = _gf_z_size(t, size)
+    zs = np.exp(-2j * math.pi * np.arange(K_z // 2 + 1) / K_z)
     values = np.empty(zs.size, dtype=complex)
     step = max(1, _GF_BLOCK // K)
     acc_buf = np.empty((min(step, zs.size), K), dtype=complex)
@@ -233,7 +337,10 @@ def _gf_mixed_pbin(
             base += a
             _mul_power(acc, base, mult)
         values[lo:lo + step] = acc @ pick
-    coef = fft.irfft(values / norm, n=size)
+    folded = fft.irfft(values / norm, n=K_z)
+    start = min(max(math.floor(mean) - (K_z - 1) // 2, 0), size - K_z)
+    coef = np.zeros(size)
+    coef[start:start + K_z] = np.roll(folded, -start)
     # Every coefficient is an expectation of nonnegative terms; what the
     # DFTs leave below zero (about 1e-17) is rounding, not mass.
     return np.maximum(coef, 0.0)

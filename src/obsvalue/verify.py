@@ -6,9 +6,10 @@ quadrature, empirical frequencies) and reported as one PASS/FAIL line per
 property.
 
 The independent oracles these checks compare against are public, so the
-test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration) and
-the coupled Monte Carlo reference estimators ``mc_cube_gaps`` and
-``mc_mixed_pmf`` of the exact engines in ``lower``.
+test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration),
+``dp_risk_curve`` (the risk curve by Bernoulli steps over the whole
+Binomial pmf) and the coupled Monte Carlo reference estimators
+``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,24 @@ def enum_pmf(probs: np.ndarray) -> np.ndarray:
     bits = (ids[:, None] >> np.arange(m)) & 1
     terms = np.where(bits == 1, probs, 1.0 - probs).prod(axis=1)
     return np.bincount(bits.sum(axis=1), weights=terms, minlength=m + 1)
+
+
+def dp_risk_curve(r: float, n_max: int) -> np.ndarray:
+    """Oracle: ``lower.bayes_risk_curve(r, n_max).values`` by n_max in-place
+    Bernoulli steps over the whole Bin(n, 1/(2r)) pmf, halving
+    sum_k min(pmf[k], pmf[n-k]) at each n: O(n_max^2)."""
+    a = 1.0 / (2.0 * r)
+    values = np.empty(n_max + 1)
+    values[0] = 0.5
+    pmf = np.zeros(n_max + 1)
+    pmf[0] = 1.0
+    scratch = np.empty_like(pmf)
+    for n in range(1, n_max + 1):
+        pbin.bernoulli_step(pmf, n - 1, a, scratch)
+        values[n] = 0.5 * float(np.minimum(pmf[:n + 1], pmf[n::-1]).sum())
+    # The curve is nonincreasing with exactly-flat steps; clamp out
+    # last-ulp rounding disagreements between neighbouring evaluations.
+    return np.minimum.accumulate(values)
 
 
 def mc_cube_gaps(n: int, r: float, samples: int, seed: int):
@@ -329,7 +348,7 @@ def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_risk_curve(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
+    worst = dp_excess = 0.0
     for r in (1.5, 2.0, 4.0):
         curve = lower.bayes_risk_curve(r, budget.curve_n)
         v = curve.values
@@ -338,7 +357,11 @@ def check_risk_curve(budget: Budget, rng) -> tuple[bool, str]:
         worst = max(worst, abs(v[1] - 1.0 / (2.0 * r)))
         # one-observation drop equals alpha/2 for this family
         worst = max(worst, abs((v[0] - v[1]) - (1.0 - 1.0 / r) / 2.0))
-    return worst <= 1e-12, f"max_err={worst:.3e}"
+        dp = dp_risk_curve(r, budget.curve_n)
+        dp_excess = max(dp_excess, float(
+            (np.abs(v - dp) / (1e-13 * dp + 1e-17)).max()))
+    return worst <= 1e-12 and dp_excess <= 1.0, (
+        f"max_err={worst:.3e}, dp_dev_over_tol={dp_excess:.2f}")
 
 
 def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
@@ -348,10 +371,10 @@ def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
     dev = np.abs(per_l - exact.per_l) / np.maximum(ci, 1e-300)
     gf_err = 0.0
     for r_gf in (1.5, 2.0, 4.0):
+        risks = lower.bayes_risk_curve(r_gf, 5).values  # prefix-stable
         for n_gf in range(1, 5):
-            gf = lower._gf_survival_gap(
-                n_gf, 2 * n_gf, lower.bayes_risk_curve(r_gf, n_gf + 1).values)
-            enum = lower.cube_lower(n_gf, r_gf).per_l
+            gf = lower._gf_survival_gap(n_gf, 2 * n_gf, risks[:n_gf + 2])
+            enum = lower.cube_lower(n_gf, r_gf, _risks=risks).per_l
             gf_err = max(gf_err, np.abs(gf - enum).max())
     return (bool(dev.max() <= 1.0 and gf_err <= EXACT_TOL),
             f"worst_dev_over_ci={dev.max():.2f}, gf_vs_enum={gf_err:.1e}")
@@ -372,10 +395,11 @@ def check_cube_bounds(budget: Budget, rng) -> tuple[bool, str]:
 def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
     lines = []
     ok = True
+    curves = {r: lower.bayes_risk_curve(r, 9).values for r in (1.5, 2.0, 4.0)}
     for m in (1, 2, 4, 9):
-        for r in (1.5, 2.0, 4.0):
+        for r, curve in curves.items():
             for n in (max(1, round(m / 2)), m):
-                table = lower.bayes_risk_curve(r, n).values
+                table = curve[:n + 1]  # the curve is prefix-stable
                 res = lower.mixedpbin_mass(n, m, np.full(m, 1.0 / m), table)
                 scaled = res.mass * math.sqrt(m)
                 ok = ok and scaled >= 1.0 / 6.0

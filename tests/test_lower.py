@@ -3,11 +3,14 @@ coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsvalue import lower
 from obsvalue.cli import main as cli_main
@@ -16,7 +19,7 @@ from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
 from obsvalue.pbin import binom_pmf, pbin_pmf_rows, pbin_survival
-from obsvalue.verify import mc_cube_gaps, mc_mixed_pmf
+from obsvalue.verify import dp_risk_curve, mc_cube_gaps, mc_mixed_pmf
 
 EXACT = 1e-12
 
@@ -26,6 +29,22 @@ def rational_risk(r: Fraction, n: int) -> Fraction:
     a = 1 / (2 * r)
     pmf0 = [math.comb(n, k) * a**k * (1 - a)**(n - k) for k in range(n + 1)]
     return Fraction(1, 2) * sum(min(p, q) for p, q in zip(pmf0, pmf0[::-1]))
+
+
+def mp_risk(r: float, n: int):
+    """High-precision oracle: P(B > n/2) + P(B = n/2)/2, B ~ Bin(n, 1/(2r)),
+    in 200-bit arithmetic, summed from k = ceil(n/2) until the terms drop
+    below 2^-80 of the sum (they fall at a ratio at most a/(1-a))."""
+    with mpmath.workprec(200):
+        a = 1 / (2 * mpmath.mpf(r))
+        k = n - n // 2
+        term = mpmath.binomial(n, k) * a**k * (1 - a)**(n - k)
+        total = term / 2 if n % 2 == 0 else term
+        while k < n and term >= total * mpmath.mpf(2) ** -80:
+            term *= mpmath.mpf(n - k) / (k + 1) * a / (1 - a)
+            k += 1
+            total += term
+        return total
 
 
 def _mul_trunc(p, q, t):
@@ -95,9 +114,58 @@ class TestBayesRiskCurve:
 
     def test_matches_rational_oracle(self):
         for r in (Fraction(3, 2), Fraction(2), Fraction(4)):
-            curve = bayes_risk_curve(float(r), 12)
-            for n in range(13):
-                assert abs(curve.values[n] - float(rational_risk(r, n))) < EXACT
+            curve = bayes_risk_curve(float(r), 64)
+            for n in range(65):
+                assert abs(curve.values[n]
+                           - float(rational_risk(r, n))) <= 1e-15
+
+    @pytest.mark.parametrize("r", [1.05, 1.5, 2.0])
+    def test_matches_high_precision_at_large_n(self, r):
+        # Measured: at most 7.7e-14.  With log(4a(1-a)) in place of
+        # log1p(-((r-1)/r)^2), the power is 4.7e-12 off at r = 1.05,
+        # n = 262 145.
+        values = bayes_risk_curve(r, 262_145).values
+        for n in (10_000, 100_000, 262_145):
+            want = mp_risk(r, n)
+            if want > mpmath.mpf(10) ** -290:
+                assert abs(values[n] - want) <= 1e-12 * want
+            else:
+                assert 0.0 <= values[n] <= 1e-289
+
+    @settings(database=None, deadline=None)
+    @given(st.floats(1.01, 1e3), st.integers(0, 400))
+    def test_matches_the_bernoulli_step_dp(self, r, n_max):
+        got = bayes_risk_curve(r, n_max).values
+        want = dp_risk_curve(r, n_max)
+        assert np.all(np.abs(got - want) <= 1e-13 * want + 1e-17)
+
+    @pytest.mark.parametrize("r", [1.0 + 1e-6, 1e300])
+    @pytest.mark.parametrize("n_max", [0, 1, 2000])
+    def test_extreme_r_gives_valid_curves(self, r, n_max):
+        # RiskCurve validates the range and the monotonicity; the suite
+        # turns any floating-point warning into an error.
+        v = bayes_risk_curve(r, n_max).values
+        assert v.size == n_max + 1 and v[0] == 0.5 and v.min() >= 0.0
+        if n_max >= 1:
+            assert abs(v[1] - 0.5 / r) <= 1e-16 * (0.5 / r)
+
+    def test_prefix_is_bit_identical_across_blocks(self):
+        # r = 1.1 keeps every value here above the underflow, so each block
+        # of the computation runs.
+        block = lower._CURVE_BLOCK
+        long = bayes_risk_curve(1.1, 2 * block + 3).values
+        for n in (block - 2, block - 1, 2 * block + 1):
+            want = bayes_risk_curve(1.1, n + 1).values
+            assert long[:n + 2].tobytes() == want.tobytes()
+
+    def test_extra_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            out = bayes_risk_curve(2.0, 10**6).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 16 * 2**20
 
     def test_one_observation_risk(self):
         rng = np.random.default_rng(3)
@@ -235,6 +303,21 @@ class TestCubeLower:
         assert [row.split(",")[-1] for row in
                 outputs[0].splitlines()[1:]] == ["gf", "gf"]
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_z_window_agrees_with_the_full_dft(self, n, monkeypatch):
+        assert lower._gf_z_size(n, 2 * n) < 2 * n
+        windowed = cube_lower(n, 2.0).per_l
+        monkeypatch.setattr(lower, "_gf_z_size", lambda t, size: size)
+        assert np.abs(cube_lower(n, 2.0).per_l - windowed).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_z_window_over_every_threshold_is_the_full_dft(self, n,
+                                                           monkeypatch):
+        assert lower._gf_z_size(n, 2 * n) == 2 * n
+        windowed = cube_lower(n, 2.0).per_l
+        monkeypatch.setattr(lower, "_gf_z_size", lambda t, size: size)
+        assert np.array_equal(cube_lower(n, 2.0).per_l, windowed)
+
     def test_large_n_is_exact_and_repeatable(self):
         one = cube_lower(1024, 2.0)
         assert one.method == "gf" and one.per_l.min() >= 0.0
@@ -327,6 +410,18 @@ class TestMixedPbinMass:
         want = [math.fsum(law * pmfs[:, k]) for k in range(3)]
         got = lower._gf_mixed_pbin(n, [(2, 0.5)], table)
         assert np.abs(got - want).max() <= 1e-15
+
+    def test_z_window_with_two_weight_groups(self, monkeypatch):
+        # The window is centred on the mean summed over both groups.
+        n, m = 512, 1024
+        w = np.repeat([1.0 / 1536, 2.0 / 1536], m // 2)
+        table = bayes_risk_curve(2.0, n).values
+        assert lower._gf_z_size(n, m + 1) < m + 1
+        windowed = mixedpbin_mass(n, m, w, table).masses
+        monkeypatch.setattr(lower, "_gf_z_size", lambda t, size: size)
+        full = mixedpbin_mass(n, m, w, table).masses
+        assert np.abs(windowed - full).max() <= 1e-15
+        assert abs(windowed.sum() - 1.0) <= 1e-12
 
     def test_gf_nonuniform_weights_match_enumeration(self):
         from obsvalue.pbin import multinomial_enumerate

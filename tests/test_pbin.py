@@ -10,13 +10,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from obsvalue.lower import bayes_risk_curve
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
                            _poisson_pmf, binom_pmf, enumeration_fits,
                            multinomial_enumerate, n_compositions,
                            pbin_pmf, pbin_pmf_rows, pbin_shift_difference,
                            pbin_survival)
-from obsvalue.verify import enum_pmf
+from obsvalue.verify import dp_risk_curve, enum_pmf
 
 EXACT = 1e-12
 
@@ -63,7 +62,7 @@ def alloc_pmf_rows(probs):
 
 
 def alloc_risk_curve(r, n_max):
-    """Oracle: ``bayes_risk_curve``'s values by the allocating step."""
+    """Oracle: ``verify.dp_risk_curve``'s values by the allocating step."""
     a = 1.0 / (2.0 * r)
     values = np.empty(n_max + 1)
     values[0] = 0.5
@@ -137,7 +136,7 @@ class TestPmf:
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
     def test_risk_curve_equals_allocating_steps(self, r):
-        assert np.array_equal(bayes_risk_curve(r, 1024).values,
+        assert np.array_equal(dp_risk_curve(r, 1024),
                               alloc_risk_curve(r, 1024))
 
     def test_mass_sums_to_one(self):
