@@ -5,9 +5,12 @@
 EXACT_TOL = 1e-12
 
 # Refuse exact enumeration whose table, compositions x (cells + 1), holds
-# more entries than this (about 64 MiB an array); callers use the
-# generating-function engine instead.  2^23 keeps the largest enumeration
-# in use, Mult(8) over 16 cells (490 314 x 17), exact.
+# more entries than this; callers use the generating-function engine
+# instead.  The guard bounds the enumeration's time and the bytes of its
+# compact count table: one byte a count up to 254 trials, so under 8 MiB
+# there.  The float work runs in blocks of rows, besides the one pmf table
+# (8 bytes an entry) that ``mixedpbin_mass`` keeps.  2^23 keeps the largest
+# enumeration in use, Mult(8) over 16 cells (490 314 x 17), exact.
 ENUM_GUARD = 1 << 23
 
 # All confidence intervals are 3-sigma normal intervals.

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pbin import (_as_weights, _poisson_pmf, enumeration_fits,
+from .pbin import (_as_weights, _block_rows, _poisson_pmf, enumeration_fits,
                    multinomial_enumerate, pbin_pmf_rows)
 
 
@@ -48,8 +48,10 @@ class RiskCurve:
             raise ValueError("r(0) must equal 1/2 exactly")
         if v.min() < 0.0 or v.max() > 0.5:
             raise ValueError("risks must lie in [0, 1/2]")
-        if np.any(np.diff(v) > 0.0):
-            raise ValueError("risks must be nonincreasing")
+        for lo in range(0, v.size - 1, _CURVE_BLOCK):
+            block = v[lo:lo + _CURVE_BLOCK + 1]  # overlaps the next by one
+            if np.any(block[1:] > block[:-1]):
+                raise ValueError("risks must be nonincreasing")
 
     @property
     def n_max(self) -> int:
@@ -187,14 +189,43 @@ class CubeLowerResult:
 def _exact_survival_gap(
     n: int, m: int, risks: np.ndarray
 ) -> np.ndarray:
-    """per-l gaps E[P(PBin(r(N)) >= l)] - E[P(PBin(r(N'))) >= l)], exactly."""
+    """per-l gaps E[P(PBin(r(N)) >= l)] - E[P(PBin(r(N'))) >= l)], exactly.
+
+    Each enumeration's table is walked in blocks of rows: a block's risks,
+    their PBin pmfs (``pbin_pmf_rows``) and reversed cumsums, the
+    survivals, are made and dropped in turn, so the extra memory is a few
+    blocks besides the compact count table.  The expectation over rows is
+    one sequential sum per threshold, in row order, carried from block to
+    block: each block's product puts the carry in front of its rows as a
+    row of weight 1, and reads the survivals through the same reversed
+    view as a dense ``probs @ surv`` would, a negative stride that keeps
+    numpy on its non-BLAS loop.  So every gap is bit-identical to the
+    dense product.  That order is kept although its rounding, 1.3e-12 at
+    n = 7, is more than a pairwise sum's: the benchmark reference records
+    these values within 1e-12, until enumeration becomes an oracle
+    (ROADMAP item 2).
+    """
     weights = np.full(m, 1.0 / m)
+    step = _block_rows(m + 1)
     acc = []
     for trials in (n, n + 1):
         counts, probs = multinomial_enumerate(trials, weights)
-        pmfs = pbin_pmf_rows(risks[counts])
-        surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
-        acc.append(probs @ surv)
+        rows = probs.size
+        # Row 0 carries the sum so far; surv = buf[:, ::-1] as in the
+        # dense formula.
+        vec = np.empty(min(step, rows) + 1)
+        vec[0] = 1.0
+        buf = np.empty((vec.size, m + 1))
+        pmfs = np.empty((vec.size - 1, m + 1))
+        total = np.zeros(m + 1)
+        for lo in range(0, rows, step):
+            b = min(step, rows - lo)
+            pbin_pmf_rows(risks[counts[lo:lo + b]], out=pmfs[:b])
+            buf[0] = total[::-1]
+            np.cumsum(pmfs[:b, ::-1], axis=1, out=buf[1:b + 1])
+            vec[1:b + 1] = probs[lo:lo + b]
+            total = vec[:b + 1] @ buf[:b + 1, ::-1]
+        acc.append(total)
     return (acc[0] - acc[1])[1:]
 
 
@@ -445,8 +476,14 @@ def mixedpbin_mass(
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
     if enumeration_fits(n, m):
+        # One pmf table, filled a block of rows at a time, and one (BLAS)
+        # product, as before the blocking: the masses keep their bits.
         counts, probs = multinomial_enumerate(n, w)
-        masses = probs @ pbin_pmf_rows(table[counts])
+        pmfs = np.empty((probs.size, m + 1))
+        step = _block_rows(m + 1)
+        for lo in range(0, probs.size, step):
+            pbin_pmf_rows(table[counts[lo:lo + step]], out=pmfs[lo:lo + step])
+        masses = probs @ pmfs
         method = "exact"
     else:
         values, mults = np.unique(w / w.sum(), return_counts=True)

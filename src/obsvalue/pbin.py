@@ -50,9 +50,17 @@ def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
 _PMF_BLOCK = 1 << 16
 
 
-def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
+def _block_rows(cols: int) -> int:
+    """Rows of ``cols`` entries each in a block of about ``_PMF_BLOCK``
+    entries."""
+    return max(1, _PMF_BLOCK // cols)
+
+
+def pbin_pmf_rows(probs: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Row-wise PBin pmf by convolution DP: (B, m) probabilities -> (B, m+1)
-    pmfs, C-ordered.  Inputs are not validated; see :func:`pbin_pmf`.
+    pmfs, written to ``out`` if given, else to a new C-ordered array.
+    Inputs are not validated; see :func:`pbin_pmf`.
 
     Rows are processed in blocks of about ``_PMF_BLOCK`` entries.  A block
     is held transposed, (m+1, rows), so each of the m Bernoulli steps runs
@@ -64,8 +72,9 @@ def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
     are bit-identical to it.
     """
     rows, m = probs.shape
-    out = np.empty((rows, m + 1))
-    width = max(1, _PMF_BLOCK // (m + 1))
+    if out is None:
+        out = np.empty((rows, m + 1))
+    width = _block_rows(m + 1)
     pmf = np.empty((m + 1, min(width, rows)))
     scratch = np.empty_like(pmf)
     for lo in range(0, rows, width):
@@ -192,12 +201,27 @@ def n_compositions(trials: int, m: int) -> int:
 def enumeration_fits(trials: int, m: int) -> bool:
     """Whether exact enumeration of Mult(trials) over m cells stays within
     ``ENUM_GUARD`` table entries: one row per composition, m + 1 columns
-    (the count vector, or a PBin pmf of it)."""
-    return n_compositions(trials, m) * (m + 1) <= ENUM_GUARD
+    (the count vector, or a PBin pmf of it).
+
+    The row count C(trials + m - 1, k), k = min(m - 1, trials), is built
+    as the running product C(a + i, i) = C(a + i - 1, i - 1) (a + i) / i,
+    a = trials + m - 1 - k, for i = 1, ..., k.  It never decreases in i,
+    so the answer is False as soon as it passes ENUM_GUARD // (m + 1).
+    As a >= k, C(a + i, i) >= 2^i, so a call takes at most 24 steps,
+    however large the binomial."""
+    limit = ENUM_GUARD // (m + 1)
+    k = min(m - 1, trials)
+    a = trials + m - 1 - k
+    rows, i = 1, 0
+    while rows <= limit and i < k:
+        i += 1
+        rows = rows * (a + i) // i
+    return rows <= limit
 
 
 def _compositions(trials: int, m: int) -> np.ndarray:
-    """All compositions of ``trials`` into ``m`` parts, one per row.
+    """All compositions of ``trials`` into ``m`` parts, one per row, in the
+    narrowest unsigned type that holds ``trials + 1``.
 
     Rows are ordered by the last part, then by the part before it, and so on
     (the order of the NEXCOM successor algorithm): the compositions of t
@@ -206,14 +230,17 @@ def _compositions(trials: int, m: int) -> np.ndarray:
     each choice of parts k..m-1 is repeated once per composition of what
     is left into the k parts before it.
     """
-    out = np.empty((n_compositions(trials, m), m), dtype=np.int64)
+    dtype = np.min_scalar_type(trials + 1)
+    out = np.empty((n_compositions(trials, m), m), dtype=dtype)
     # One entry per choice of parts k..m-1, in row order: part k's value
-    # and the sum of parts k..m-1.
-    used = np.zeros(1, dtype=np.int64)
+    # and the sum of parts k..m-1, both in the table's type.
+    used = np.zeros(1, dtype=dtype)
     for k in range(m - 1, 0, -1):
-        width = trials - used + 1  # part k takes 0, ..., trials - used
-        starts = np.cumsum(width) - width
-        part = np.arange(width.sum()) - np.repeat(starts, width)
+        width = trials + 1 - used  # part k takes 0, ..., trials - used
+        starts = np.cumsum(width, dtype=np.int64) - width
+        part = np.arange(int(width.sum()))
+        part -= np.repeat(starts, width)
+        part = part.astype(dtype)
         used = np.repeat(used, width) + part
         below = np.array([n_compositions(s, k) for s in range(trials + 1)])
         out[:, k] = np.repeat(part, below[trials - used])
@@ -226,8 +253,11 @@ def multinomial_enumerate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All count vectors of Mult(trials, weights) with their probabilities.
 
-    Returns ``(counts, probs)`` where ``counts`` has one composition per row.
-    Probabilities sum to 1 within 1e-10.  Raises
+    Returns ``(counts, probs)`` where ``counts`` has one composition per row
+    (:func:`_compositions`; uint8 for up to 254 trials).  Probabilities sum
+    to 1 within 1e-10; they are evaluated in blocks of rows, each row by
+    :func:`multinomial_logpmf`'s arithmetic, so the float temporaries are
+    a few blocks whatever the table's size.  Raises
     :class:`EnumerationGuardError`, before allocating, when the table
     exceeds the guard (:func:`enumeration_fits`).
     """
@@ -237,12 +267,15 @@ def multinomial_enumerate(
     m = w.size
     if not enumeration_fits(trials, m):
         raise EnumerationGuardError(
-            f"{n_compositions(trials, m)} compositions x {m + 1} columns "
-            f"exceed the {ENUM_GUARD}-entry guard; use the "
+            f"Mult({trials}) over {m} cells: its compositions x {m + 1} "
+            f"columns exceed the {ENUM_GUARD}-entry guard; use the "
             "generating-function engine"
         )
     counts = _compositions(trials, m)
-    probs = multinomial_logpmf(counts, w)
+    probs = np.empty(counts.shape[0])
+    step = _block_rows(m)
+    for lo in range(0, probs.size, step):
+        probs[lo:lo + step] = multinomial_logpmf(counts[lo:lo + step], w)
     np.exp(probs, out=probs)
     return counts, probs
 

@@ -3,7 +3,6 @@ coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsvalue import lower
+from obsvalue import lower, pbin
 from obsvalue.cli import main as cli_main
 from obsvalue.constants import EXACT_TOL
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
-from obsvalue.pbin import binom_pmf, pbin_pmf_rows, pbin_survival
+from obsvalue.pbin import (_compositions, binom_pmf, multinomial_logpmf,
+                           pbin_pmf_rows, pbin_survival)
 from obsvalue.verify import dp_risk_curve, mc_cube_gaps, mc_mixed_pmf
 
 EXACT = 1e-12
@@ -104,6 +104,32 @@ def enum_mixed_survival(count_law, risks, l):
     return total
 
 
+def dense_enumeration(trials, w):
+    """Counts (int64) and probabilities of Mult(trials, w), each table
+    made whole: the dense formulas the blocked exact path replaced."""
+    counts = _compositions(trials, len(w)).astype(np.int64)
+    return counts, np.exp(multinomial_logpmf(counts, np.asarray(w)))
+
+
+def dense_survival_gap(n, m, risks):
+    """Oracle for ``lower._exact_survival_gap``: every row's survival held
+    at once, and one product through the reversed view."""
+    acc = []
+    for trials in (n, n + 1):
+        counts, probs = dense_enumeration(trials, np.full(m, 1.0 / m))
+        pmfs = pbin_pmf_rows(risks[counts])
+        surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
+        acc.append(probs @ surv)
+    return (acc[0] - acc[1])[1:]
+
+
+def dense_mixed_masses(n, w, table):
+    """Oracle for ``mixedpbin_mass``'s exact path: an (R, m) table of
+    probabilities and its pmfs in one call."""
+    counts, probs = dense_enumeration(n, w)
+    return probs @ pbin_pmf_rows(table[counts])
+
+
 class TestBayesRiskCurve:
     def test_r2_spot_values(self):
         curve = bayes_risk_curve(2.0, 3)
@@ -158,14 +184,22 @@ class TestBayesRiskCurve:
             want = bayes_risk_curve(1.1, n + 1).values
             assert long[:n + 2].tobytes() == want.tobytes()
 
-    def test_extra_memory_is_bounded(self):
-        tracemalloc.start()
-        try:
-            out = bayes_risk_curve(2.0, 10**6).values
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + 16 * 2**20
+    def test_extra_memory_is_bounded(self, traced_peak):
+        out, peak = traced_peak(lambda: bayes_risk_curve(2.0, 10**6).values)
+        assert peak <= out.nbytes + 8 * 2**20
+
+    @pytest.mark.parametrize("at", [1, lower._CURVE_BLOCK - 1,
+                                    lower._CURVE_BLOCK,
+                                    2 * lower._CURVE_BLOCK + 1])
+    def test_validation_sees_a_rise_at_every_pair(self, at):
+        # Monotonicity is checked over blocks that share one entry, so a
+        # rise between two blocks is seen too; flat steps are allowed.
+        v = np.linspace(0.5, 0.0, 2 * lower._CURVE_BLOCK + 3)
+        v[at + 1] = v[at]
+        lower.RiskCurve(2.0, v)
+        v[at + 1] = np.nextafter(v[at], 1.0)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            lower.RiskCurve(2.0, v)
 
     def test_one_observation_risk(self):
         rng = np.random.default_rng(3)
@@ -248,6 +282,32 @@ class TestCubeLower:
             want = (enum_mixed_survival(law[2], risks, l)
                     - enum_mixed_survival(law[3], risks, l))
             assert abs(res.per_l[l - 1] - want) < EXACT
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_exact_path_equals_dense_formula(self, r):
+        risks = bayes_risk_curve(r, 8).values
+        for n in range(1, 8):
+            res = cube_lower(n, r)
+            assert res.method == "exact"
+            assert np.array_equal(
+                res.per_l, dense_survival_gap(n, 2 * n, risks[:n + 2]))
+
+    @pytest.mark.parametrize("block", [16, 100])
+    def test_sum_carried_across_small_blocks(self, monkeypatch, block):
+        # Blocks of 1 and 6 rows of 17 entries: the carry crosses hundreds
+        # of block boundaries, and the last block is partial.
+        monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+        risks = bayes_risk_curve(2.0, 5).values
+        for n in (1, 4):
+            assert np.array_equal(cube_lower(n, 2.0).per_l,
+                                  dense_survival_gap(n, 2 * n, risks[:n + 2]))
+
+    def test_exact_path_memory_is_bounded(self, traced_peak):
+        # The compact count table and a few blocks; 87 MiB held every
+        # row's risks, pmf and survival at once.
+        res, peak = traced_peak(lambda: cube_lower(7, 2.0))
+        assert res.method == "exact"
+        assert peak <= 16 * 2**20
 
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):
@@ -375,6 +435,35 @@ class TestMixedPbinMass:
                                   p1 * (1 - p2) + (1 - p1) * p2, p1 * p2])
         res = mixedpbin_mass(2, 2, [0.6, 0.4], table)
         assert np.abs(res.masses - want).max() < EXACT
+
+    @pytest.mark.parametrize("m, n", [(9, 9), (8, 12), (10, 10)])
+    def test_exact_path_equals_dense_formula(self, m, n):
+        w = np.full(m, 1.0 / m)
+        table = bayes_risk_curve(2.0, n).values
+        res = mixedpbin_mass(n, m, w, table)
+        assert res.method == "exact"
+        assert np.array_equal(res.masses, dense_mixed_masses(n, w, table))
+
+    @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
+    def test_exact_path_equals_dense_formula_nonuniform(self, monkeypatch,
+                                                        n, block):
+        if block is not None:  # blocks of 3 rows of 9 entries
+            monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+        w = np.random.default_rng(11).dirichlet(np.ones(8))
+        w /= w.sum()
+        table = bayes_risk_curve(1.5, n).values
+        res = mixedpbin_mass(n, 8, w, table)
+        assert res.method == "exact"
+        assert np.array_equal(res.masses, dense_mixed_masses(n, w, table))
+
+    def test_exact_path_memory_is_bounded(self, traced_peak):
+        # Mult(8) over 16 cells: 490 314 rows.  The pmf table (67 MB) and
+        # the uint8 counts (8 MB); no (rows, m) float table of risks.
+        table = bayes_risk_curve(2.0, 8).values
+        res, peak = traced_peak(
+            lambda: mixedpbin_mass(8, 16, np.full(16, 1.0 / 16), table))
+        assert res.method == "exact"
+        assert peak <= 80 * 2**20
 
     def test_gf_path_beyond_guard(self):
         table = bayes_risk_curve(2.0, 16).values

@@ -2,7 +2,6 @@
 (``obsvalue.verify.enum_pmf``)."""
 
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,11 +9,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from obsvalue import pbin
+from obsvalue.constants import ENUM_GUARD
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
                            _poisson_pmf, binom_pmf, enumeration_fits,
-                           multinomial_enumerate, n_compositions,
-                           pbin_pmf, pbin_pmf_rows, pbin_shift_difference,
-                           pbin_survival)
+                           multinomial_enumerate, multinomial_logpmf,
+                           n_compositions, pbin_pmf, pbin_pmf_rows,
+                           pbin_shift_difference, pbin_survival)
 from obsvalue.verify import dp_risk_curve, enum_pmf
 
 EXACT = 1e-12
@@ -123,16 +124,19 @@ class TestPmf:
             assert got.flags.c_contiguous and got.shape == (rows, m + 1)
             assert np.array_equal(got, alloc_pmf_rows(probs))
 
-    def test_kernel_extra_memory_is_the_output(self):
-        # the size of cube_lower(7, r)'s call: 203 490 rows of 14
+    def test_kernel_extra_memory_is_the_output(self, traced_peak):
+        # the size of cube_lower(7, r)'s table: 203 490 rows of 14
         probs = np.random.default_rng(9).random((203_490, 14))
-        tracemalloc.start()
-        try:
-            out = pbin_pmf_rows(probs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: pbin_pmf_rows(probs))
         assert peak <= out.nbytes + 2 * 2**20
+
+    def test_kernel_writes_into_a_given_output(self):
+        probs = np.random.default_rng(10).random((50, 6))
+        out = np.full((60, 7), np.nan)
+        view = out[5:55]
+        assert pbin_pmf_rows(probs, out=view) is view
+        assert np.array_equal(view, pbin_pmf_rows(probs))
+        assert np.isnan(out[:5]).all() and np.isnan(out[55:]).all()
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
     def test_risk_curve_equals_allocating_steps(self, r):
@@ -325,7 +329,7 @@ class TestMultinomial:
         for trials in range(9):
             for m in range(1, 15):
                 got = _compositions(trials, m)
-                assert got.dtype == np.int64
+                assert got.dtype == np.uint8
                 assert np.array_equal(got, nexcom_compositions(trials, m))
 
     def test_guard_refuses_large_enumerations(self):
@@ -342,16 +346,62 @@ class TestMultinomial:
         assert n_compositions(1, 100_000) == 100_000
         assert not enumeration_fits(1, 100_000)
 
-    def test_guard_raises_before_allocating(self):
+    def test_guard_raises_before_allocating(self, traced_peak):
         w = np.full(100_000, 1e-5)  # the table would take 74.5 GiB
-        tracemalloc.start()
-        try:
+
+        def call():
             with pytest.raises(EnumerationGuardError):
                 multinomial_enumerate(1, w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(call)
         assert peak < 1 << 20
+
+    def test_guard_matches_the_exact_count(self):
+        for t in range(41):
+            for m in range(1, 61):
+                want = n_compositions(t, m) * (m + 1) <= ENUM_GUARD
+                assert enumeration_fits(t, m) == want, (t, m)
+        for t, m in ((8, 14), (8, 16), (9, 16), (1, 100_000), (0, ENUM_GUARD),
+                     (0, ENUM_GUARD - 1), (1, 2895), (1, 2896)):
+            want = n_compositions(t, m) * (m + 1) <= ENUM_GUARD
+            assert enumeration_fits(t, m) == want, (t, m)
+
+    @pytest.mark.parametrize("t, m", [(5, 4), (4, 5), (0, 3), (3, 1)])
+    def test_guard_is_inclusive(self, monkeypatch, t, m):
+        entries = n_compositions(t, m) * (m + 1)
+        monkeypatch.setattr(pbin, "ENUM_GUARD", entries)
+        assert enumeration_fits(t, m)
+        monkeypatch.setattr(pbin, "ENUM_GUARD", entries - 1)
+        assert not enumeration_fits(t, m)
+
+    def test_guard_refuses_huge_tables_without_counting_them(self):
+        # C(3 * 2^20, 2^20 + 1) has about 2.5 million bits; the guard
+        # stops at its first factor.
+        assert not enumeration_fits(2**20 + 1, 2**21)
+        assert not enumeration_fits(2**21, 2**20 + 1)
+
+    def test_narrowest_count_type(self):
+        assert _compositions(254, 2).dtype == np.uint8
+        assert _compositions(255, 2).dtype == np.uint16
+        assert np.array_equal(_compositions(255, 2)[:, 1], np.arange(256))
+
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    @pytest.mark.parametrize("trials, w", [
+        (6, np.full(12, 1.0 / 12)),
+        (5, [0.1, 0.0, 0.2, 0.3, 0.4]),
+        (7, [0.05, 0.15, 0.2, 0.25, 0.35]),
+    ])
+    def test_blocked_probs_equal_dense_logpmf(self, monkeypatch, block,
+                                              trials, w):
+        # The dense evaluation multinomial_enumerate replaced, over one
+        # int64 table.
+        if block is not None:
+            monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+        w = np.asarray(w)
+        counts, probs = multinomial_enumerate(trials, w)
+        dense = _compositions(trials, w.size).astype(np.int64)
+        assert np.array_equal(counts, dense)
+        assert np.array_equal(probs, np.exp(multinomial_logpmf(dense, w)))
 
     def test_sample_frequencies_match_enumeration(self):
         weights = np.array([0.2, 0.3, 0.5])
