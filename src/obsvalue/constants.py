@@ -13,6 +13,13 @@ EXACT_TOL = 1e-12
 # enumeration in use, Mult(8) over 16 cells (490 314 x 17), exact.
 ENUM_GUARD = 1 << 23
 
+# Refuse a ``cube_lower`` (and so ``lower cube`` and ``sweep``) whose
+# outputs, the risk curve (n + 2 floats) and the per-threshold gaps (2n
+# floats), would take more bytes than this.  Its engine's own memory does
+# not grow with n, so the outputs are what bounds a call.  2^29 (512 MiB)
+# admits n up to 22 369 620; n = 2^24 takes 384 MiB.
+OUTPUT_BUDGET = 1 << 29
+
 # All confidence intervals are 3-sigma normal intervals.
 CI_SIGMA = 3.0
 

@@ -9,15 +9,20 @@ valid deficiency lower bound for every threshold l; this module computes it,
 together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
 certifies.
 
-The risk curve costs O(n) for each r: each r(n) is a Binomial upper tail,
-summed forward from its first term (``bayes_risk_curve``).  Method dispatch
-of ``cube_lower`` and ``mixedpbin_mass``: composition enumeration while its
-table stays under the guard (``method="exact"``), otherwise an exact
-generating-function engine (``method="gf"``), whose DFT sizes in x and in z
-are both of order sqrt(n) for the 2n-cell witness, as the x- and z-laws
-concentrate there, so a call costs about n log n.  Neither draws random
-numbers.  The coupled Monte Carlo reference estimators that cross-check
-both, and the quadratic Bernoulli-step risk curve, live in ``verify``.
+The risk curve costs O(n) for each r, and nothing past the n where it
+underflows to 0 (5188 at r = 2) but its output: each r(n) is a Binomial
+upper tail, summed forward from its first term (``bayes_risk_curve``).
+Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
+enumeration while its table stays under the guard (``method="exact"``),
+otherwise an exact generating-function engine (``method="gf"``).  Its DFT
+sizes in x and in z are both of order sqrt(n) for the 2n-cell witness,
+and of that grid it powers only the entries a bound shows can matter,
+about 1100 at every n (``_gf_grid``).  So ``cube_lower`` costs its
+outputs, 3n + 2 floats under ``OUTPUT_BUDGET``, plus a part flat in n:
+12 ms at n = 2^20, where the dense grid (``_GF_PRUNE`` off) takes 3.7 s.
+Neither path draws random numbers.  The coupled Monte Carlo reference
+estimators that cross-check both, and the quadratic Bernoulli-step risk
+curve, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .pbin import (_as_weights, _block_rows, _poisson_pmf, enumeration_fits,
+from .constants import OUTPUT_BUDGET
+from .pbin import (_as_weights, _block_rows, _poisson_band, enumeration_fits,
                    multinomial_enumerate, pbin_pmf_rows)
 
 
@@ -61,6 +67,52 @@ class RiskCurve:
 # n values per block of ``bayes_risk_curve``; bounds its extra memory (a
 # few arrays of this many entries) for any n_max.
 _CURVE_BLOCK = 1 << 16
+# Largest (terms, rows) table ``_tail_sums`` lays out in 2-D.
+_CURVE_TERMS = 1 << 16
+
+
+def _tail_sums(n: np.ndarray, stop: np.ndarray, rho: float) -> np.ndarray:
+    """w0 + sum_{j<stop} prod_{i<=j} rho (h-i)/(k0+1+i) for each n, h =
+    floor(n/2), k0 = n - h, w0 = 1/2 for even n and 1 for odd n, with
+    ``stop`` nondecreasing along ``n``.  Each sum adds a row's terms one
+    at a time, in term order, whichever way it is laid out.
+
+    Up to ``_CURVE_TERMS`` entries, in a constant number of numpy calls: a
+    (terms, rows) table whose first line is w0 and whose others are the
+    ratios, set to 0 from each row's stop on; a cumprod down the term axis
+    turns them into the terms and a cumsum down the same axis adds them.
+    Past its stop a row adds zeros, which leave a positive sum unchanged.
+    (A cumsum, not ``sum``: numpy sums a contiguous axis pairwise, as a
+    table of one row would be.)  Beyond that size, one pass per term over
+    the rows that still need it.  A cumprod down an axis is a chain of
+    dependent multiplies, several times slower per entry than a multiply
+    across rows, so at a few hundred rows and up the passes cost less,
+    and they need no table.
+    """
+    w0 = 0.5 + 0.5 * (n & 1)
+    width = int(stop[-1])
+    if width == 0:  # n <= 1
+        return w0
+    h = n >> 1
+    k1 = n - h + 1
+    if n.size * width <= _CURVE_TERMS:
+        i = np.arange(width)[:, None]
+        table = np.empty((width + 1, n.size))
+        table[0] = w0
+        ratio = table[1:]
+        np.multiply(h - i, rho, out=ratio)
+        ratio /= k1 + i
+        ratio[i >= stop] = 0.0
+        np.cumprod(ratio, axis=0, out=ratio)
+        return np.cumsum(table, axis=0, out=table)[-1]
+    acc = w0
+    term = np.ones(n.size)
+    # The i-th pass updates the rows from f on, those with stop > i.
+    firsts = np.searchsorted(stop, np.arange(width), side="right")
+    for i, f in enumerate(firsts.tolist()):
+        term[f:] *= (h[f:] - i) * rho / (k1[f:] + i)
+        acc[f:] += term[f:]
+    return acc
 
 
 def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
@@ -76,24 +128,27 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     The tail is summed forward from its first term t0 = Bin(n, a)(k0),
     k0 = ceil(n/2), h = floor(n/2): r(n) = t0 (w0 + sum_{j>=1} prod_{i<j}
     rho (h-i)/(k0+1+i)), with w0 = 1/2 for even n and 1 for odd n, and
-    rho = a/(1-a).  At most h terms are nonzero, and the sum stops where
-    what it drops is below 2^-60 of it: every ratio is at most rho, which
-    gives a count L that depends on r alone, and the j-th term is at most
-    exp(-j^2/(h+j)), which gives a count of order sqrt(h log h) for r near
-    1, where L is large.  t0 is C(2h, h) 4^-h (4a(1-a))^h, times
-    (n/(n+1))/r for odd n: the central binomial is a running product of
-    (2h-1)/(2h), and the power is exp(h s) with s = log(4a(1-a)), taken
-    by log1p(-((r-1)/r)^2) near r = 1.  Its error is then of order
-    |h s| eps, at most 745 eps for any t0 that does not underflow, where
-    a running product of the rounded 4a(1-a) would carry h times its
-    rounding error.  Only sums and products of positive terms enter, so
-    tiny tails keep their relative accuracy, and every operation on one n
-    is the same whatever n_max is: the curve is prefix-stable bit for bit.
+    rho = a/(1-a) (``_tail_sums``).  At most h terms are nonzero, and the
+    sum stops where what it drops is below 2^-60 of it: every ratio is at
+    most rho, which gives a count L that depends on r alone, and the j-th
+    term is at most exp(-j^2/(h+j)), which gives a count of order
+    sqrt(h log h) for r near 1, where L is large.  t0 is C(2h, h) 4^-h
+    (4a(1-a))^h, times (n/(n+1))/r for odd n: the central binomial is a
+    running product of (2h-1)/(2h), and the power is exp(h s) with
+    s = log(4a(1-a)), taken by log1p(-((r-1)/r)^2) near r = 1.  Its error
+    is then of order |h s| eps, at most 745 eps for any t0 that does not
+    underflow, where a running product of the rounded 4a(1-a) would carry
+    h times its rounding error.  Once h s < -746, exp(h s) and every
+    later value are exactly 0, and are not computed.  Only sums and
+    products of positive terms enter, so tiny tails keep their relative
+    accuracy, and every operation on one n is the same whatever n_max is:
+    the curve is prefix-stable bit for bit.
 
-    Cost: O(n_max min(L, sqrt(n_max log n_max))) operations, linear in
-    n_max for fixed r (L = 38 at r = 2) and never above the n_max^2/2 of
-    the Bernoulli-step DP (``verify.dp_risk_curve``); the extra memory is a
-    few arrays of ``_CURVE_BLOCK`` entries.
+    Cost: O(n0 min(L, sqrt(n0 log n0))) operations for the n0 = min(n_max,
+    1492/|s|) values above the underflow (L = 38 and n0 = 5188 at r = 2),
+    never above the n_max^2/2 of the Bernoulli-step DP
+    (``verify.dp_risk_curve``), plus the output; the extra memory is a few
+    arrays of ``_CURVE_BLOCK`` entries.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
@@ -107,27 +162,21 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     # times t0, and the sum is at least t0 / 2.
     L = max(0, math.ceil(math.log(2.0 ** -61 * (1.0 - rho)) / math.log(rho))
             - 1)
-    values = np.empty(n_max + 1)
+    # From h = 746/|s| + 1 on, h s < -746 and exp(h s) is 0.
+    n_stop = min(n_max + 1, 2 * (math.ceil(746.0 / -s) + 1))
+    values = np.zeros(n_max + 1)
     central = 1.0  # C(2h, h) 4^-h at the last h of the previous block
-    for lo in range(0, n_max + 1, _CURVE_BLOCK):  # lo is even
-        if s * (lo >> 1) < -746.0:  # exp(h s), so every t0 from here, is 0
-            values[lo:] = 0.0
-            break
-        n = np.arange(lo, min(lo + _CURVE_BLOCK, n_max + 1))
+    for lo in range(0, n_stop, _CURVE_BLOCK):  # lo is even
+        n = np.arange(lo, min(lo + _CURVE_BLOCK, n_stop))
         h = n >> 1
         hs = np.arange(h[0], h[-1] + 1)  # the block's distinct h
         q = np.maximum(hs - 0.5, 0.5) / np.maximum(hs, 0.5)  # (2h-1)/(2h)
         q[0] *= central
         np.cumprod(q, out=q)
         central = q[-1]
-        q *= np.fromiter((math.exp(s * j) for j in hs.tolist()), float,
-                         hs.size)
+        q *= np.fromiter(map(math.exp, (s * hs).tolist()), float, hs.size)
         t0 = q[h - hs[0]]
         t0[1::2] *= n[1::2] / (n[1::2] + 1.0) / r
-        acc = np.ones(n.size)
-        acc[::2] = 0.5
-        term = np.ones(n.size)
-        k1 = n - h + 1
         # Terms per row.  From the j-th term on, the ratios are at most
         # (h-j)/(h+j+1), so what is left is at most exp(-j^2/(h+j))
         # (h+j+1)/(2j+1) <= 2^-61 once j^2 >= (h+j) c with c >= log(2^61
@@ -135,15 +184,10 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
         # count depends on its n alone and does not decrease along the block.
         c = (61 + ((lo + _CURVE_BLOCK) >> 1).bit_length()) * math.log(2.0)
         stop = np.minimum(np.minimum(h, L), np.ceil(c + np.sqrt(h * c)))
-        # The i-th pass updates the rows from f on, those with stop > i.
-        firsts = np.searchsorted(stop, np.arange(stop[-1]), side="right")
-        for i, f in enumerate(firsts.tolist()):
-            term[f:] *= (h[f:] - i) * rho / (k1[f:] + i)
-            acc[f:] += term[f:]
-        np.multiply(t0, acc, out=values[lo:lo + n.size])
+        np.multiply(t0, _tail_sums(n, stop, rho), out=values[lo:lo + n.size])
     # The curve is nonincreasing with exactly-flat steps; clamp out
     # last-ulp rounding disagreements between neighbouring evaluations.
-    np.minimum.accumulate(values, out=values)
+    np.minimum.accumulate(values[:n_stop], out=values[:n_stop])
     return RiskCurve(r=r, values=values)
 
 
@@ -205,34 +249,46 @@ def _exact_survival_gap(
     these values within 1e-12, until enumeration becomes an oracle
     (ROADMAP item 2).
     """
-    weights = np.full(m, 1.0 / m)
+    return (_survival_sums(n, m, risks) - _survival_sums(n + 1, m, risks))[1:]
+
+
+def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
+    """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
+    equal cells, summed over the enumeration's rows in row order (see
+    ``_exact_survival_gap``).  Its tables are dropped on return, before
+    the next enumeration is made."""
+    counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
+    rows = probs.size
     step = _block_rows(m + 1)
-    acc = []
-    for trials in (n, n + 1):
-        counts, probs = multinomial_enumerate(trials, weights)
-        rows = probs.size
-        # Row 0 carries the sum so far; surv = buf[:, ::-1] as in the
-        # dense formula.
-        vec = np.empty(min(step, rows) + 1)
-        vec[0] = 1.0
-        buf = np.empty((vec.size, m + 1))
-        pmfs = np.empty((vec.size - 1, m + 1))
-        total = np.zeros(m + 1)
-        for lo in range(0, rows, step):
-            b = min(step, rows - lo)
-            pbin_pmf_rows(risks[counts[lo:lo + b]], out=pmfs[:b])
-            buf[0] = total[::-1]
-            np.cumsum(pmfs[:b, ::-1], axis=1, out=buf[1:b + 1])
-            vec[1:b + 1] = probs[lo:lo + b]
-            total = vec[:b + 1] @ buf[:b + 1, ::-1]
-        acc.append(total)
-    return (acc[0] - acc[1])[1:]
+    # Row 0 carries the sum so far; surv = buf[:, ::-1] as in the dense
+    # formula.
+    vec = np.empty(min(step, rows) + 1)
+    vec[0] = 1.0
+    buf = np.empty((vec.size, m + 1))
+    pmfs = np.empty((vec.size - 1, m + 1))
+    total = np.zeros(m + 1)
+    for lo in range(0, rows, step):
+        b = min(step, rows - lo)
+        pbin_pmf_rows(risks[counts[lo:lo + b]], out=pmfs[:b])
+        buf[0] = total[::-1]
+        np.cumsum(pmfs[:b, ::-1], axis=1, out=buf[1:b + 1])
+        vec[1:b + 1] = probs[lo:lo + b]
+        total = vec[:b + 1] @ buf[:b + 1, ::-1]
+    return total
 
 
 # The generating-function engine's DFT size K in x satisfies
 # K(K+1) / (2(t+K)) >= _GF_ALIAS, which keeps the coefficient mass it folds
-# onto [x^t] below e^-45 (3e-20) of the total.
+# onto [x^t] below e^-45 (3e-20) of the total.  The z-window and the pruned
+# grid hold what they drop to the same level.
 _GF_ALIAS = 45
+# Whether the engine powers only the grid entries that can reach that level
+# (``_gf_grid``); off, it powers every entry, as a dense reference.  Grids
+# of at most _GF_PRUNE_MIN entries are powered whole: finding the part
+# worth powering takes about 40 small numpy calls, which cost what
+# powering some 5000 entries does.
+_GF_PRUNE = True
+_GF_PRUNE_MIN = 1 << 12
 # Complex entries per (z, x) block of the engine; bounds its memory
 # (about 1 MiB an array) for any n.
 _GF_BLOCK = 1 << 16
@@ -254,7 +310,7 @@ def _mul_power(acc: np.ndarray, base: np.ndarray, mult: int) -> None:
 
 
 def _gf_z_size(t: int, size: int) -> int:
-    """Number K_z of z-nodes of ``_gf_mixed_pbin`` for t observations and
+    """Number K_z of z-nodes of ``_gf_window`` for t observations and
     size - 1 Bernoulli cells: min(size, 2u + 3) for the least u with
     2 exp(-2u^2/(size - 1)) sqrt(2 pi t) e^(1/(12t)) <= e^-45."""
     level = (_GF_ALIAS + math.log(2.0) + 0.5 * math.log(2.0 * math.pi * t)
@@ -263,19 +319,89 @@ def _gf_z_size(t: int, size: int) -> int:
     return min(size, 2 * u + 3)
 
 
+def _gf_grid(factors, extra: np.ndarray, cut: float, K_z: int):
+    """The part of the engine's grid worth powering: ``(cols, rows)``, the
+    x-nodes (a wrapped window around x = 1, or every node in order) and
+    the number of z-nodes j = 0, ..., rows - 1, such that every entry
+    extra(x) prod_g (a_g(x) + z b_g(x))^M_g outside has modulus below
+    e^cut.  Nothing is powered to find them.
+
+    x-window.  Over the unit circle |a + z b| is at most |a| + |b|, so no
+    entry at x exceeds top(x) = |extra(x)| prod_g (|a_g| + |b_g|)^M_g; the
+    window is the least one around x = 1 that holds every x with top(x)
+    >= e^cut.
+
+    z-window.  At a kept x, |a + z b|^2 = |a|^2 + |b|^2 + 2 |a| |b|
+    cos(theta - phi) for z = e^(i theta), phi = arg(a conj(b)): a cosine in
+    theta.  Bounding the other factors by their maxima, an entry reaches
+    e^cut only if |a_g + z b_g|^2 >= (|a_g| + |b_g|)^2 e^(-2 delta/M_g),
+    delta = log top(x) - cut >= 0, that is, only if theta is within
+    alpha_g = 2 arcsin(sqrt(u_g / 2)) of phi_g, where u_g = (|a_g| +
+    |b_g|)^2 (1 - e^(-2 delta/M_g)) / (2 |a_g| |b_g|) (the whole circle if
+    u_g >= 2 or a_g b_g = 0).  Every such theta is within D(x) = min_g
+    min(pi, |phi_g| + alpha_g) of 0, and the z-node j of the engine sits
+    at distance 2 pi j / K_z from it; rows - 1 is the largest
+    floor(D(x) K_z / (2 pi)) over the kept x.  The two windows make a
+    rectangle, so the x-sum stays one dense product.
+    """
+    K = extra.size
+    with np.errstate(divide="ignore"):
+        top = np.log(np.abs(extra))
+        for mult, a, b in factors:
+            top += mult * np.log(np.abs(a) + np.abs(b))
+    keep = np.flatnonzero(top >= cut)
+    if keep.size == 0:
+        return keep, 0
+    reach = int(np.minimum(keep, K - keep).max())
+    cols = (slice(None) if 2 * reach + 1 >= K
+            else np.arange(-reach, reach + 1) % K)
+    dist = np.full(keep.size, math.pi)
+    for mult, a, b in factors:
+        A, B = np.abs(a[keep]), np.abs(b[keep])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = ((A + B) ** 2 * -np.expm1(2.0 * (cut - top[keep]) / mult)
+                 / (2.0 * A * B))
+        alpha = 2.0 * np.arcsin(np.sqrt(np.fmin(u / 2.0, 1.0)))
+        phi = np.abs(np.angle(a[keep] * np.conj(b[keep])))
+        np.minimum(dist, phi + alpha, out=dist)
+    rows = min(math.floor(dist.max() * K_z / (2.0 * math.pi)), K_z // 2) + 1
+    return cols, rows
+
+
 def _gf_mixed_pbin(
     t: int,
     groups: Sequence[tuple[int, float]],
     table: np.ndarray,
     tagged: tuple[float, np.ndarray] | None = None,
 ) -> np.ndarray:
+    """All d + 1 coefficients in z of ``_gf_window``, d = sum of the
+    multiplicities, the zeros outside its window included."""
+    return _spread(1 + sum(mult for mult, _ in groups),
+                   *_gf_window(t, groups, table, tagged))
+
+
+def _spread(size: int, start: int, window: np.ndarray) -> np.ndarray:
+    """``window`` placed at ``start`` in ``size`` zeros."""
+    out = np.zeros(size)
+    out[start:start + window.size] = window
+    return out
+
+
+def _gf_window(
+    t: int,
+    groups: Sequence[tuple[int, float]],
+    table: np.ndarray,
+    tagged: tuple[float, np.ndarray] | None = None,
+) -> tuple[int, np.ndarray]:
     """Exact E over N ~ Mult(t, w) of PBin(f(N_1), ..., f(N_m)) pmf by
-    generating functions; returns the d+1 coefficients in z, d = sum of
-    the multiplicities.
+    generating functions, as ``(start, w)``: the coefficients [z^l] for
+    l = start, ..., start + len(w) - 1 of the d+1 in z, d = sum of the
+    multiplicities; the others are 0 (the window W below).
 
     ``groups`` lists (multiplicity, weight) of cells sharing a weight, and
-    ``table`` is f on {0, ..., t}.  ``tagged`` = (weight, c) adds one more
-    cell that contributes the factor c(N) instead of a Bernoulli.
+    ``table`` is f on {0, ..., t}.  ``tagged`` = (weight, g) adds one more
+    cell that contributes the factor c(N) = g(N) - g(N+1) instead of a
+    Bernoulli, for g on {0, ..., t + 1}.
 
     Poissonization: with independent N_j ~ Pois(t w_j) conditioned on their
     sum t, the target is [x^t] prod_j sum_k Pois(k; t w_j)
@@ -312,41 +438,77 @@ def _gf_mixed_pbin(
     covered; K_z is capped at d + 1, where nothing is folded and the
     arithmetic is that of the full DFT.
 
+    Pruned grid: of a K x (K_z/2 + 1) grid of more than
+    ``_GF_PRUNE_MIN`` entries, only those that ``_gf_grid`` finds at or
+    above e^-(45+1) norm are powered, where norm is the normalizer [x^t]
+    above; the others are set to 0.  Proof that this moves each
+    coefficient by less than e^-45: the coefficient [z^l] is
+    (1/K_z) sum_j omega^(jl) (sum_x pick(x) entry(x, z_j)) / norm
+    over all K_z z-nodes (the half not computed is the conjugate of the
+    half that is), with |pick| = 1/K and |omega| = 1, so dropping entries
+    each below e^-46 norm moves it by less than the average of K K_z
+    terms each below e^-46, which is less than e^-46.  The nat between
+    e^-46 and e^-45 covers the rounding of the bound itself: its logarithm
+    is off by about M eps (below 4e-9 for a multiplicity M up to 2^25), so
+    an entry that a rounded comparison drops is below e^-45 norm in exact
+    arithmetic.  The bound is taken of the same a, b and extra the entries
+    are powered from, so it holds for the engine's own arithmetic, whose
+    rounding is a separate matter.  Where nothing is dropped (every x-node
+    and every z-node kept), the arithmetic is that of the dense grid, bit
+    for bit.
+
     Each factor's Poisson law is needed only up to a constant, which
     cancels against the normalizer (the ``_GF_ALIAS`` bound is relative to
-    it); ``pbin._poisson_pmf`` divides it by its sum, so no factor exceeds
+    it); ``pbin._poisson_band`` divides it by its sum, so no factor exceeds
     1 on the unit circle.  Anchored at 1 at its mode instead, the cube's
     factor at x = 1 would be e^(1/2), and its (2n-1)-th power would
-    overflow a double near n = 710.
+    overflow a double near n = 710.  The law and every table built from
+    it are cut where it underflows to 0 (157 entries at the cube's mean
+    1/2), which leaves each DFT input unchanged.
 
-    Cost: K (K_z/2 + 1) complex entries, with K_z of order
-    sqrt(d (45 + log t)) and at most d + 1, each taking about 2 log2(M)
-    complex multiplies per group of multiplicity M (``_mul_power``), plus
-    the DFTs.  The powers are not taken with ``**``: numpy squares only below
-    exponent 100 and above that calls libm ``cpow``, exp(M log w), which is
-    several times slower per entry and less accurate.
+    Cost: for the 2n-cell witness the kept grid is 31 to 35 x-nodes by 34
+    to 36 z-nodes at every n from 1024 on, as the joint law of a cell's
+    count and error concentrates at the rates at which the node spacings
+    2 pi/K and 2 pi/K_z shrink.  Each entry takes about 2 log2(M) complex
+    multiplies
+    per group of multiplicity M (``_mul_power``).  Besides these, a call
+    makes O(K) work per group (a K-point DFT of the Poisson band, the
+    normalizer and the window), an inverse DFT of K_z points and the
+    output, with K, K_z of order sqrt(t) and sqrt(d (45 + log t)).  The
+    powers are not taken with ``**``: numpy squares only below exponent
+    100 and above that calls libm ``cpow``, exp(M log w), which is several
+    times slower per entry and less accurate.
     """
     fft = np.fft  # loaded on first use, off the import path
     size = 1 + sum(mult for mult, _ in groups)
     K = math.ceil((2 * _GF_ALIAS - 1 + math.sqrt(
         (2 * _GF_ALIAS - 1) ** 2 + 8 * _GF_ALIAS * t)) / 2)
-    wrap = np.arange(t + 1) % K
 
-    def at_nodes(coef):  # sum_k coef[k] x^k at x = e^(-2 pi i s / K)
+    laws = {}
+
+    def law(weight):  # Pois(t weight) on its band, and k mod K there
+        if weight not in laws:
+            lo, pois = _poisson_band(t, t * weight)
+            laws[weight] = lo, pois, np.arange(lo, lo + pois.size) % K
+        return laws[weight]
+
+    def at_nodes(wrap, coef):  # sum_k coef[k] x^k at x = e^(-2 pi i s/K)
         return fft.fft(np.bincount(wrap, weights=coef, minlength=K))
 
     factors, plain, mean = [], np.ones(K, dtype=complex), 0.0
     for mult, weight in groups:
-        pois = _poisson_pmf(t, t * weight)
-        mean += mult * float(pois @ table)
-        a, b = at_nodes(pois * (1.0 - table)), at_nodes(pois * table)
+        lo, pois, wrap = law(weight)
+        f = table[lo:lo + pois.size]
+        mean += mult * float(pois @ f)
+        a, b = at_nodes(wrap, pois * (1.0 - f)), at_nodes(wrap, pois * f)
         factors.append((mult, a, b))
         _mul_power(plain, a + b, mult)
     if tagged is not None:
-        weight, c = tagged
-        pois = _poisson_pmf(t, t * weight)
-        extra = at_nodes(pois * c)
-        plain *= at_nodes(pois)
+        weight, g = tagged
+        lo, pois, wrap = law(weight)
+        hi = lo + pois.size
+        extra = at_nodes(wrap, pois * (g[lo:hi] - g[lo + 1:hi + 1]))
+        plain *= at_nodes(wrap, pois)
     else:
         extra = np.ones(K, dtype=complex)
     # x^-t at the nodes, divided by K: the DFT row that extracts [x^t].
@@ -354,12 +516,19 @@ def _gf_mixed_pbin(
     norm = (plain @ pick).real
 
     K_z = _gf_z_size(t, size)
-    zs = np.exp(-2j * math.pi * np.arange(K_z // 2 + 1) / K_z)
-    values = np.empty(zs.size, dtype=complex)
-    step = max(1, _GF_BLOCK // K)
-    acc_buf = np.empty((min(step, zs.size), K), dtype=complex)
+    if _GF_PRUNE and K * (K_z // 2 + 1) > _GF_PRUNE_MIN:
+        cut = math.log(norm) - _GF_ALIAS - 1.0
+        cols, rows = _gf_grid(factors, extra, cut, K_z)
+    else:
+        cols, rows = slice(None), K_z // 2 + 1
+    extra, pick = extra[cols], pick[cols]
+    factors = [(mult, a[cols], b[cols]) for mult, a, b in factors]
+    zs = np.exp(-2j * math.pi * np.arange(rows) / K_z)
+    values = np.zeros(K_z // 2 + 1, dtype=complex)
+    step = max(1, _GF_BLOCK // max(pick.size, 1))
+    acc_buf = np.empty((min(step, rows), pick.size), dtype=complex)
     base_buf = np.empty_like(acc_buf)
-    for lo in range(0, zs.size, step):
+    for lo in range(0, rows, step):
         z = zs[lo:lo + step, None]
         acc, base = acc_buf[:z.shape[0]], base_buf[:z.shape[0]]
         acc[:] = extra
@@ -367,18 +536,18 @@ def _gf_mixed_pbin(
             np.multiply(z, b, out=base)
             base += a
             _mul_power(acc, base, mult)
-        values[lo:lo + step] = acc @ pick
+        values[lo:lo + z.shape[0]] = acc @ pick
     folded = fft.irfft(values / norm, n=K_z)
     start = min(max(math.floor(mean) - (K_z - 1) // 2, 0), size - K_z)
-    coef = np.zeros(size)
-    coef[start:start + K_z] = np.roll(folded, -start)
     # Every coefficient is an expectation of nonnegative terms; what the
     # DFTs leave below zero (about 1e-17) is rounding, not mass.
-    return np.maximum(coef, 0.0)
+    return start, np.maximum(np.roll(folded, -start), 0.0)
 
 
-def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
-    """per-l gaps of the 2n-cell witness by the coupled form.
+def _gf_survival_window(n: int, m: int, risks: np.ndarray
+                        ) -> tuple[int, np.ndarray]:
+    """per-l gaps of the 2n-cell witness by the coupled form, as ``(start,
+    w)``: gap l is w[l - 1 - start] within the window and 0 outside it.
 
     With the extra observation placed in a tagged cell, the gap at
     threshold l is E[(r(c) - r(c+1)) P(PBin(other cells' risks) = l - 1)],
@@ -386,8 +555,24 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
     over m - 1 Bernoulli cells and the tagged cell, with no difference of
     two survival functions.
     """
-    return _gf_mixed_pbin(n, [(m - 1, 1.0 / m)], risks[:n + 1],
-                          tagged=(1.0 / m, risks[:n + 1] - risks[1:n + 2]))
+    return _gf_window(n, [(m - 1, 1.0 / m)], risks[:n + 1],
+                      tagged=(1.0 / m, risks[:n + 2]))
+
+
+def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
+    """All m gaps of ``_gf_survival_window``."""
+    return _spread(m, *_gf_survival_window(n, m, risks))
+
+
+def check_cube_output(n: int) -> None:
+    """Raise ValueError, before anything is allocated, when the outputs of
+    ``cube_lower(n, r)``, its risk curve (n + 2 floats) and its
+    per-threshold gaps (2n floats), exceed ``OUTPUT_BUDGET`` bytes."""
+    need = 8 * (3 * n + 2)
+    if need > OUTPUT_BUDGET:
+        raise ValueError(
+            f"n = {n}: the risk curve and the 2n threshold gaps take {need} "
+            f"bytes, over the {OUTPUT_BUDGET}-byte output budget")
 
 
 def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
@@ -399,7 +584,8 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     observation, and returns the best threshold.  Composition enumeration
     while both enumerations stay under the guard (``method="exact"``),
     otherwise the generating-function engine (``method="gf"``); both are
-    exact up to rounding, so ``ci`` is all zeros.
+    exact up to rounding, so ``ci`` is all zeros.  Refuses, before it
+    allocates, outputs over the byte budget (``check_cube_output``).
 
     ``_risks``, for sweeps only, is ``bayes_risk_curve(r, N).values`` for
     some N > n; the curve is prefix-stable, so its first n + 2 values are
@@ -409,15 +595,20 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
         raise ValueError("requires n >= 1")
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
+    check_cube_output(n)
     m = 2 * n
     risks = (bayes_risk_curve(r, n + 1).values if _risks is None
              else _risks[:n + 2])
     if enumeration_fits(n + 1, m):  # the larger of the two enumerations
         per_l, method = _exact_survival_gap(n, m, risks), "exact"
+        start, core = 0, per_l
     else:
-        per_l, method = _gf_survival_gap(n, m, risks), "gf"
-    l_star = int(np.argmax(per_l)) + 1
-    pair_avg = 0.5 * (per_l[:-1] + per_l[1:])
+        start, core = _gf_survival_window(n, m, risks)
+        per_l, method = _spread(m, start, core), "gf"
+    # The GF's gaps are nonnegative and 0 outside its window, so the best
+    # gap and the best adjacent average are found within it.
+    l_star = start + int(np.argmax(core)) + 1
+    pair_avg = 0.5 * (core[:-1] + core[1:])
     return CubeLowerResult(
         r=r, n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
         delta_avg=float(pair_avg.max()), per_l=per_l, ci=np.zeros(m),

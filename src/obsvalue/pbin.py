@@ -140,16 +140,49 @@ def pbin_shift_difference(
     return lhs, rhs
 
 
+def _running_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
+    """Running products of ``ratio(j)`` for j = start, start + step, ...,
+    short of ``stop``, up to the last one that is not 0.  Taken in chunks
+    that double from 1024 entries, each chunk's first ratio multiplied by
+    the last product so far: every product is the one a single ``cumprod``
+    over the whole range gives, bit for bit, but the walk stops at the
+    chunk where the products underflow to 0, after which they all are."""
+    parts, carry, width = [], 1.0, 1024
+    while start != stop and carry != 0.0:
+        end = (min(start + width, stop) if step > 0
+               else max(start - width, stop))
+        p = ratio(np.arange(start, end, step, dtype=float))
+        if parts:
+            p[0] *= carry
+        np.cumprod(p, out=p)
+        parts.append(p)
+        carry, start, width = p[-1], end, 2 * width
+    if carry == 0.0:  # the zeros are a suffix of the last chunk
+        parts[-1] = parts[-1][:np.count_nonzero(parts[-1])]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _neighbour_band(size: int, mode: int, up, down) -> tuple[int, np.ndarray]:
+    """Unnormalized pmf on {0, ..., size-1}, 1 at ``mode``: running products
+    of ``up(j)`` = P(j) / P(j-1) above it and of ``down(j)`` = P(j-1) / P(j)
+    below it (:func:`_running_products`).  Returns ``(lo, band)``: the pmf
+    is ``band`` on {lo, ..., lo + band.size - 1} and underflows to 0
+    elsewhere, so the cost is the band's width, not ``size``.  At a true
+    mode no ratio exceeds 1, so nothing overflows, and a point mass
+    (ratios 0) needs no branch."""
+    above = _running_products(up, mode + 1, size, 1)
+    below = _running_products(down, mode, 0, -1)
+    return mode - below.size, np.concatenate((below[::-1], [1.0], above))
+
+
 def _neighbour_pmf(size: int, mode: int, up, down) -> np.ndarray:
-    """Pmf on {0, ..., size-1}: 1 at ``mode``, running products of
-    ``up(j)`` = P(j) / P(j-1) above it and of ``down(j)`` = P(j-1) / P(j)
-    below it, divided by the sum.  At a true mode no ratio exceeds 1, so
-    nothing overflows, and a point mass (ratios 0) needs no branch."""
-    j = np.arange(size, dtype=float)
-    out = np.empty(size)
-    out[mode] = 1.0
-    np.cumprod(up(j[mode + 1:]), out=out[mode + 1:])
-    out[:mode] = np.cumprod(down(j[mode:0:-1]))[::-1]
+    """The pmf of :func:`_neighbour_band` on all of {0, ..., size-1},
+    divided by its sum there."""
+    lo, band = _neighbour_band(size, mode, up, down)
+    out = np.zeros(size)
+    out[lo:lo + band.size] = band
     return out / out.sum()
 
 
@@ -172,13 +205,18 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
                           lambda j: j * q / ((n - j + 1) * p))
 
 
-def _poisson_pmf(t: int, lam: float) -> np.ndarray:
-    """Pois(lam) pmf on {0, ..., t}, divided by its sum there, from the
-    neighbour ratios lam / j.  Against 200-bit arithmetic, P(k) / P(mode)
-    for |k - lam| <= 6 sqrt(lam) at t = 2 lam is within 3.2e-15 relative
-    for lam up to 32 768."""
-    return _neighbour_pmf(t + 1, min(int(lam), t),
-                          lambda j: lam / j, lambda j: j / lam)
+def _poisson_band(t: int, lam: float) -> tuple[int, np.ndarray]:
+    """Pois(lam) pmf on {0, ..., t} from the neighbour ratios lam / j, as
+    ``(lo, band)``: the law is ``band`` on {lo, ..., lo + band.size - 1},
+    divided by its sum, and 0 (it underflows) elsewhere on {0, ..., t}.
+    The band holds 157 entries at lam = 1/2, whatever t is.  For large lam
+    it runs from about lam/2 to 2 lam: a running product that reaches the
+    least subnormal stays there until a ratio falls below 1/2.  Against
+    200-bit arithmetic, P(k) / P(mode) for |k - lam| <= 6 sqrt(lam) at
+    t = 2 lam is within 3.2e-15 relative for lam up to 32 768."""
+    lo, band = _neighbour_band(t + 1, min(int(lam), t),
+                               lambda j: lam / j, lambda j: j / lam)
+    return lo, band / band.sum()
 
 
 def _as_weights(weights: Iterable[float]) -> np.ndarray:
@@ -237,13 +275,18 @@ def _compositions(trials: int, m: int) -> np.ndarray:
     used = np.zeros(1, dtype=dtype)
     for k in range(m - 1, 0, -1):
         width = trials + 1 - used  # part k takes 0, ..., trials - used
-        starts = np.cumsum(width, dtype=np.int64) - width
-        part = np.arange(int(width.sum()))
-        part -= np.repeat(starts, width)
-        part = part.astype(dtype)
+        # The ramp 0, 1, ..., width - 1 of each choice, as a cumsum of
+        # steps of 1 that drop back to 0 where a choice starts.  The sums
+        # wrap around in the table's type, exactly, since each is below
+        # trials + 1.
+        part = np.ones(int(width.sum(dtype=np.int64)), dtype=dtype)
+        part[0] = 0
+        part[np.cumsum(width[:-1], dtype=np.int64)] = 1 - width[:-1]
+        np.cumsum(part, dtype=dtype, out=part)
         used = np.repeat(used, width) + part
+        # Rows per choice: the compositions of trials - used into k parts.
         below = np.array([n_compositions(s, k) for s in range(trials + 1)])
-        out[:, k] = np.repeat(part, below[trials - used])
+        out[:, k] = part if k == 1 else np.repeat(part, below[trials - used])
     out[:, 0] = trials - used
     return out
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .constants import EXACT_TOL
 from .densities import HypercubeSpec, hypercube_density
-from .lower import bayes_risk_curve, cube_lower, richness_lower_bound
+from .lower import (bayes_risk_curve, check_cube_output, cube_lower,
+                    richness_lower_bound)
 from .upper import (certificate_upper_bound, exact_mad, hoeffding_certificate,
                     mad_floor, uniform_ratio)
 
@@ -54,6 +55,7 @@ def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
         raise ValueError("n_values must be nonempty and increasing, all >= 1")
     ratio = uniform_ratio(hypercube_density(HypercubeSpec(r, 1, [0]))).two_level
     cert = hoeffding_certificate(r)
+    check_cube_output(ns[-1])  # before the curve is allocated
     risks = bayes_risk_curve(r, ns[-1] + 1).values  # one curve for every n
     reports = []
     for n in ns:

@@ -341,6 +341,17 @@ class TestExitCodes:
         assert (str(exc) or "MemoryError") in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["lower", "cube", "--r", "2", "--n", "1099511627776"],
+        ["sweep", "--r", "2", "--n", "4:1099511627776:x2"],
+    ])
+    def test_output_budget_exits_one_in_one_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "output budget" in captured.err
+
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])
     def test_numeric_and_assertion_errors_exit_one(self, capsys,

@@ -1,6 +1,7 @@
 """Lower-bound tests; oracles are exact rationals, hand enumeration and the
 coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from obsvalue import lower, pbin
 from obsvalue.cli import main as cli_main
-from obsvalue.constants import EXACT_TOL
+from obsvalue.constants import EXACT_TOL, OUTPUT_BUDGET
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound, simulate_mixture_risk,
                             simulate_multitest_risk)
@@ -130,7 +131,130 @@ def dense_mixed_masses(n, w, table):
     return probs @ pbin_pmf_rows(table[counts])
 
 
+def limit_amplitude(r: float, c: float, terms: int = 200) -> float:
+    """A(r, c) = E[r(C) - r(C+1)] / sqrt(2 pi c sigma^2), the limit of
+    sqrt(n+1) delta_n for the witness with m = c n cells: C, N ~ Pois(1/c),
+    X | N ~ Bernoulli(r(N)), mu = E r(N) and sigma^2 = mu (1 - mu) - c
+    Cov(X, N)^2, the variance of a cell's error given the cells' total
+    count (a local CLT under Poissonization).  Its Poisson series, summed
+    with ``math.fsum`` to ``terms`` terms."""
+    lam = 1.0 / c
+    risk = bayes_risk_curve(r, terms + 1).values
+    pois = [math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1.0))
+            for k in range(terms + 1)]
+    mu = math.fsum(p * risk[k] for k, p in enumerate(pois))
+    cov = math.fsum(p * risk[k] * k for k, p in enumerate(pois)) - mu * lam
+    var = mu * (1.0 - mu) - c * cov * cov
+    drop = math.fsum(p * (risk[k] - risk[k + 1]) for k, p in enumerate(pois))
+    return drop / math.sqrt(2.0 * math.pi * c * var)
+
+
+def assert_grid_holds_every_entry_above_the_cut(calls):
+    """For each recorded ``_gf_grid`` call, every entry of the full grid
+    outside the returned rectangle has modulus below e^cut (the
+    guarantee its proof gives), each modulus taken in logs from the
+    factors without powering."""
+    for (factors, extra, cut, K_z), (cols, rows) in calls:
+        K = extra.size
+        z = np.exp(-2j * math.pi * np.arange(K_z // 2 + 1) / K_z)
+        with np.errstate(divide="ignore"):
+            log_mod = np.log(np.abs(extra))[:, None] + sum(
+                mult * np.log(np.abs(a[:, None] + z * b[:, None]))
+                for mult, a, b in factors)
+        inside = np.zeros((K, z.size), dtype=bool)
+        inside[np.arange(K)[cols], :rows] = True
+        assert log_mod[~inside].max(initial=-np.inf) < cut + 1e-9
+
+
+def kept_grid(monkeypatch, calls=None):
+    """Record the (x-nodes, z-nodes, all entries) of each pruned grid, and
+    in ``calls`` the arguments and result of each ``_gf_grid`` call."""
+    seen = []
+    grid = lower._gf_grid
+
+    def spy(factors, extra, cut, K_z):
+        cols, rows = grid(factors, extra, cut, K_z)
+        width = extra.size if isinstance(cols, slice) else cols.size
+        seen.append((width, rows, extra.size * (K_z // 2 + 1)))
+        if calls is not None:
+            calls.append(((factors, extra.copy(), cut, K_z), (cols, rows)))
+        return cols, rows
+
+    monkeypatch.setattr(lower, "_gf_grid", spy)
+    return seen
+
+
 class TestBayesRiskCurve:
+    # Leading 16 hex digits of sha256(values.tobytes()), recorded with the
+    # per-term loop (6 numpy calls a term) that ``_tail_sums`` replaced.
+    SHA256 = {
+        (1.01, 0): "4cfa5b42ca669328",
+        (1.01, 1): "6cbf9dadc77150e5",
+        (1.01, 7): "ed1c4d788f97a126",
+        (1.01, 257): "45d7fe01c4b7db4a",
+        (1.01, 65539): "27f17a7290762056",
+        (1.5, 0): "4cfa5b42ca669328",
+        (1.5, 1): "b1de0a0d270b4882",
+        (1.5, 7): "c45b27e991875e72",
+        (1.5, 257): "8fb78d135ba75ba1",
+        (1.5, 65539): "56d559e6c8be0491",
+        (2.0, 0): "4cfa5b42ca669328",
+        (2.0, 1): "9543aca8e8dc3f8c",
+        (2.0, 7): "0d6dbd0dd1ddc977",
+        (2.0, 257): "207a3a695e5fee9a",
+        (2.0, 65539): "87407897c0a9453a",
+        (4.0, 0): "4cfa5b42ca669328",
+        (4.0, 1): "fe5da4358eba7ccd",
+        (4.0, 7): "802274338da7948c",
+        (4.0, 257): "2b0257ea9fea664e",
+        (4.0, 65539): "a5e5fe5d92377434",
+        (1000.0, 0): "4cfa5b42ca669328",
+        (1000.0, 1): "df1235fdd5e330f3",
+        (1000.0, 7): "311d0df1ba67a977",
+        (1000.0, 257): "f5a7fa009ad8e297",
+        (1000.0, 65539): "5c0f5208ce3a9255",
+    }
+
+    @pytest.mark.parametrize("r", [1.01, 1.5, 2.0, 4.0, 1000.0])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 257, 2**16 + 3])
+    def test_values_are_byte_identical_to_the_per_term_loop(self, r, n_max):
+        values = bayes_risk_curve(r, n_max).values
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == \
+            self.SHA256[r, n_max]
+
+    @pytest.mark.parametrize("terms", [0, 10**9])
+    def test_the_two_layouts_agree_bit_for_bit(self, monkeypatch, terms):
+        # Every block by passes over its rows, then every block as one
+        # table; r = 1.1 gives rows of up to 145 terms.
+        want = {r: bayes_risk_curve(r, 1500).values for r in (1.1, 2.0)}
+        monkeypatch.setattr(lower, "_CURVE_TERMS", terms)
+        for r, values in want.items():
+            assert np.array_equal(bayes_risk_curve(r, 1500).values, values)
+
+    @pytest.mark.parametrize("terms", [0, 10**9])
+    @pytest.mark.parametrize("ns, stops", [([65536], [1000]),
+                                           ([1001, 1002, 1003, 1004],
+                                            [5, 10, 20, 40])])
+    def test_tail_sums_add_the_terms_one_at_a_time(self, monkeypatch,
+                                                   terms, ns, stops):
+        # Rows of slowly falling terms (r = 1.001), alone or with others
+        # that stop earlier, in both layouts; Python floats repeat each
+        # rounding.
+        def sequential(n, stop, rho):
+            h, k1 = n >> 1, n - (n >> 1) + 1
+            acc, term = (1.0 if n & 1 else 0.5), 1.0
+            for i in range(stop):
+                term *= (h - i) * rho / (k1 + i)
+                acc += term
+            return acc
+
+        a = 0.5 / 1.001
+        rho = a / (1.0 - a)
+        monkeypatch.setattr(lower, "_CURVE_TERMS", terms)
+        got = lower._tail_sums(np.array(ns), np.array(stops, float), rho)
+        assert got.tolist() == [sequential(k, j, rho)
+                                for k, j in zip(ns, stops)]
+
     def test_r2_spot_values(self):
         curve = bayes_risk_curve(2.0, 3)
         assert curve.values[0] == 0.5
@@ -303,11 +427,11 @@ class TestCubeLower:
                                   dense_survival_gap(n, 2 * n, risks[:n + 2]))
 
     def test_exact_path_memory_is_bounded(self, traced_peak):
-        # The compact count table and a few blocks; 87 MiB held every
-        # row's risks, pmf and survival at once.
+        # The compact count table and a few blocks, one enumeration at a
+        # time; 87 MiB held every row's risks, pmf and survival at once.
         res, peak = traced_peak(lambda: cube_lower(7, 2.0))
         assert res.method == "exact"
-        assert peak <= 16 * 2**20
+        assert peak <= 8 * 2**20
 
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):
@@ -382,6 +506,57 @@ class TestCubeLower:
         one = cube_lower(1024, 2.0)
         assert one.method == "gf" and one.per_l.min() >= 0.0
         assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
+
+    @pytest.mark.parametrize("n", [1024, 4096, 65536])
+    def test_pruned_grid_agrees_with_the_dense_engine(self, n, monkeypatch):
+        seen = kept_grid(monkeypatch)
+        pruned = cube_lower(n, 2.0)
+        (width, rows, total), = seen
+        assert width * rows < total / 50
+        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        dense = cube_lower(n, 2.0)
+        assert np.abs(pruned.per_l - dense.per_l).max() <= 1e-15
+        assert pruned.l_star == dense.l_star
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_grid_with_nothing_pruned_is_bit_identical(self, n, monkeypatch):
+        monkeypatch.setattr(lower, "_GF_PRUNE_MIN", 0)  # bound every grid
+        seen = kept_grid(monkeypatch)
+        pruned = cube_lower(n, 2.0).per_l
+        (width, rows, total), = seen
+        assert width * rows == total
+        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        assert np.array_equal(cube_lower(n, 2.0).per_l, pruned)
+
+    @pytest.mark.parametrize("n, r", [(64, 2.0), (1024, 2.0), (4096, 2.0),
+                                      (1024, 1.5), (1024, 4.0)])
+    def test_every_dropped_entry_is_below_the_cut(self, n, r, monkeypatch):
+        calls = []
+        kept_grid(monkeypatch, calls)
+        cube_lower(n, r)
+        assert_grid_holds_every_entry_above_the_cut(calls)
+
+    def test_kept_grid_is_flat_in_n(self, monkeypatch):
+        # Measured: 1190, 1122, 1085 and 1116 entries, of 80 608 up to
+        # 73 million; about 31 x-nodes by 36 z-nodes at 2^20.
+        seen = kept_grid(monkeypatch)
+        for n in (1024, 4096, 2**16, 2**20):
+            cube_lower(n, 2.0)
+        assert len(seen) == 4
+        assert max(width * rows for width, rows, _ in seen) <= 1300
+
+    def test_output_guard_refuses_before_allocating(self, traced_peak):
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                cube_lower(2**40, 2.0)
+
+        _, peak = traced_peak(call)
+        assert peak < 1 << 20
+
+    def test_output_budget_admits_n_2_24(self):
+        lower.check_cube_output(2**24)
+        with pytest.raises(ValueError, match="output budget"):
+            lower.check_cube_output(OUTPUT_BUDGET // 24 + 1)
 
     # (n, l_star, delta) of cube_lower(n, 2.0), recorded when the engine
     # still took its powers with numpy's ``**``.
@@ -512,6 +687,27 @@ class TestMixedPbinMass:
         assert np.abs(windowed - full).max() <= 1e-15
         assert abs(windowed.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1024, 4096, 65536])
+    def test_pruned_grid_with_two_weight_groups(self, n, monkeypatch):
+        w = np.repeat([1.0 / (1.5 * n), 2.0 / (1.5 * n)], n // 2)
+        table = bayes_risk_curve(2.0, n).values
+        seen = kept_grid(monkeypatch)
+        pruned = mixedpbin_mass(n, n, w, table).masses
+        (width, rows, total), = seen
+        assert width * rows < total / 20
+        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        dense = mixedpbin_mass(n, n, w, table).masses
+        assert np.abs(pruned - dense).max() <= 1e-15
+
+    def test_every_dropped_entry_is_below_the_cut(self, monkeypatch):
+        # Two weight groups, each factor bounding the other's arc.
+        n = 1024
+        w = np.repeat([1.0 / (1.5 * n), 2.0 / (1.5 * n)], n // 2)
+        calls = []
+        kept_grid(monkeypatch, calls)
+        mixedpbin_mass(n, n, w, bayes_risk_curve(2.0, n).values)
+        assert_grid_holds_every_entry_above_the_cut(calls)
+
     def test_gf_nonuniform_weights_match_enumeration(self):
         from obsvalue.pbin import multinomial_enumerate
         w = [0.1, 0.2, 0.2, 0.5]
@@ -554,6 +750,23 @@ class TestMixedPbinMass:
             w *= 1.1
         with pytest.raises(ValueError, match=f"^{message}$"):
             mixedpbin_mass(n, n, w, bayes_risk_curve(2.0, n).values)
+
+
+class TestAsymptoticOracle:
+    """sqrt(n+1) delta_n against its limit A(r, c): the one check of the
+    engine beyond n of about 10^3 that is not Monte Carlo."""
+
+    def test_limit_constants(self):
+        assert abs(limit_amplitude(2.0, 2.0) - 0.0939455149) <= 1e-10
+        assert abs(limit_amplitude(2.0, 1.0) - 0.0957015) <= 1e-7
+        assert abs(limit_amplitude(4.0, 2.0) - 0.1472123) <= 1e-7
+
+    @pytest.mark.parametrize("n", [2**12, 2**16, 2**20])
+    def test_cube_lower_approaches_the_limit(self, n):
+        # Measured: 0.027/n, 0.044/n and 0.039/n.
+        delta = cube_lower(n, 2.0).delta
+        assert abs(math.sqrt(n + 1) * delta
+                   - limit_amplitude(2.0, 2.0)) <= 0.1 / n
 
 
 class TestMulPower:

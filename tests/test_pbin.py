@@ -12,7 +12,7 @@ import pytest
 from obsvalue import pbin
 from obsvalue.constants import ENUM_GUARD
 from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
-                           _poisson_pmf, binom_pmf, enumeration_fits,
+                           _poisson_band, binom_pmf, enumeration_fits,
                            multinomial_enumerate, multinomial_logpmf,
                            n_compositions, pbin_pmf, pbin_pmf_rows,
                            pbin_shift_difference, pbin_survival)
@@ -42,6 +42,15 @@ def nexcom_compositions(trials, m):
         row[0] = t - 1
         row[h] += 1
         out[k] = row
+    return out
+
+
+def poisson_pmf(t, lam):
+    """``pbin._poisson_band`` written out on all of {0, ..., t}."""
+    lo, band = _poisson_band(t, lam)
+    assert 0 <= lo and lo + band.size <= t + 1
+    out = np.zeros(t + 1)
+    out[lo:lo + band.size] = band
     return out
 
 
@@ -266,7 +275,7 @@ class TestPoissonPmf:
         # P(k) / P(mode) within 6 sqrt(lam) of lam, on {0, ..., 2 lam};
         # the lgamma form was 5.2e-14, 7.5e-13, 2.9e-11 and 1.1e-10 off
         t, mode = 2 * lam, lam
-        got = _poisson_pmf(t, float(lam))
+        got = poisson_pmf(t, float(lam))
         half = math.floor(6.0 * math.sqrt(lam))
         ks = range(max(0, lam - half), min(t, lam + half) + 1)
         with mpmath.workprec(200):
@@ -283,7 +292,7 @@ class TestPoissonPmf:
         lam = {"zero": 0.0, "tiny": 1e-300, "t": float(t)}[lam]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _poisson_pmf(t, lam)
+            got = poisson_pmf(t, lam)
         assert got.shape == (t + 1,)
         assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-15
 
@@ -384,6 +393,23 @@ class TestMultinomial:
         assert _compositions(254, 2).dtype == np.uint8
         assert _compositions(255, 2).dtype == np.uint16
         assert np.array_equal(_compositions(255, 2)[:, 1], np.arange(256))
+
+    @pytest.mark.parametrize("trials", [9, 10, 11])
+    def test_compositions_match_nexcom_order_to_eleven_trials(self, trials):
+        for m in range(1, 10):
+            got = _compositions(trials, m)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, nexcom_compositions(trials, m))
+
+    @pytest.mark.parametrize("trials, dtype", [
+        (200, np.uint8), (254, np.uint8), (255, np.uint16), (300, np.uint16)])
+    def test_ramps_wrap_exactly_in_the_count_type(self, trials, dtype):
+        # The parts are built as cumsums that wrap around in the table's
+        # type; every value is below trials + 1, so the wrap is exact.
+        for m in (2, 3):
+            got = _compositions(trials, m)
+            assert got.dtype == dtype
+            assert np.array_equal(got, nexcom_compositions(trials, m))
 
     @pytest.mark.parametrize("block", [None, 7, 64])
     @pytest.mark.parametrize("trials, w", [
