@@ -14,11 +14,13 @@ EXACT_TOL = 1e-12
 ENUM_GUARD = 1 << 23
 
 # Refuse a ``cube_lower`` (and so ``lower cube`` and ``sweep``) whose
-# outputs, the risk curve (n + 2 floats) and the per-threshold gaps (2n
-# floats), would take more bytes than this.  Its engine's own memory does
-# not grow with n, so the outputs are what bounds a call.  2^29 (512 MiB)
-# admits n up to 22 369 620; n = 2^24 takes 384 MiB.
-OUTPUT_BUDGET = 1 << 29
+# outputs, the risk curve (n + 2 floats), the per-threshold gaps and their
+# all-zero half-widths (2n floats each), would take more bytes than this.
+# Its engine's own memory does not grow with n, so the outputs are what
+# bounds a call.  2^30 (1 GiB) admits n up to 26 843 545; n = 2^24 takes
+# 640 MiB, of which the zero half-widths' 256 MiB are pages that are
+# never written.
+OUTPUT_BUDGET = 1 << 30
 
 # All confidence intervals are 3-sigma normal intervals.
 CI_SIGMA = 3.0

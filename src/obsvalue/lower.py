@@ -18,8 +18,9 @@ otherwise an exact generating-function engine (``method="gf"``).  Its DFT
 sizes in x and in z are both of order sqrt(n) for the 2n-cell witness,
 and of that grid it powers only the entries a bound shows can matter,
 about 1100 at every n (``_gf_grid``).  So ``cube_lower`` costs its
-outputs, 3n + 2 floats under ``OUTPUT_BUDGET``, plus a part flat in n:
-12 ms at n = 2^20, where the dense grid (``_GF_PRUNE`` off) takes 3.7 s.
+outputs, 5n + 2 floats under ``OUTPUT_BUDGET``, plus a part flat in n:
+14 ms at n = 2^20, where the dense grid (``_GF_PRUNE`` off) takes 3.7 s
+(2 cores, numpy 2.4.6).
 Neither path draws random numbers.  The coupled Monte Carlo reference
 estimators that cross-check both, and the quadratic Bernoulli-step risk
 curve, live in ``verify``.
@@ -67,52 +68,44 @@ class RiskCurve:
 # n values per block of ``bayes_risk_curve``; bounds its extra memory (a
 # few arrays of this many entries) for any n_max.
 _CURVE_BLOCK = 1 << 16
-# Largest (terms, rows) table ``_tail_sums`` lays out in 2-D.
+# Most entries of one (terms, rows) table of ``_tail_sums`` (512 KiB).
 _CURVE_TERMS = 1 << 16
 
 
 def _tail_sums(n: np.ndarray, stop: np.ndarray, rho: float) -> np.ndarray:
     """w0 + sum_{j<stop} prod_{i<=j} rho (h-i)/(k0+1+i) for each n, h =
     floor(n/2), k0 = n - h, w0 = 1/2 for even n and 1 for odd n, with
-    ``stop`` nondecreasing along ``n``.  Each sum adds a row's terms one
-    at a time, in term order, whichever way it is laid out.
+    ``stop`` nondecreasing along ``n``.
 
-    Up to ``_CURVE_TERMS`` entries, in a constant number of numpy calls: a
-    (terms, rows) table whose first line is w0 and whose others are the
-    ratios, set to 0 from each row's stop on; a cumprod down the term axis
-    turns them into the terms and a cumsum down the same axis adds them.
-    Past its stop a row adds zeros, which leave a positive sum unchanged.
-    (A cumsum, not ``sum``: numpy sums a contiguous axis pairwise, as a
-    table of one row would be.)  Beyond that size, one pass per term over
-    the rows that still need it.  A cumprod down an axis is a chain of
-    dependent multiplies, several times slower per entry than a multiply
-    across rows, so at a few hundred rows and up the passes cost less,
-    and they need no table.
+    The rows are taken in chunks of at most ``_CURVE_TERMS`` table
+    entries, each in a constant number of numpy calls: a (terms, rows)
+    table whose first line is w0 and whose others are the ratios, set to
+    0 from each row's stop on; a cumprod down the term axis turns them
+    into the terms and a cumsum down the same axis adds them, one at a
+    time in term order.  Past its stop a row adds zeros, which leave a
+    positive sum unchanged.  (A cumsum, not ``sum``: numpy sums a
+    contiguous axis pairwise, as a table of one row would be.)
     """
-    w0 = 0.5 + 0.5 * (n & 1)
-    width = int(stop[-1])
-    if width == 0:  # n <= 1
-        return w0
+    out = 0.5 + 0.5 * (n & 1)  # w0
+    if stop[-1] == 0:  # n <= 1
+        return out
     h = n >> 1
     k1 = n - h + 1
-    if n.size * width <= _CURVE_TERMS:
+    rows = max(1, _CURVE_TERMS // (int(stop[-1]) + 1))
+    for lo in range(0, n.size, rows):
+        part = slice(lo, lo + rows)
+        width = int(stop[part][-1])
         i = np.arange(width)[:, None]
-        table = np.empty((width + 1, n.size))
-        table[0] = w0
+        table = np.empty((width + 1, out[part].size))
+        table[0] = out[part]
         ratio = table[1:]
-        np.multiply(h - i, rho, out=ratio)
-        ratio /= k1 + i
-        ratio[i >= stop] = 0.0
+        np.multiply(h[part] - i, rho, out=ratio)
+        ratio /= k1[part] + i
+        ratio[i >= stop[part]] = 0.0
         np.cumprod(ratio, axis=0, out=ratio)
-        return np.cumsum(table, axis=0, out=table)[-1]
-    acc = w0
-    term = np.ones(n.size)
-    # The i-th pass updates the rows from f on, those with stop > i.
-    firsts = np.searchsorted(stop, np.arange(width), side="right")
-    for i, f in enumerate(firsts.tolist()):
-        term[f:] *= (h[f:] - i) * rho / (k1[f:] + i)
-        acc[f:] += term[f:]
-    return acc
+        np.cumsum(table, axis=0, out=table)
+        out[part] = table[-1]
+    return out
 
 
 def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
@@ -566,13 +559,15 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
 
 def check_cube_output(n: int) -> None:
     """Raise ValueError, before anything is allocated, when the outputs of
-    ``cube_lower(n, r)``, its risk curve (n + 2 floats) and its
-    per-threshold gaps (2n floats), exceed ``OUTPUT_BUDGET`` bytes."""
-    need = 8 * (3 * n + 2)
+    ``cube_lower(n, r)``, its risk curve (n + 2 floats), its per-threshold
+    gaps and their all-zero half-widths (2n floats each), exceed
+    ``OUTPUT_BUDGET`` bytes."""
+    need = 8 * (5 * n + 2)
     if need > OUTPUT_BUDGET:
         raise ValueError(
-            f"n = {n}: the risk curve and the 2n threshold gaps take {need} "
-            f"bytes, over the {OUTPUT_BUDGET}-byte output budget")
+            f"n = {n}: the risk curve and the 2n threshold gaps and "
+            f"half-widths take {need} bytes, over the {OUTPUT_BUDGET}-byte "
+            f"output budget")
 
 
 def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None

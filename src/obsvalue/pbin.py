@@ -140,14 +140,19 @@ def pbin_shift_difference(
     return lhs, rhs
 
 
+# Entries of the first chunk of ``_running_products``.
+_FIRST_CHUNK = 1024
+
+
 def _running_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     """Running products of ``ratio(j)`` for j = start, start + step, ...,
     short of ``stop``, up to the last one that is not 0.  Taken in chunks
-    that double from 1024 entries, each chunk's first ratio multiplied by
-    the last product so far: every product is the one a single ``cumprod``
-    over the whole range gives, bit for bit, but the walk stops at the
-    chunk where the products underflow to 0, after which they all are."""
-    parts, carry, width = [], 1.0, 1024
+    that double from ``_FIRST_CHUNK`` entries, each chunk's first ratio
+    multiplied by the last product so far: every product is the one a
+    single ``cumprod`` over the whole range gives, bit for bit, but the
+    walk stops at the chunk where the products underflow to 0, after
+    which they all are."""
+    parts, carry, width = [], 1.0, _FIRST_CHUNK
     while start != stop and carry != 0.0:
         end = (min(start + width, stop) if step > 0
                else max(start - width, stop))

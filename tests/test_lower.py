@@ -222,10 +222,10 @@ class TestBayesRiskCurve:
         assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == \
             self.SHA256[r, n_max]
 
-    @pytest.mark.parametrize("terms", [0, 10**9])
-    def test_the_two_layouts_agree_bit_for_bit(self, monkeypatch, terms):
-        # Every block by passes over its rows, then every block as one
-        # table; r = 1.1 gives rows of up to 145 terms.
+    @pytest.mark.parametrize("terms", [0, 1000, 10**9])
+    def test_chunk_size_leaves_the_bits_unchanged(self, monkeypatch, terms):
+        # Tables of one row, of a few rows and of a whole block; r = 1.1
+        # gives rows of up to 145 terms.
         want = {r: bayes_risk_curve(r, 1500).values for r in (1.1, 2.0)}
         monkeypatch.setattr(lower, "_CURVE_TERMS", terms)
         for r, values in want.items():
@@ -238,8 +238,8 @@ class TestBayesRiskCurve:
     def test_tail_sums_add_the_terms_one_at_a_time(self, monkeypatch,
                                                    terms, ns, stops):
         # Rows of slowly falling terms (r = 1.001), alone or with others
-        # that stop earlier, in both layouts; Python floats repeat each
-        # rounding.
+        # that stop earlier, one row a table or all in one; Python floats
+        # repeat each rounding.
         def sequential(n, stop, rho):
             h, k1 = n >> 1, n - (n >> 1) + 1
             acc, term = (1.0 if n & 1 else 0.5), 1.0
@@ -553,10 +553,19 @@ class TestCubeLower:
         _, peak = traced_peak(call)
         assert peak < 1 << 20
 
+    def test_memory_is_the_budgeted_outputs(self, traced_peak):
+        # The risk curve, per_l and ci, the 5n + 2 floats the guard
+        # counts, and under 1 MiB more.
+        n = 2**18
+        cube_lower(64, 2.0)  # warm caches and imports
+        res, peak = traced_peak(lambda: cube_lower(n, 2.0))
+        assert res.method == "gf" and res.ci.shape == (2 * n,)
+        assert peak < 8 * (5 * n + 2) + (1 << 20)
+
     def test_output_budget_admits_n_2_24(self):
         lower.check_cube_output(2**24)
         with pytest.raises(ValueError, match="output budget"):
-            lower.check_cube_output(OUTPUT_BUDGET // 24 + 1)
+            lower.check_cube_output(OUTPUT_BUDGET // 40 + 1)
 
     # (n, l_star, delta) of cube_lower(n, 2.0), recorded when the engine
     # still took its powers with numpy's ``**``.

@@ -297,6 +297,21 @@ class TestPoissonPmf:
         assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("size", [1, 2, 9, 300, 1024, 5000])
+def test_bands_do_not_depend_on_the_chunk_size(monkeypatch, size):
+    # Chunks of 1, 2, 4, ... entries carry each chunk's last product into
+    # the next, and must give the band of chunks from 1024 bit for bit.
+    t = size - 1
+    laws = [lambda lam=lam: _poisson_band(t, lam)
+            for lam in (0.0, 1e-3, 0.5, 1.0, 7.3, size / 2, float(t))]
+    laws += [lambda p=p: (0, binom_pmf(t, p)) for p in (0.0, 0.3, 0.5, 1.0)]
+    want = [law() for law in laws]
+    monkeypatch.setattr(pbin, "_FIRST_CHUNK", 1)
+    for law, (lo, band) in zip(laws, want):
+        got_lo, got = law()
+        assert got_lo == lo and np.array_equal(got, band)
+
+
 class TestMultinomial:
     def test_enumerate_one_trial(self):
         counts, probs = multinomial_enumerate(1, [0.5, 0.5])
