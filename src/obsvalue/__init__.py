@@ -13,8 +13,7 @@ from .densities import (HypercubeSpec, RichnessWitness, StepDensity,
                         sample_density, tv_distance)
 from .lower import (CubeLowerResult, MixedPbinResult, RiskCurve,
                     bayes_risk_curve, cube_lower, mixedpbin_mass,
-                    richness_lower_bound, simulate_mixture_risk,
-                    simulate_multitest_risk)
+                    richness_lower_bound)
 from .pbin import (EnumerationGuardError, binom_pmf, multinomial_enumerate,
                    n_compositions, pbin_pmf, pbin_shift_difference,
                    pbin_survival)
@@ -41,7 +40,6 @@ __all__ = [
     # lower bounds
     "CubeLowerResult", "MixedPbinResult", "RiskCurve", "bayes_risk_curve",
     "cube_lower", "mixedpbin_mass", "richness_lower_bound",
-    "simulate_mixture_risk", "simulate_multitest_risk",
     # rate analysis
     "BoundReport", "RateFit", "bound_sweep", "rate_fit",
     "reports_to_csv", "sweep_summary",

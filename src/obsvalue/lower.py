@@ -9,9 +9,10 @@ valid deficiency lower bound for every threshold l; this module computes it,
 together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
 certifies.
 
-The risk curve costs O(n) for each r, and nothing past the n where it
-underflows to 0 (5188 at r = 2) but its output: each r(n) is a Binomial
-upper tail, summed forward from its first term (``bayes_risk_curve``).
+The risk curve costs O(1) a value, and nothing past the n where it
+underflows to 0 (5188 at r = 2) but its output: each even n repeats the
+odd n before it, and each odd n adds one term to the next odd n, from an
+anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
 enumeration while its table stays under the guard (``method="exact"``),
 otherwise an exact generating-function engine (``method="gf"``).  Its DFT
@@ -65,47 +66,27 @@ class RiskCurve:
         return self.values.size - 1
 
 
-# n values per block of ``bayes_risk_curve``; bounds its extra memory (a
-# few arrays of this many entries) for any n_max.
+# n values per block of ``RiskCurve``'s monotonicity check; bounds its
+# extra memory (a few arrays of this many entries) for any n_max.
 _CURVE_BLOCK = 1 << 16
-# Most entries of one (terms, rows) table of ``_tail_sums`` (512 KiB).
-_CURVE_TERMS = 1 << 16
+# h values per block of ``bayes_risk_curve``, one Binomial tail sum each.
+_CURVE_ANCHOR = 256
 
 
-def _tail_sums(n: np.ndarray, stop: np.ndarray, rho: float) -> np.ndarray:
-    """w0 + sum_{j<stop} prod_{i<=j} rho (h-i)/(k0+1+i) for each n, h =
-    floor(n/2), k0 = n - h, w0 = 1/2 for even n and 1 for odd n, with
-    ``stop`` nondecreasing along ``n``.
-
-    The rows are taken in chunks of at most ``_CURVE_TERMS`` table
-    entries, each in a constant number of numpy calls: a (terms, rows)
-    table whose first line is w0 and whose others are the ratios, set to
-    0 from each row's stop on; a cumprod down the term axis turns them
-    into the terms and a cumsum down the same axis adds them, one at a
-    time in term order.  Past its stop a row adds zeros, which leave a
-    positive sum unchanged.  (A cumsum, not ``sum``: numpy sums a
-    contiguous axis pairwise, as a table of one row would be.)
-    """
-    out = 0.5 + 0.5 * (n & 1)  # w0
-    if stop[-1] == 0:  # n <= 1
-        return out
-    h = n >> 1
-    k1 = n - h + 1
-    rows = max(1, _CURVE_TERMS // (int(stop[-1]) + 1))
-    for lo in range(0, n.size, rows):
-        part = slice(lo, lo + rows)
-        width = int(stop[part][-1])
-        i = np.arange(width)[:, None]
-        table = np.empty((width + 1, out[part].size))
-        table[0] = out[part]
-        ratio = table[1:]
-        np.multiply(h[part] - i, rho, out=ratio)
-        ratio /= k1[part] + i
-        ratio[i >= stop[part]] = 0.0
-        np.cumprod(ratio, axis=0, out=ratio)
-        np.cumsum(table, axis=0, out=table)
-        out[part] = table[-1]
-    return out
+def _anchor_sum(h: int, stop: int, rho: float) -> float:
+    """1/2 + sum_{j=1}^{stop} prod_{i<j} rho (h-i)/(h+1+i), which is
+    r(2h) / Bin(2h, a)(h), the tail summed forward from its first term.
+    Each ratio and term is the one a Python loop would make, and the terms
+    are added one at a time in order (a cumsum: numpy's ``sum`` adds a
+    contiguous array pairwise)."""
+    i = np.arange(stop)
+    terms = np.empty(stop + 1)
+    terms[0] = 0.5
+    ratio = terms[1:]
+    np.multiply(h - i, rho, out=ratio)
+    ratio /= h + 1 + i
+    np.cumprod(ratio, out=ratio)
+    return float(np.cumsum(terms)[-1])
 
 
 def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
@@ -113,35 +94,59 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     a = 1/(2r): the left-half count within a cell is a sufficient statistic
     for the cell's two-level pair, whose left-half masses are a and 1 - a.
 
-    Tail identity: r(n) = P(B > n/2) + P(B = n/2) / 2 for B ~ Bin(n, a).
-    Proof: Bin(n, a)(k) / Bin(n, 1-a)(k) = (a/(1-a))^(2k-n), so the minimum
-    is Bin(n, a)(k) for k > n/2 and Bin(n, 1-a)(k) = Bin(n, a)(n-k) for
-    k < n/2, and the two halves are the same upper tail.
+    Tail identity: r(n) = P(B_n > n/2) + P(B_n = n/2) / 2 for B_n ~ Bin(n,
+    a).  Proof: Bin(n, a)(k) / Bin(n, 1-a)(k) = (a/(1-a))^(2k-n), so the
+    minimum is Bin(n, a)(k) for k > n/2 and Bin(n, 1-a)(k) = Bin(n, a)(n-k)
+    for k < n/2, and the two halves are the same upper tail.
 
-    The tail is summed forward from its first term t0 = Bin(n, a)(k0),
-    k0 = ceil(n/2), h = floor(n/2): r(n) = t0 (w0 + sum_{j>=1} prod_{i<j}
-    rho (h-i)/(k0+1+i)), with w0 = 1/2 for even n and 1 for odd n, and
-    rho = a/(1-a) (``_tail_sums``).  At most h terms are nonzero, and the
-    sum stops where what it drops is below 2^-60 of it: every ratio is at
-    most rho, which gives a count L that depends on r alone, and the j-th
-    term is at most exp(-j^2/(h+j)), which gives a count of order
-    sqrt(h log h) for r near 1, where L is large.  t0 is C(2h, h) 4^-h
-    (4a(1-a))^h, times (n/(n+1))/r for odd n: the central binomial is a
-    running product of (2h-1)/(2h), and the power is exp(h s) with
-    s = log(4a(1-a)), taken by log1p(-((r-1)/r)^2) near r = 1.  Its error
-    is then of order |h s| eps, at most 745 eps for any t0 that does not
-    underflow, where a running product of the rounded 4a(1-a) would carry
-    h times its rounding error.  Once h s < -746, exp(h s) and every
-    later value are exactly 0, and are not computed.  Only sums and
-    products of positive terms enter, so tiny tails keep their relative
-    accuracy, and every operation on one n is the same whatever n_max is:
-    the curve is prefix-stable bit for bit.
+    Two exact identities follow, with x = a(1-a), p_k = Bin(2h-1, a)(k),
+    and a p_(h-1) = (1-a) p_h = C(2h-1, h) x^h:
+    - r(2h) = r(2h-1).  B_2h is B_(2h-1) plus one Bernoulli(a), so r(2h) -
+      P(B_(2h-1) > h) = a p_h + (a p_(h-1) + (1-a) p_h)/2 = p_h, and
+      r(2h-1) = P(B_(2h-1) >= h) is the same.
+    - r(2h-1) - r(2h+1) = D_h = (1-2a) C(2h-1, h) x^h.  B_(2h+1) is
+      B_(2h-1) plus two Bernoulli(a), so the drop is the mass that leaves
+      {>= h}, p_h (1-a)^2, less the mass that enters {>= h+1}, p_(h-1) a^2.
+    With q_h = Bin(2h, a)(h) = C(2h, h) 4^-h exp(h s), s = log(4x), this
+    is D_h = ((1-2a)/2) q_h, and r(2h-1) = sum_{j>=h} D_j.
 
-    Cost: O(n0 min(L, sqrt(n0 log n0))) operations for the n0 = min(n_max,
-    1492/|s|) values above the underflow (L = 38 and n0 = 5188 at r = 2),
-    never above the n_max^2/2 of the Bernoulli-step DP
-    (``verify.dp_risk_curve``), plus the output; the extra memory is a few
-    arrays of ``_CURVE_BLOCK`` entries.
+    So the curve starts (1/2, a, a, r3, r3), r3 = P(B_3 >= 2) = a^2 (3 -
+    2a) in three roundings (exact at r = 2, where r(3) = 5/32 and the sum
+    of the D_h ends an ulp above it).  From h = 3 on, the h are
+    taken in blocks of ``_CURVE_ANCHOR`` at fixed places.  Each block's
+    last h is its anchor, r(2h) = q_h (1/2 + sum_{j>=1} prod_{i<j} rho
+    (h-i)/(h+1+i)) with rho = a/(1-a): the Binomial tail summed forward
+    from its first term (``_anchor_sum``).  The rest of the block is one
+    reversed cumsum, r(2h-1) = r(2h+1) + D_h down to the block's first h,
+    and each odd n's value is copied onto the even n after it.  The
+    anchor's sum stops where what it drops is below 2^-60 of it: every
+    ratio is at most rho, which gives a count L that depends on r alone,
+    and the j-th term is at most exp(-j^2/(h+j)) (the comment at
+    ``stop``), which gives a count of order sqrt(h log h) for r near 1,
+    where L is large.
+
+    Errors.  q_h is a running product of (2h-1)/(2h) times exp(h s), with
+    s taken by log1p(-((r-1)/r)^2) near r = 1, and 1 - 2a is taken as
+    (r-1)/r.  The power's error is then of order |h s| eps, at most 745
+    eps for any q_h that does not underflow, where a running product of
+    the rounded 4x would carry h times its rounding error.  Each value is
+    a sum of positive terms only, the anchor and at most
+    ``_CURVE_ANCHOR`` - 1 of the D_h, so tiny tails keep their relative
+    accuracy, and the additions bring at most 255 eps of their own.  Once
+    h s < -746, exp(h s) and every later value are exactly 0, and are not
+    computed.
+
+    Prefix stability.  The blocks sit at the same places and are computed
+    whole whatever n_max is, with the central binomial carried from block
+    to block, so every operation on one value is the same for any n_max:
+    the curve is prefix-stable bit for bit, and r(2h) = r(2h-1) bit for
+    bit.
+
+    Cost: O(1) for each of the n0 = min(n_max, 1492/|s|) values above the
+    underflow (n0 = 5188 at r = 2), plus one anchor of at most min(L,
+    sqrt(h log h)) terms per block of 256 h (L = 38 at r = 2, 468 at
+    r = 1.05), plus the output.  The extra memory is a few arrays of
+    ``_CURVE_ANCHOR`` entries, and the validation's of ``_CURVE_BLOCK``.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
@@ -152,34 +157,40 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     d = (r - 1.0) / r  # 1 - 2a, without the cancellation near r = 1
     s = math.log1p(-d * d) if d < 0.7 else math.log(4.0 * a * (1.0 - a))
     # The terms after the L-th add up to at most rho^(L+1) / (1 - rho)
-    # times t0, and the sum is at least t0 / 2.
+    # times q_h, and the sum is at least q_h / 2.
     L = max(0, math.ceil(math.log(2.0 ** -61 * (1.0 - rho)) / math.log(rho))
             - 1)
-    # From h = 746/|s| + 1 on, h s < -746 and exp(h s) is 0.
-    n_stop = min(n_max + 1, 2 * (math.ceil(746.0 / -s) + 1))
+    # From h = 746/|s| + 1 on, h s < -746 and q_h, D_h and r(2h-1) are 0.
+    h_end = min((n_max + 1) // 2, math.ceil(746.0 / -s))
     values = np.zeros(n_max + 1)
-    central = 1.0  # C(2h, h) 4^-h at the last h of the previous block
-    for lo in range(0, n_stop, _CURVE_BLOCK):  # lo is even
-        n = np.arange(lo, min(lo + _CURVE_BLOCK, n_stop))
-        h = n >> 1
-        hs = np.arange(h[0], h[-1] + 1)  # the block's distinct h
-        q = np.maximum(hs - 0.5, 0.5) / np.maximum(hs, 0.5)  # (2h-1)/(2h)
+    r3 = a * a * (3.0 - 2.0 * a)
+    values[:5] = (0.5, a, a, r3, r3)[:n_max + 1]
+    central = 0.375  # C(2h, h) 4^-h at the last h of the previous block
+    for lo in range(3, h_end + 1, _CURVE_ANCHOR):
+        h = np.arange(lo, lo + _CURVE_ANCHOR)
+        q = (h - 0.5) / h  # (2h-1)/(2h)
         q[0] *= central
         np.cumprod(q, out=q)
         central = q[-1]
-        q *= np.fromiter(map(math.exp, (s * hs).tolist()), float, hs.size)
-        t0 = q[h - hs[0]]
-        t0[1::2] *= n[1::2] / (n[1::2] + 1.0) / r
-        # Terms per row.  From the j-th term on, the ratios are at most
+        # libm's exp: numpy's has an AVX-512 kernel of its own, so its last
+        # bits would depend on the CPU.
+        q *= np.fromiter(map(math.exp, (s * h).tolist()), float, h.size)
+        # From the j-th term on, the anchor's ratios are at most
         # (h-j)/(h+j+1), so what is left is at most exp(-j^2/(h+j))
         # (h+j+1)/(2j+1) <= 2^-61 once j^2 >= (h+j) c with c >= log(2^61
-        # (h+1)); c is taken at the block's last possible h, so each row's
-        # count depends on its n alone and does not decrease along the block.
-        c = (61 + ((lo + _CURVE_BLOCK) >> 1).bit_length()) * math.log(2.0)
-        stop = np.minimum(np.minimum(h, L), np.ceil(c + np.sqrt(h * c)))
-        np.multiply(t0, _tail_sums(n, stop, rho), out=values[lo:lo + n.size])
+        # (h+1)); at most h terms are nonzero.
+        top = lo + _CURVE_ANCHOR - 1
+        c = math.log(2.0 ** 61 * (top + 1))
+        stop = min(top, L, math.ceil(c + math.sqrt(top * c)))
+        # r(2h-1) for h = top, top - 1, ..., lo.
+        odd = q[::-1] * (0.5 * d)
+        odd[0] = q[-1] * _anchor_sum(top, stop, rho)
+        np.cumsum(odd, out=odd)
+        out = values[2 * lo - 1:2 * top + 1]  # n = 2 lo - 1, ..., 2 top
+        out[:] = np.repeat(odd[::-1], 2)[:out.size]
     # The curve is nonincreasing with exactly-flat steps; clamp out
-    # last-ulp rounding disagreements between neighbouring evaluations.
+    # last-ulp rounding disagreements between neighbouring blocks.
+    n_stop = min(n_max + 1, 2 * h_end + 1)
     np.minimum.accumulate(values[:n_stop], out=values[:n_stop])
     return RiskCurve(r=r, values=values)
 
@@ -681,47 +692,3 @@ def mixedpbin_mass(
         ci=np.zeros(m + 1), method=method,
     )
 
-
-def simulate_multitest_risk(
-    risks: Sequence[float], l: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical probability that independent per-cell tests with error
-    probabilities ``risks`` err in at least ``l`` cells; converges to
-    P(PBin(risks) >= l)."""
-    p = np.asarray(risks, dtype=float)
-    if p.ndim != 1 or p.size < 1 or p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("risks must be probabilities")
-    if not 1 <= l <= p.size:
-        raise ValueError("requires 1 <= l <= len(risks)")
-    if trials < 10_000:
-        raise ValueError("requires trials >= 10000")
-    hits = 0
-    batch = max(1, (1 << 22) // p.size)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        errors = rng.random((b, p.size)) < p
-        hits += int(np.count_nonzero(errors.sum(axis=1) >= l))
-        done += b
-    return hits / trials
-
-
-def simulate_mixture_risk(
-    component_risks: Sequence[float],
-    weights: Sequence[float],
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Empirical risk of deciding in a randomly selected component
-    experiment; converges to the weighted average of component risks."""
-    p = np.asarray(component_risks, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if p.shape != w.shape or p.ndim != 1 or p.size < 1:
-        raise ValueError("risks and weights must be equal-length sequences")
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("risks must be probabilities")
-    if trials < 10_000:
-        raise ValueError("requires trials >= 10000")
-    component = rng.choice(p.size, size=trials, p=w / w.sum())
-    errors = rng.random(trials) < p[component]
-    return float(np.count_nonzero(errors)) / trials

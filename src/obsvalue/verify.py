@@ -8,15 +8,17 @@ property.
 The independent oracles these checks compare against are public, so the
 test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration),
 ``dp_risk_curve`` (the risk curve by Bernoulli steps over the whole
-Binomial pmf) and the coupled Monte Carlo reference estimators
-``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``.
+Binomial pmf), the coupled Monte Carlo reference estimators
+``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``,
+and the simulators ``simulate_multitest_risk`` and
+``simulate_mixture_risk`` of the multi-test and mixture risk laws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -354,6 +356,9 @@ def check_risk_curve(budget: Budget, rng) -> tuple[bool, str]:
         v = curve.values
         if v[0] != 0.5 or np.any(np.diff(v) > 0.0):
             return False, f"curve shape violated at r={r}"
+        # r(2h) = r(2h-1) exactly, so the curve's even n repeat its odd n.
+        if v[2::2].tobytes() != v[1:-1:2].tobytes():
+            return False, f"even n differs from the odd n before it at r={r}"
         worst = max(worst, abs(v[1] - 1.0 / (2.0 * r)))
         # one-observation drop equals alpha/2 for this family
         worst = max(worst, abs((v[0] - v[1]) - (1.0 - 1.0 / r) / 2.0))
@@ -419,6 +424,51 @@ def _binom_two_sided(hits: int, trials: int, p: float) -> float:
     return float(min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum())))
 
 
+def simulate_multitest_risk(
+    risks: Sequence[float], l: int, trials: int, rng: np.random.Generator
+) -> float:
+    """Empirical probability that independent per-cell tests with error
+    probabilities ``risks`` err in at least ``l`` cells; converges to
+    P(PBin(risks) >= l)."""
+    p = np.asarray(risks, dtype=float)
+    if p.ndim != 1 or p.size < 1 or p.min() < 0.0 or p.max() > 1.0:
+        raise ValueError("risks must be probabilities")
+    if not 1 <= l <= p.size:
+        raise ValueError("requires 1 <= l <= len(risks)")
+    if trials < 10_000:
+        raise ValueError("requires trials >= 10000")
+    hits = 0
+    batch = max(1, (1 << 22) // p.size)
+    done = 0
+    while done < trials:
+        b = min(batch, trials - done)
+        errors = rng.random((b, p.size)) < p
+        hits += int(np.count_nonzero(errors.sum(axis=1) >= l))
+        done += b
+    return hits / trials
+
+
+def simulate_mixture_risk(
+    component_risks: Sequence[float],
+    weights: Sequence[float],
+    trials: int,
+    rng: np.random.Generator,
+) -> float:
+    """Empirical risk of deciding in a randomly selected component
+    experiment; converges to the weighted average of component risks."""
+    p = np.asarray(component_risks, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if p.shape != w.shape or p.ndim != 1 or p.size < 1:
+        raise ValueError("risks and weights must be equal-length sequences")
+    if p.min() < 0.0 or p.max() > 1.0:
+        raise ValueError("risks must be probabilities")
+    if trials < 10_000:
+        raise ValueError("requires trials >= 10000")
+    component = rng.choice(p.size, size=trials, p=w / w.sum())
+    errors = rng.random(trials) < p[component]
+    return float(np.count_nonzero(errors)) / trials
+
+
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
     # Exact Binomial tails, not a normal z-score: the targets can lie near
     # 0 or 1, where a handful of misses already reads as 4+ sigma.
@@ -429,14 +479,14 @@ def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
         risks = rng.random(m)
         l = int(rng.integers(1, m + 1))
         target = pbin.pbin_survival(risks, l)
-        est = lower.simulate_multitest_risk(risks, l, trials, rng)
+        est = simulate_multitest_risk(risks, l, trials, rng)
         worst = min(worst, _binom_two_sided(round(est * trials), trials,
                                             target))
 
         w = rng.random(m)
         w /= w.sum()
         target = float(risks @ w)
-        est = lower.simulate_mixture_risk(risks, w, trials, rng)
+        est = simulate_mixture_risk(risks, w, trials, rng)
         worst = min(worst, _binom_two_sided(round(est * trials), trials,
                                             target))
     return bool(worst >= _SIM_LEVEL), f"min_two_sided_p={worst:.2e}"

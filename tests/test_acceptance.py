@@ -12,12 +12,12 @@ import numpy as np
 from obsvalue.cli import main as cli_main
 from obsvalue.densities import HypercubeSpec, hypercube_density
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
-                            richness_lower_bound, simulate_mixture_risk,
-                            simulate_multitest_risk)
+                            richness_lower_bound)
 from obsvalue.pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from obsvalue.rates import rate_fit
 from obsvalue.upper import exact_mad, mad_floor, uniform_ratio
-from obsvalue.verify import enum_pmf
+from obsvalue.verify import (enum_pmf, simulate_mixture_risk,
+                             simulate_multitest_risk)
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:

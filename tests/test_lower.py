@@ -16,11 +16,11 @@ from obsvalue import lower, pbin
 from obsvalue.cli import main as cli_main
 from obsvalue.constants import EXACT_TOL, OUTPUT_BUDGET
 from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
-                            richness_lower_bound, simulate_mixture_risk,
-                            simulate_multitest_risk)
+                            richness_lower_bound)
 from obsvalue.pbin import (_compositions, binom_pmf, multinomial_logpmf,
                            pbin_pmf_rows, pbin_survival)
-from obsvalue.verify import dp_risk_curve, mc_cube_gaps, mc_mixed_pmf
+from obsvalue.verify import (dp_risk_curve, mc_cube_gaps, mc_mixed_pmf,
+                             simulate_mixture_risk, simulate_multitest_risk)
 
 EXACT = 1e-12
 
@@ -186,33 +186,34 @@ def kept_grid(monkeypatch, calls=None):
 
 class TestBayesRiskCurve:
     # Leading 16 hex digits of sha256(values.tobytes()), recorded with the
-    # per-term loop (6 numpy calls a term) that ``_tail_sums`` replaced.
+    # recurrence that adds one term per value between anchors every
+    # ``_CURVE_ANCHOR`` = 256 h.
     SHA256 = {
         (1.01, 0): "4cfa5b42ca669328",
         (1.01, 1): "6cbf9dadc77150e5",
-        (1.01, 7): "ed1c4d788f97a126",
-        (1.01, 257): "45d7fe01c4b7db4a",
-        (1.01, 65539): "27f17a7290762056",
+        (1.01, 7): "9adf08bf0625e43a",
+        (1.01, 257): "aa782ee36b1a742b",
+        (1.01, 65539): "eddcb23028dc60c5",
         (1.5, 0): "4cfa5b42ca669328",
         (1.5, 1): "b1de0a0d270b4882",
-        (1.5, 7): "c45b27e991875e72",
-        (1.5, 257): "8fb78d135ba75ba1",
-        (1.5, 65539): "56d559e6c8be0491",
+        (1.5, 7): "54c9053a862d5c2e",
+        (1.5, 257): "492143dccbfb678c",
+        (1.5, 65539): "ff652a31f78d4cd0",
         (2.0, 0): "4cfa5b42ca669328",
         (2.0, 1): "9543aca8e8dc3f8c",
-        (2.0, 7): "0d6dbd0dd1ddc977",
-        (2.0, 257): "207a3a695e5fee9a",
-        (2.0, 65539): "87407897c0a9453a",
+        (2.0, 7): "d64ae70bda3dd2db",
+        (2.0, 257): "be1e10a080083708",
+        (2.0, 65539): "9833aa8abbc2487d",
         (4.0, 0): "4cfa5b42ca669328",
         (4.0, 1): "fe5da4358eba7ccd",
-        (4.0, 7): "802274338da7948c",
-        (4.0, 257): "2b0257ea9fea664e",
-        (4.0, 65539): "a5e5fe5d92377434",
+        (4.0, 7): "c219eb6360100e22",
+        (4.0, 257): "a131d3321083ba99",
+        (4.0, 65539): "8ac688685d549435",
         (1000.0, 0): "4cfa5b42ca669328",
         (1000.0, 1): "df1235fdd5e330f3",
-        (1000.0, 7): "311d0df1ba67a977",
-        (1000.0, 257): "f5a7fa009ad8e297",
-        (1000.0, 65539): "5c0f5208ce3a9255",
+        (1000.0, 7): "bb3526fcb51312a1",
+        (1000.0, 257): "31ebff54ae589cdd",
+        (1000.0, 65539): "563fc18c339f1290",
     }
 
     @pytest.mark.parametrize("r", [1.01, 1.5, 2.0, 4.0, 1000.0])
@@ -222,38 +223,44 @@ class TestBayesRiskCurve:
         assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == \
             self.SHA256[r, n_max]
 
-    @pytest.mark.parametrize("terms", [0, 1000, 10**9])
-    def test_chunk_size_leaves_the_bits_unchanged(self, monkeypatch, terms):
-        # Tables of one row, of a few rows and of a whole block; r = 1.1
-        # gives rows of up to 145 terms.
-        want = {r: bayes_risk_curve(r, 1500).values for r in (1.1, 2.0)}
-        monkeypatch.setattr(lower, "_CURVE_TERMS", terms)
+    @pytest.mark.parametrize("spacing", [1, 17, 4096])
+    def test_other_anchor_spacings_move_no_value_by_1e_13(self, monkeypatch,
+                                                          spacing):
+        # An anchor at every h (pure tail sums), at a spacing prime to 256,
+        # and one anchor for the whole curve.  Below the smallest normal
+        # double the error is measured against that double, as subnormals
+        # carry fewer bits.
+        rs = (1.01, 1.1, 2.0, 50.0, 1.0 + 1e-6, 1e3)
+        want = {r: bayes_risk_curve(r, 6000).values for r in rs}
+        monkeypatch.setattr(lower, "_CURVE_ANCHOR", spacing)
         for r, values in want.items():
-            assert np.array_equal(bayes_risk_curve(r, 1500).values, values)
+            got = bayes_risk_curve(r, 6000).values
+            scale = np.maximum(values, np.finfo(float).tiny)
+            assert np.all(np.abs(got - values) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("terms", [0, 10**9])
-    @pytest.mark.parametrize("ns, stops", [([65536], [1000]),
-                                           ([1001, 1002, 1003, 1004],
-                                            [5, 10, 20, 40])])
-    def test_tail_sums_add_the_terms_one_at_a_time(self, monkeypatch,
-                                                   terms, ns, stops):
-        # Rows of slowly falling terms (r = 1.001), alone or with others
-        # that stop earlier, one row a table or all in one; Python floats
-        # repeat each rounding.
-        def sequential(n, stop, rho):
-            h, k1 = n >> 1, n - (n >> 1) + 1
-            acc, term = (1.0 if n & 1 else 0.5), 1.0
+    @pytest.mark.parametrize("h, stop", [(32768, 1000), (501, 40), (2, 2),
+                                         (300, 0)])
+    def test_anchor_sum_adds_the_terms_one_at_a_time(self, h, stop):
+        # Slowly falling terms (r = 1.001); Python floats repeat each
+        # rounding.
+        def sequential(h, stop, rho):
+            acc, term = 0.5, 1.0
             for i in range(stop):
-                term *= (h - i) * rho / (k1 + i)
+                term *= (h - i) * rho / (h + 1 + i)
                 acc += term
             return acc
 
         a = 0.5 / 1.001
         rho = a / (1.0 - a)
-        monkeypatch.setattr(lower, "_CURVE_TERMS", terms)
-        got = lower._tail_sums(np.array(ns), np.array(stops, float), rho)
-        assert got.tolist() == [sequential(k, j, rho)
-                                for k, j in zip(ns, stops)]
+        assert lower._anchor_sum(h, stop, rho) == sequential(h, stop, rho)
+
+    @pytest.mark.parametrize("r", [1.01, 1.05, 1.5, 2.0, 4.0, 1e3,
+                                   1.0 + 1e-6])
+    def test_even_n_repeats_the_odd_n_before_it(self, r):
+        # r(2h) = r(2h-1) exactly; a tail summed for each n misses it in
+        # the last bit (1651 times at r = 2).
+        v = bayes_risk_curve(r, 20_000).values
+        assert v[2::2].tobytes() == v[1:-1:2].tobytes()
 
     def test_r2_spot_values(self):
         curve = bayes_risk_curve(2.0, 3)
@@ -271,7 +278,7 @@ class TestBayesRiskCurve:
 
     @pytest.mark.parametrize("r", [1.05, 1.5, 2.0])
     def test_matches_high_precision_at_large_n(self, r):
-        # Measured: at most 7.7e-14.  With log(4a(1-a)) in place of
+        # Measured: at most 8.6e-14.  With log(4a(1-a)) in place of
         # log1p(-((r-1)/r)^2), the power is 4.7e-12 off at r = 1.05,
         # n = 262 145.
         values = bayes_risk_curve(r, 262_145).values
@@ -299,18 +306,34 @@ class TestBayesRiskCurve:
         if n_max >= 1:
             assert abs(v[1] - 0.5 / r) <= 1e-16 * (0.5 / r)
 
+    @pytest.mark.parametrize("r", [1.01, 1.1, 2.0, 50.0])
+    def test_matches_the_dp_across_anchor_seams(self, r):
+        # Anchors at h = 258, 514 and 770, that is n = 516, 1028 and 1540.
+        got = bayes_risk_curve(r, 2000).values
+        want = dp_risk_curve(r, 2000)
+        assert np.all(np.abs(got - want) <= 1e-13 * want + 1e-17)
+
     def test_prefix_is_bit_identical_across_blocks(self):
         # r = 1.1 keeps every value here above the underflow, so each block
-        # of the computation runs.
-        block = lower._CURVE_BLOCK
-        long = bayes_risk_curve(1.1, 2 * block + 3).values
-        for n in (block - 2, block - 1, 2 * block + 1):
-            want = bayes_risk_curve(1.1, n + 1).values
-            assert long[:n + 2].tobytes() == want.tobytes()
+        # runs.  Blocks start at h = 3, and a block's anchor is its last h,
+        # at n = 2h; the next block starts at n = 2h + 1.
+        step = lower._CURVE_ANCHOR
+        seams = [2 * (2 + k * step) for k in (1, 2, 3)]
+        long = bayes_risk_curve(1.1, seams[-1] + 3).values
+        for seam in seams:
+            for n in range(seam - 3, seam + 3):
+                want = bayes_risk_curve(1.1, n).values
+                assert long[:n + 1].tobytes() == want.tobytes()
 
     def test_extra_memory_is_bounded(self, traced_peak):
         out, peak = traced_peak(lambda: bayes_risk_curve(2.0, 10**6).values)
         assert peak <= out.nbytes + 8 * 2**20
+
+    def test_memory_near_r_1_is_the_output(self, traced_peak):
+        # r = 1.05 keeps about 150 000 h above the underflow here.
+        out, peak = traced_peak(
+            lambda: bayes_risk_curve(1.05, 300_000).values)
+        assert peak <= out.nbytes + 2**20
 
     @pytest.mark.parametrize("at", [1, lower._CURVE_BLOCK - 1,
                                     lower._CURVE_BLOCK,

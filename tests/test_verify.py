@@ -81,11 +81,11 @@ def test_simulation_check_near_certain_survival():
 
 
 def test_simulation_check_flags_a_biased_simulator(monkeypatch):
-    real = verify.lower.simulate_multitest_risk
+    real = verify.simulate_multitest_risk
 
     def biased(risks, l, trials, rng):
         return min(1.0, real(risks, l, trials, rng) + 0.01)
 
-    monkeypatch.setattr(verify.lower, "simulate_multitest_risk", biased)
+    monkeypatch.setattr(verify, "simulate_multitest_risk", biased)
     ok, _ = verify.check_simulations(verify.QUICK, np.random.default_rng(1))
     assert not ok
