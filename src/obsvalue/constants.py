@@ -8,9 +8,9 @@ EXACT_TOL = 1e-12
 # more entries than this; callers use the generating-function engine
 # instead.  The guard bounds the enumeration's time and the bytes of its
 # compact count table: one byte a count up to 254 trials, so under 8 MiB
-# there.  The float work runs in blocks of rows, besides the one pmf table
-# (8 bytes an entry) that ``mixedpbin_mass`` keeps.  2^23 keeps the largest
-# enumeration in use, Mult(8) over 16 cells (490 314 x 17), exact.
+# there.  The float work runs in blocks of rows, and no float table of
+# every row is kept.  2^23 keeps the largest enumeration in use, Mult(8)
+# over 16 cells (490 314 x 17), exact.
 ENUM_GUARD = 1 << 23
 
 # Refuse a ``cube_lower`` (and so ``lower cube`` and ``sweep``) whose

@@ -15,14 +15,16 @@ odd n before it, and each odd n adds one term to the next odd n, from an
 anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
 enumeration while its table stays under the guard (``method="exact"``),
-otherwise an exact generating-function engine (``method="gf"``).  Its DFT
-sizes in x and in z are both of order sqrt(n) for the 2n-cell witness,
-and of that grid it powers only the entries a bound shows can matter,
-about 1100 at every n (``_gf_grid``).  So ``cube_lower`` costs its
-outputs, 5n + 2 floats under ``OUTPUT_BUDGET``, plus a part flat in n:
-14 ms at n = 2^20, where the dense grid (``_GF_PRUNE`` off) takes 3.7 s
-(2 cores, numpy 2.4.6).
-Neither path draws random numbers.  The coupled Monte Carlo reference
+otherwise an exact generating-function engine (``method="gf"``).  The
+enumeration is walked a block of rows at a time (``_enumeration_blocks``)
+and no table of its terms is kept: ``cube_lower`` carries one sequential
+sum from block to block, ``mixedpbin_mass`` adds one product a block.
+The engine's DFT sizes in x and in z are both of order sqrt(n) for the
+2n-cell witness, and of that grid it powers only the entries a bound
+shows can matter, about 1100 at every n (``_gf_grid``).  So
+``cube_lower`` costs its outputs, 5n + 2 floats under ``OUTPUT_BUDGET``,
+plus a part flat in n: 14 ms at n = 2^20, where the dense grid
+(``_GF_PRUNE`` off) takes 3.7 s (2 cores, numpy 2.4.6).  Neither path draws random numbers.  The coupled Monte Carlo reference
 estimators that cross-check both, and the quadratic Bernoulli-step risk
 curve, live in ``verify``.
 """
@@ -54,12 +56,14 @@ class RiskCurve:
         v = self.values
         if v[0] != 0.5:
             raise ValueError("r(0) must equal 1/2 exactly")
-        if v.min() < 0.0 or v.max() > 0.5:
-            raise ValueError("risks must lie in [0, 1/2]")
         for lo in range(0, v.size - 1, _CURVE_BLOCK):
             block = v[lo:lo + _CURVE_BLOCK + 1]  # overlaps the next by one
-            if np.any(block[1:] > block[:-1]):
+            # <= rather than not >: a NaN fails it.
+            if not np.all(block[1:] <= block[:-1]):
                 raise ValueError("risks must be nonincreasing")
+        # With r(0) = 1/2 and no increase, this bounds them all to [0, 1/2].
+        if not v[-1] >= 0.0:
+            raise ValueError("risks must lie in [0, 1/2]")
 
     @property
     def n_max(self) -> int:
@@ -234,50 +238,43 @@ class CubeLowerResult:
         return float(self.ci[self.l_star - 1])
 
 
-def _exact_survival_gap(
-    n: int, m: int, risks: np.ndarray
-) -> np.ndarray:
-    """per-l gaps E[P(PBin(r(N)) >= l)] - E[P(PBin(r(N'))) >= l)], exactly.
-
-    Each enumeration's table is walked in blocks of rows: a block's risks,
-    their PBin pmfs (``pbin_pmf_rows``) and reversed cumsums, the
-    survivals, are made and dropped in turn, so the extra memory is a few
-    blocks besides the compact count table.  The expectation over rows is
-    one sequential sum per threshold, in row order, carried from block to
-    block: each block's product puts the carry in front of its rows as a
-    row of weight 1, and reads the survivals through the same reversed
-    view as a dense ``probs @ surv`` would, a negative stride that keeps
-    numpy on its non-BLAS loop.  So every gap is bit-identical to the
-    dense product.  That order is kept although its rounding, 1.3e-12 at
-    n = 7, is more than a pairwise sum's: the benchmark reference records
-    these values within 1e-12, until enumeration becomes an oracle
-    (ROADMAP item 2).
-    """
-    return (_survival_sums(n, m, risks) - _survival_sums(n + 1, m, risks))[1:]
+def _enumeration_blocks(trials: int, weights: np.ndarray,
+                        table: np.ndarray):
+    """Mult(trials, weights)'s enumeration (``multinomial_enumerate``) a
+    block of rows at a time, in row order: yields each block's ``(probs,
+    pmfs)``, its rows' probabilities and the PBin pmfs of ``table`` at
+    their counts (``pbin_pmf_rows``), about ``pbin._PMF_BLOCK`` entries.
+    Besides the compact count table, the memory is a few blocks, whatever
+    the number of rows; the tables are dropped once the walk ends."""
+    counts, probs = multinomial_enumerate(trials, weights)
+    step = _block_rows(weights.size + 1)
+    for lo in range(0, probs.size, step):
+        yield probs[lo:lo + step], pbin_pmf_rows(table[counts[lo:lo + step]])
 
 
 def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
-    equal cells, summed over the enumeration's rows in row order (see
-    ``_exact_survival_gap``).  Its tables are dropped on return, before
-    the next enumeration is made."""
-    counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
-    rows = probs.size
-    step = _block_rows(m + 1)
-    # Row 0 carries the sum so far; surv = buf[:, ::-1] as in the dense
-    # formula.
-    vec = np.empty(min(step, rows) + 1)
-    vec[0] = 1.0
-    buf = np.empty((vec.size, m + 1))
-    pmfs = np.empty((vec.size - 1, m + 1))
+    equal cells, by composition enumeration.
+
+    The expectation over rows is one sequential sum per threshold, in row
+    order, carried from block to block: each block's product puts the
+    carry in front of its rows as a row of weight 1, and reads the
+    survivals, the pmfs' reversed cumsums, through the reversed view that
+    a dense ``probs @ surv`` would, a negative stride that keeps numpy on
+    its non-BLAS loop.  So every sum is bit-identical to that dense
+    product.  That order is kept although its rounding, 1.3e-12 in the
+    gaps at n = 7, is more than a pairwise sum's: the benchmark reference
+    records the gaps within 1e-12, until enumeration becomes an oracle
+    (ROADMAP item 2).
+    """
     total = np.zeros(m + 1)
-    for lo in range(0, rows, step):
-        b = min(step, rows - lo)
-        pbin_pmf_rows(risks[counts[lo:lo + b]], out=pmfs[:b])
+    for probs, pmfs in _enumeration_blocks(trials, np.full(m, 1.0 / m),
+                                           risks):
+        # Row 0 carries the sum so far; surv = buf[:, ::-1].
+        buf = np.empty((probs.size + 1, m + 1))
         buf[0] = total[::-1]
-        np.cumsum(pmfs[:b, ::-1], axis=1, out=buf[1:b + 1])
-        vec[1:b + 1] = probs[lo:lo + b]
-        total = vec[:b + 1] @ buf[:b + 1, ::-1]
+        np.cumsum(pmfs[:, ::-1], axis=1, out=buf[1:])
+        total = np.concatenate(([1.0], probs)) @ buf[:, ::-1]
     return total
 
 
@@ -467,8 +464,8 @@ def _gf_window(
     1 on the unit circle.  Anchored at 1 at its mode instead, the cube's
     factor at x = 1 would be e^(1/2), and its (2n-1)-th power would
     overflow a double near n = 710.  The law and every table built from
-    it are cut where it underflows to 0 (157 entries at the cube's mean
-    1/2), which leaves each DFT input unchanged.
+    it are cut where it falls below 2^-1022 of its mode (150 entries at
+    the cube's mean 1/2).
 
     Cost: for the 2n-cell witness the kept grid is 31 to 35 x-nodes by 34
     to 36 z-nodes at every n from 1024 on, as the joint law of a cell's
@@ -568,17 +565,21 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
     return _spread(m, *_gf_survival_window(n, m, risks))
 
 
+def _check_budget(need: int, what: str) -> None:
+    """Raise ValueError when ``what`` takes ``need`` bytes, more than
+    ``OUTPUT_BUDGET``."""
+    if need > OUTPUT_BUDGET:
+        raise ValueError(f"{what} take {need} bytes, over the "
+                         f"{OUTPUT_BUDGET}-byte output budget")
+
+
 def check_cube_output(n: int) -> None:
     """Raise ValueError, before anything is allocated, when the outputs of
     ``cube_lower(n, r)``, its risk curve (n + 2 floats), its per-threshold
     gaps and their all-zero half-widths (2n floats each), exceed
     ``OUTPUT_BUDGET`` bytes."""
-    need = 8 * (5 * n + 2)
-    if need > OUTPUT_BUDGET:
-        raise ValueError(
-            f"n = {n}: the risk curve and the 2n threshold gaps and "
-            f"half-widths take {need} bytes, over the {OUTPUT_BUDGET}-byte "
-            f"output budget")
+    _check_budget(8 * (5 * n + 2), f"n = {n}: the risk curve and the 2n "
+                                   "threshold gaps and half-widths")
 
 
 def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
@@ -606,7 +607,9 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     risks = (bayes_risk_curve(r, n + 1).values if _risks is None
              else _risks[:n + 2])
     if enumeration_fits(n + 1, m):  # the larger of the two enumerations
-        per_l, method = _exact_survival_gap(n, m, risks), "exact"
+        per_l = (_survival_sums(n, m, risks)
+                 - _survival_sums(n + 1, m, risks))[1:]
+        method = "exact"
         start, core = 0, per_l
     else:
         start, core = _gf_survival_window(n, m, risks)
@@ -672,15 +675,9 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if enumeration_fits(n, m):
-        # One pmf table, filled a block of rows at a time, and one (BLAS)
-        # product, as before the blocking: the masses keep their bits.
-        counts, probs = multinomial_enumerate(n, w)
-        pmfs = np.empty((probs.size, m + 1))
-        step = _block_rows(m + 1)
-        for lo in range(0, probs.size, step):
-            pbin_pmf_rows(table[counts[lo:lo + step]], out=pmfs[lo:lo + step])
-        masses = probs @ pmfs
+    if enumeration_fits(n, m):  # one product a block, added in row order
+        masses = sum(probs @ pmfs
+                     for probs, pmfs in _enumeration_blocks(n, w, table))
         method = "exact"
     else:
         values, mults = np.unique(w / w.sum(), return_counts=True)

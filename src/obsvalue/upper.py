@@ -123,8 +123,23 @@ def certificate_upper_bound(cert: CsCertificate, n: int) -> float:
 
 
 def exact_mad(ratio: TwoLevelRatio, k: int) -> float:
-    """E | (1/k) sum g(xi_i) - 1 | for a two-level ratio, exactly via the
-    Binomial count of high-value draws.
+    """E | (1/k) sum g(xi_i) - 1 | for a two-level ratio, exactly, by de
+    Moivre's closed form for the Binomial count S ~ Bin(k, q) of draws at
+    the high level a: 2 (a - b) q (1 - q) Bin(k-1, q)(j), j = floor(kq).
+
+    Proof.  Unit mean, q a + (1 - q) b = 1, makes the average less 1 equal
+    (a - b)(S - kq)/k.  As S - kq has mean 0, E|S - kq| = 2 E(S - kq)^+.
+    From s Bin(k, q)(s) = kq Bin(k-1, q)(s-1), each term (s - kq) Bin(k,
+    q)(s) is kq(1-q) (Bin(k-1, q)(s-1) - Bin(k-1, q)(s)), and the sum over
+    s > kq, that is s > j, telescopes to kq(1-q) Bin(k-1, q)(j) (de Moivre
+    1730; Diaconis & Zabell 1991, Statist. Sci. 6:284).  When kq is an
+    integer, Bin(k-1, q) takes the same value at kq - 1 and kq, so a floor
+    that rounding puts one low is harmless.  The ratio's mean is 1 only
+    within ``EXACT_TOL`` (:class:`TwoLevelRatio`); as |x + e| and |x| differ
+    by at most |e|, the value is within |q a + (1 - q) b - 1| of the direct
+    sum E|(S a + (k - S) b)/k - 1| (measured: within 5e-16 relative at
+    k = 4097 and 16 385 for the ratios at r = 1.5, 2 and 4).  Cost: the
+    one pmf, two arrays of k floats.
 
     Equals twice the total variation distance between the kernel-augmented
     (k-1)-sample law and the genuine k-sample law.  For the two-level family
@@ -134,9 +149,10 @@ def exact_mad(ratio: TwoLevelRatio, k: int) -> float:
     """
     if k < 1:
         raise ValueError("requires k >= 1")
-    j = np.arange(k + 1, dtype=float)
-    means = (j * ratio.a + (k - j) * ratio.b) / k
-    return float(np.sum(binom_pmf(k, ratio.q) * np.abs(means - 1.0)))
+    q = ratio.q
+    j = min(math.floor(k * q), k - 1)  # k - 1 for q = 1, where the MAD is 0
+    return (2.0 * (ratio.a - ratio.b) * q * (1.0 - q)
+            * float(binom_pmf(k - 1, q)[j]))
 
 
 def mad_floor(ratio: TwoLevelRatio, k: int) -> float:

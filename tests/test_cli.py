@@ -352,6 +352,22 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         assert "output budget" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["lower", "risks", "--r", "2", "--n", "1099511627776"],
+        ["lower", "risks", "--r", "2", "--n", "600000", "--format", "json"],
+        ["lower", "mixedpbin", "--r", "2", "--m", "1099511627776"],
+        ["lower", "mixedpbin", "--r", "2", "--m", "2",
+         "--n", "1099511627776"],
+    ])
+    def test_lower_output_budget_refuses_before_allocating(
+            self, capsys, traced_peak, argv):
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 1 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "output budget" in captured.err
+
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])
     def test_numeric_and_assertion_errors_exit_one(self, capsys,

@@ -139,14 +139,6 @@ class TestPmf:
         out, peak = traced_peak(lambda: pbin_pmf_rows(probs))
         assert peak <= out.nbytes + 2 * 2**20
 
-    def test_kernel_writes_into_a_given_output(self):
-        probs = np.random.default_rng(10).random((50, 6))
-        out = np.full((60, 7), np.nan)
-        view = out[5:55]
-        assert pbin_pmf_rows(probs, out=view) is view
-        assert np.array_equal(view, pbin_pmf_rows(probs))
-        assert np.isnan(out[:5]).all() and np.isnan(out[55:]).all()
-
     @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
     def test_risk_curve_equals_allocating_steps(self, r):
         assert np.array_equal(dp_risk_curve(r, 1024),
@@ -310,6 +302,17 @@ def test_bands_do_not_depend_on_the_chunk_size(monkeypatch, size):
     for law, (lo, band) in zip(laws, want):
         got_lo, got = law()
         assert got_lo == lo and np.array_equal(got, band)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1e4, 1e6])
+def test_bands_end_at_the_least_normal_double(lam):
+    # A product at the least subnormal stayed there until a ratio fell
+    # below 1/2: the band was 1.5 million entries wide at lam = 10^6, of
+    # which about 75 000 were normal.  (k - lam)^2 / (2 lam) <= 1022 log 2
+    # gives its width.
+    lo, band = _poisson_band(int(2 * lam), lam)
+    assert band.size <= 2.0 * math.sqrt(1417.0 * lam) + 150
+    assert band.min() / band.max() >= 2.0**-1022
 
 
 class TestMultinomial:

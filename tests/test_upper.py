@@ -5,6 +5,7 @@ import math
 import threading
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -24,6 +25,18 @@ UNIFORM = StepDensity([0.0, 1.0], [1.0])
 THREE_LEVEL = StepDensity([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 2.0, 0.5, 1.0])
 THREE_LEVEL_G = np.array([2.0, 0.5, 1.0])
 THREE_LEVEL_P = [0.25, 0.5, 0.25]
+
+
+def mp_direct_mad(tl: TwoLevelRatio, k: int):
+    """E|(S a + (k - S) b)/k - 1| over S ~ Bin(k, q), term by term in
+    200-bit arithmetic, for the ratio's own (double) a, b and q."""
+    with mpmath.workprec(200):
+        a, b, q = (mpmath.mpf(x) for x in (tl.a, tl.b, tl.q))
+        term, total = (1 - q) ** k, mpmath.mpf(0)
+        for s in range(k + 1):
+            total += term * abs((s * a + (k - s) * b) / k - 1)
+            term *= mpmath.mpf(k - s) / (s + 1) * q / (1 - q)
+        return total
 
 
 def ratio_for(r: float) -> TwoLevelRatio:
@@ -143,6 +156,22 @@ class TestExactMad:
                 # 5.6e-15 off
                 tol = EXACT if k <= 12 else 1e-16
                 assert abs(exact_mad(tl, k) - float(want)) < tol
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("k", [4097, 16385])
+    def test_matches_high_precision_direct_sum(self, r, k):
+        # the pairwise sum of every term was 8.6e-15 off at r = 1.5,
+        # k = 4097
+        tl = ratio_for(r)
+        want = mp_direct_mad(tl, k)
+        assert float(abs(exact_mad(tl, k) - want) / want) <= 1e-15
+
+    def test_memory_is_two_arrays_of_k_floats(self, traced_peak):
+        k = 2**20 + 1
+        tl = ratio_for(2.0)
+        exact_mad(tl, 64)  # warm caches and imports
+        _, peak = traced_peak(lambda: exact_mad(tl, k))
+        assert peak <= 2 * 8 * k + (1 << 20)
 
     def test_dominated_by_closed_form(self):
         for r in (1.5, 2.0, 4.0):
