@@ -1,9 +1,8 @@
 """Line counts of Python sources: ``python3 tools/loc.py PATH ...``.
 
-For each ``.py`` file among the paths (files, or directories searched
-recursively) prints its total lines and its code lines, the lines that
-hold a token other than a comment or a docstring; the last row sums them.
-"""
+Per ``.py`` file among the paths (directories are searched) and in all:
+total lines, and code lines, those with a token outside comments and
+docstrings."""
 import ast
 import io
 import sys
