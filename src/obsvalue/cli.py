@@ -36,19 +36,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"error: {message}")
 
 
-def parse_n_values(text: str) -> list[int]:
+def parse_n_values(text: str) -> range | list[int]:
     """``7`` | ``1:32`` | ``1:32:4`` (arithmetic) | ``4:1024:x2`` (geometric).
 
-    A range must hold at least one value, in increasing order."""
+    A range must hold at least one value, in increasing order.  The first
+    three forms give a ``range``, so no list of their values is built; the
+    geometric form gives a list of at most log2(stop) + 1 values."""
     parts = text.split(":")
     try:
         if len(parts) > 3:
             raise ValueError
-        if len(parts) == 1:
-            return [int(parts[0])]
-        start, stop = int(parts[0]), int(parts[1])
-        if len(parts) == 2:
-            out = list(range(start, stop + 1))
+        start = int(parts[0])
+        stop = int(parts[1]) if len(parts) > 1 else start
+        if len(parts) < 3:
+            out = range(start, stop + 1)
         elif parts[2].startswith("x"):
             factor = int(parts[2][1:])
             if factor < 2 or start < 1:
@@ -61,7 +62,7 @@ def parse_n_values(text: str) -> list[int]:
             step = int(parts[2])
             if step < 1:
                 raise ValueError
-            out = list(range(start, stop + 1, step))
+            out = range(start, stop + 1, step)
         if not out:
             raise ValueError
         return out
@@ -171,7 +172,7 @@ _RISK_ROW_BYTES = {"csv": 512, "json": 2048}
 
 def _cmd_lower(args) -> int:
     if args.action == "risks":
-        n_max = max(parse_n_values(args.n))
+        n_max = parse_n_values(args.n)[-1]
         _check_budget(_RISK_ROW_BYTES[args.format] * (n_max + 1),
                       f"n = {n_max}: the {n_max + 1} {args.format} rows")
         curve = bayes_risk_curve(args.r, n_max)
@@ -189,7 +190,7 @@ def _cmd_lower(args) -> int:
                          res.ci_at_star, res.method))
         _emit(_table(columns, rows, args), args.out)
     else:  # mixedpbin
-        n = max(parse_n_values(args.n))
+        n = parse_n_values(args.n)[-1]
         # The weights and the sorted copy the engine groups them by, the
         # risks, the masses and their half-widths.
         _check_budget(8 * (4 * args.m + n + 3),

@@ -23,10 +23,10 @@ The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
 ``cube_lower`` costs its outputs, 5n + 2 floats under ``OUTPUT_BUDGET``,
-plus a part flat in n: 14 ms at n = 2^20, where the dense grid
-(``_GF_PRUNE`` off) takes 3.7 s (2 cores, numpy 2.4.6).  Neither path draws random numbers.  The coupled Monte Carlo reference
-estimators that cross-check both, and the quadratic Bernoulli-step risk
-curve, live in ``verify``.
+plus a part flat in n: 14 ms at n = 2^20, where the dense grid takes
+3.7 s (2 cores, numpy 2.4.6).  Neither path draws random numbers.  The
+coupled Monte Carlo reference estimators that cross-check both, and the
+quadratic Bernoulli-step risk curve, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .constants import OUTPUT_BUDGET
-from .pbin import (_as_weights, _block_rows, _poisson_band, enumeration_fits,
-                   multinomial_enumerate, pbin_pmf_rows)
+from .pbin import (_as_weights, _block_rows, _poisson_band, _spread,
+                   enumeration_fits, multinomial_enumerate, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -283,12 +283,11 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
 # onto [x^t] below e^-45 (3e-20) of the total.  The z-window and the pruned
 # grid hold what they drop to the same level.
 _GF_ALIAS = 45
-# Whether the engine powers only the grid entries that can reach that level
-# (``_gf_grid``); off, it powers every entry, as a dense reference.  Grids
-# of at most _GF_PRUNE_MIN entries are powered whole: finding the part
-# worth powering takes about 40 small numpy calls, which cost what
-# powering some 5000 entries does.
-_GF_PRUNE = True
+# Grids of more than _GF_PRUNE_MIN entries are pruned to those that can
+# reach that level (``_gf_grid``); smaller ones are powered whole, because
+# finding the part worth powering takes about 40 small numpy calls, which
+# cost what powering some 5000 entries does.  At math.inf every grid is
+# powered whole: the dense engine that tests take as the reference.
 _GF_PRUNE_MIN = 1 << 12
 # Complex entries per (z, x) block of the engine; bounds its memory
 # (about 1 MiB an array) for any n.
@@ -379,13 +378,6 @@ def _gf_mixed_pbin(
     multiplicities, the zeros outside its window included."""
     return _spread(1 + sum(mult for mult, _ in groups),
                    *_gf_window(t, groups, table, tagged))
-
-
-def _spread(size: int, start: int, window: np.ndarray) -> np.ndarray:
-    """``window`` placed at ``start`` in ``size`` zeros."""
-    out = np.zeros(size)
-    out[start:start + window.size] = window
-    return out
 
 
 def _gf_window(
@@ -517,7 +509,7 @@ def _gf_window(
     norm = (plain @ pick).real
 
     K_z = _gf_z_size(t, size)
-    if _GF_PRUNE and K * (K_z // 2 + 1) > _GF_PRUNE_MIN:
+    if K * (K_z // 2 + 1) > _GF_PRUNE_MIN:
         cut = math.log(norm) - _GF_ALIAS - 1.0
         cols, rows = _gf_grid(factors, extra, cut, K_z)
     else:

@@ -173,59 +173,60 @@ def _running_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
 
 
 def _neighbour_band(size: int, mode: int, up, down) -> tuple[int, np.ndarray]:
-    """Unnormalized pmf on {0, ..., size-1}, 1 at ``mode``: running products
-    of ``up(j)`` = P(j) / P(j-1) above it and of ``down(j)`` = P(j-1) / P(j)
-    below it (:func:`_running_products`).  Returns ``(lo, band)``: the pmf
-    is ``band`` on {lo, ..., lo + band.size - 1}, and elsewhere, where it
-    is below 2^-1022 of its mode, it is taken as 0; the cost is the band's
-    width, not ``size``.  At a true mode no ratio exceeds 1, so nothing
-    overflows, and a point mass (ratios 0) needs no branch."""
+    """Normalized pmf on {0, ..., size-1} from the running products of
+    ``up(j)`` = P(j) / P(j-1) above ``mode`` and of ``down(j)`` = P(j-1) /
+    P(j) below it (:func:`_running_products`), with 1 at ``mode``, divided
+    by their sum.  Returns ``(lo, band)``: the pmf is ``band`` on {lo, ...,
+    lo + band.size - 1}, and elsewhere, where it is below 2^-1022 of its
+    mode, it is taken as 0; the cost is the band's width, not ``size``.  At
+    a true mode no ratio exceeds 1, so nothing overflows, and a point mass
+    (ratios 0) needs no branch."""
     above = _running_products(up, mode + 1, size, 1)
     below = _running_products(down, mode, 0, -1)
-    return mode - below.size, np.concatenate((below[::-1], [1.0], above))
+    band = np.concatenate((below[::-1], [1.0], above))
+    return mode - below.size, band / band.sum()
 
 
-def _neighbour_pmf(size: int, mode: int, up, down) -> np.ndarray:
-    """The pmf of :func:`_neighbour_band` on all of {0, ..., size-1},
-    divided by its sum there."""
-    lo, band = _neighbour_band(size, mode, up, down)
+def _spread(size: int, start: int, window: np.ndarray) -> np.ndarray:
+    """``window`` placed at ``start`` in ``size`` zeros."""
     out = np.zeros(size)
-    out[lo:lo + band.size] = band
-    return out / out.sum()
+    out[start:start + window.size] = window
+    return out
 
 
-def binom_pmf(n: int, p: float) -> np.ndarray:
-    """Bin(n, p) pmf of length n+1, in O(n) array operations.
-
-    Built from the mode floor((n+1)p) and the neighbour ratios
-    (n-j+1) p / (j (1-p)) (:func:`_neighbour_pmf`).  Measured against the
-    exact ``math.comb(n, n//2) / 2**n``, the mode of Bin(n, 1/2) is off by
-    2.2e-16 relative at n = 1000 and 10 000, 3.3e-16 at 99 999 and 1.3e-15
-    at 10^6.
-    """
+def _binom_band(n: int, p: float) -> tuple[int, np.ndarray]:
+    """Bin(n, p) pmf as the ``(lo, band)`` of :func:`_neighbour_band`, from
+    the mode floor((n+1)p) and the neighbour ratios (n-j+1) p / (j (1-p)):
+    about 2 sqrt(1417 n p (1-p)) entries, whatever n is."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
-    return _neighbour_pmf(n + 1, min(int((n + 1) * p), n),
-                          lambda j: (n - j + 1) * p / (j * q),
-                          lambda j: j * q / ((n - j + 1) * p))
+    return _neighbour_band(n + 1, min(int((n + 1) * p), n),
+                           lambda j: (n - j + 1) * p / (j * q),
+                           lambda j: j * q / ((n - j + 1) * p))
+
+
+def binom_pmf(n: int, p: float) -> np.ndarray:
+    """Bin(n, p) pmf of length n+1: the band of :func:`_binom_band` placed
+    in n+1 zeros.  Measured against the exact ``math.comb(n, n//2) /
+    2**n``, the mode of Bin(n, 1/2) is off by 6.9e-17 relative at n = 1000,
+    2.6e-16 at 10 000, 5.2e-16 at 99 999 and 1.3e-15 at 10^6.
+    """
+    return _spread(n + 1, *_binom_band(n, p))
 
 
 def _poisson_band(t: int, lam: float) -> tuple[int, np.ndarray]:
     """Pois(lam) pmf on {0, ..., t} from the neighbour ratios lam / j, as
-    ``(lo, band)``: the law is ``band`` on {lo, ..., lo + band.size - 1},
-    divided by its sum, and 0 elsewhere on {0, ..., t}, where P(k) /
-    P(mode) is below the least normal double, 2^-1022.  The band holds 150
+    the ``(lo, band)`` of :func:`_neighbour_band`.  The band holds 150
     entries at lam = 1/2, whatever t is, and for large lam about
     2 sqrt(1417 lam), where (k - lam)^2 / (2 lam) reaches 1022 log 2:
     75 279 at lam = 10^6.  Against
     200-bit arithmetic, P(k) / P(mode) for |k - lam| <= 6 sqrt(lam) at
     t = 2 lam is within 3.2e-15 relative for lam up to 32 768."""
-    lo, band = _neighbour_band(t + 1, min(int(lam), t),
-                               lambda j: lam / j, lambda j: j / lam)
-    return lo, band / band.sum()
+    return _neighbour_band(t + 1, min(int(lam), t),
+                           lambda j: lam / j, lambda j: j / lam)
 
 
 def _as_weights(weights: Iterable[float]) -> np.ndarray:

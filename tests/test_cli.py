@@ -26,11 +26,16 @@ def run_cli(capsys, *argv):
 
 class TestParseNValues:
     def test_forms(self):
-        assert parse_n_values("7") == [7]
-        assert parse_n_values("1:4") == [1, 2, 3, 4]
-        assert parse_n_values("1:9:3") == [1, 4, 7]
-        assert parse_n_values("4:1024:x2") == [4, 8, 16, 32, 64, 128, 256,
-                                               512, 1024]
+        assert list(parse_n_values("7")) == [7]
+        assert list(parse_n_values("1:4")) == [1, 2, 3, 4]
+        assert list(parse_n_values("1:9:3")) == [1, 4, 7]
+        assert list(parse_n_values("4:1024:x2")) == [4, 8, 16, 32, 64, 128,
+                                                     256, 512, 1024]
+
+    def test_a_range_builds_no_list(self, traced_peak):
+        # the list of a million ints took 38 MiB
+        _, peak = traced_peak(lambda: parse_n_values("1:1000000"))
+        assert peak <= 64 << 10
 
     def test_rejects_garbage(self):
         with pytest.raises(SystemExit):
@@ -214,6 +219,18 @@ class TestUpperLowerCommands:
         row = lines[1].split(",")
         assert abs(float(row[2]) - 0.1875) < 1e-12
 
+    def test_upper_mad_at_huge_n_holds_one_band(self, capsys, traced_peak):
+        # the padded pmf asked for 4.8 GB here
+        n = 300_000_000
+        code, peak = traced_peak(
+            lambda: main(["upper", "mad", "--r", "2", "--n", str(n)]))
+        assert code == 0 and peak <= 16 << 20
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        # de Moivre's term against its normal limit (a - b)/2 *
+        # sqrt(2 q (1-q) / (pi k)), a = 2, b = 2/3, q = 1/4
+        limit = math.sqrt(3.0 / (8.0 * math.pi)) * 2.0 / 3.0
+        assert abs(float(row[2]) * math.sqrt(n + 1) / limit - 1.0) < 1e-6
+
     def test_upper_chi2(self, capsys):
         code, out = run_cli(capsys, "upper", "chi2", "--r", "2")
         C, s, radius = (float(v) for v in out.split())
@@ -358,6 +375,7 @@ class TestExitCodes:
         ["lower", "mixedpbin", "--r", "2", "--m", "1099511627776"],
         ["lower", "mixedpbin", "--r", "2", "--m", "2",
          "--n", "1099511627776"],
+        ["lower", "risks", "--r", "2", "--n", "1:100000000"],
     ])
     def test_lower_output_budget_refuses_before_allocating(
             self, capsys, traced_peak, argv):

@@ -548,7 +548,7 @@ class TestCubeLower:
         pruned = cube_lower(n, 2.0)
         (width, rows, total), = seen
         assert width * rows < total / 50
-        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        monkeypatch.setattr(lower, "_GF_PRUNE_MIN", math.inf)
         dense = cube_lower(n, 2.0)
         assert np.abs(pruned.per_l - dense.per_l).max() <= 1e-15
         assert pruned.l_star == dense.l_star
@@ -560,7 +560,7 @@ class TestCubeLower:
         pruned = cube_lower(n, 2.0).per_l
         (width, rows, total), = seen
         assert width * rows == total
-        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        monkeypatch.setattr(lower, "_GF_PRUNE_MIN", math.inf)
         assert np.array_equal(cube_lower(n, 2.0).per_l, pruned)
 
     @pytest.mark.parametrize("n, r", [(64, 2.0), (1024, 2.0), (4096, 2.0),
@@ -744,7 +744,7 @@ class TestMixedPbinMass:
         pruned = mixedpbin_mass(n, n, w, table).masses
         (width, rows, total), = seen
         assert width * rows < total / 20
-        monkeypatch.setattr(lower, "_GF_PRUNE", False)
+        monkeypatch.setattr(lower, "_GF_PRUNE_MIN", math.inf)
         dense = mixedpbin_mass(n, n, w, table).masses
         assert np.abs(pruned - dense).max() <= 1e-15
 

@@ -11,11 +11,12 @@ import pytest
 
 from obsvalue import pbin
 from obsvalue.constants import ENUM_GUARD
-from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _compositions,
-                           _poisson_band, binom_pmf, enumeration_fits,
-                           multinomial_enumerate, multinomial_logpmf,
-                           n_compositions, pbin_pmf, pbin_pmf_rows,
-                           pbin_shift_difference, pbin_survival)
+from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _binom_band,
+                           _compositions, _poisson_band, binom_pmf,
+                           enumeration_fits, multinomial_enumerate,
+                           multinomial_logpmf, n_compositions, pbin_pmf,
+                           pbin_pmf_rows, pbin_shift_difference,
+                           pbin_survival)
 from obsvalue.verify import dp_risk_curve, enum_pmf
 
 EXACT = 1e-12
@@ -49,9 +50,7 @@ def poisson_pmf(t, lam):
     """``pbin._poisson_band`` written out on all of {0, ..., t}."""
     lo, band = _poisson_band(t, lam)
     assert 0 <= lo and lo + band.size <= t + 1
-    out = np.zeros(t + 1)
-    out[lo:lo + band.size] = band
-    return out
+    return pbin._spread(t + 1, lo, band)
 
 
 def alloc_step(pmf, q):
@@ -256,6 +255,14 @@ class TestBinomPmf:
                 for k in range(n + 1)]
         assert np.abs(got - want).max() < 1e-15
 
+    @pytest.mark.parametrize("n", [0, 5, 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_is_the_band_in_zeros(self, n, p):
+        lo, band = _binom_band(n, p)
+        want = np.zeros(n + 1)
+        want[lo:lo + band.size] = band
+        assert np.array_equal(binom_pmf(n, p), want)
+
     def test_agrees_with_convolution(self):
         for n, p in ((17, 0.3), (64, 0.05)):
             assert np.abs(binom_pmf(n, p) - pbin_pmf([p] * n)).max() < 1e-13
@@ -296,7 +303,7 @@ def test_bands_do_not_depend_on_the_chunk_size(monkeypatch, size):
     t = size - 1
     laws = [lambda lam=lam: _poisson_band(t, lam)
             for lam in (0.0, 1e-3, 0.5, 1.0, 7.3, size / 2, float(t))]
-    laws += [lambda p=p: (0, binom_pmf(t, p)) for p in (0.0, 0.3, 0.5, 1.0)]
+    laws += [lambda p=p: _binom_band(t, p) for p in (0.0, 0.3, 0.5, 1.0)]
     want = [law() for law in laws]
     monkeypatch.setattr(pbin, "_FIRST_CHUNK", 1)
     for law, (lo, band) in zip(laws, want):

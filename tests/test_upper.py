@@ -166,12 +166,24 @@ class TestExactMad:
         want = mp_direct_mad(tl, k)
         assert float(abs(exact_mad(tl, k) - want) / want) <= 1e-15
 
-    def test_memory_is_two_arrays_of_k_floats(self, traced_peak):
-        k = 2**20 + 1
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("k", [2**20 + 1, 2**24 + 1])
+    def test_matches_one_high_precision_term(self, r, k):
+        tl = ratio_for(r)
+        with mpmath.workprec(200):
+            a, b, q = (mpmath.mpf(x) for x in (tl.a, tl.b, tl.q))
+            j = int(mpmath.floor(k * q))
+            want = (2 * (a - b) * q * (1 - q) * mpmath.binomial(k - 1, j)
+                    * q**j * (1 - q)**(k - 1 - j))
+            assert float(abs(exact_mad(tl, k) / want - 1)) <= 2e-15
+
+    def test_memory_is_one_band(self, traced_peak):
+        # two arrays of k floats, 16.3 MiB, before the term was read from
+        # the band of about 2 sqrt(1417 k q (1-q)) entries
         tl = ratio_for(2.0)
         exact_mad(tl, 64)  # warm caches and imports
-        _, peak = traced_peak(lambda: exact_mad(tl, k))
-        assert peak <= 2 * 8 * k + (1 << 20)
+        _, peak = traced_peak(lambda: exact_mad(tl, 2**20 + 1))
+        assert peak <= 1 << 20
 
     def test_dominated_by_closed_form(self):
         for r in (1.5, 2.0, 4.0):
