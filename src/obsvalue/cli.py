@@ -88,9 +88,15 @@ def _load_density(path: str) -> StepDensity:
 
 
 def _table(columns, rows, args) -> str:
+    """CSV, or the text of ``json.dumps(records, indent=2)`` built one
+    record at a time, so no list of records is held.  Each record's items
+    are split by what ``indent=2`` puts between them at a record's depth,
+    so json's C encoder, which takes no indent, renders it."""
     if args.format == "json":
-        recs = [to_record(columns, row) for row in rows]
-        return json.dumps(recs, indent=2) + "\n"
+        recs = ("  {\n    " + json.dumps(to_record(columns, row),
+                                         separators=(",\n    ", ": "))[1:-1]
+                + "\n  }" for row in rows)
+        return "[\n" + ",\n".join(recs) + "\n]\n"
     return to_csv(columns, rows)
 
 
@@ -163,17 +169,17 @@ def _cmd_upper(args) -> int:
     return 0
 
 
-# Bytes a row of `lower risks` holds at the command's peak: its value in
-# the risk curve, its Python tuple and line of text, and for JSON its
-# record and the encoder's pieces.  Measured with tracemalloc at up to
-# 500 000 rows: at most 312 (CSV) and 1062 (JSON).
-_RISK_ROW_BYTES = {"csv": 512, "json": 2048}
+# Bytes a row of `lower risks` holds at the command's peak, in either
+# format: its value in the risk curve, its Python tuple and its text.
+# Measured with tracemalloc from 20 000 to 500 000 rows: at most 230 (CSV)
+# and 313 (JSON).
+_RISK_ROW_BYTES = 512
 
 
 def _cmd_lower(args) -> int:
     if args.action == "risks":
         n_max = parse_n_values(args.n)[-1]
-        _check_budget(_RISK_ROW_BYTES[args.format] * (n_max + 1),
+        _check_budget(_RISK_ROW_BYTES * (n_max + 1),
                       f"n = {n_max}: the {n_max + 1} {args.format} rows")
         curve = bayes_risk_curve(args.r, n_max)
         rows = [(args.r, n, v) for n, v in enumerate(curve.values)]

@@ -56,8 +56,9 @@ class RiskCurve:
         v = self.values
         if v[0] != 0.5:
             raise ValueError("r(0) must equal 1/2 exactly")
-        for lo in range(0, v.size - 1, _CURVE_BLOCK):
-            block = v[lo:lo + _CURVE_BLOCK + 1]  # overlaps the next by one
+        step = _block_rows(1)  # bounds the check's memory for any n_max
+        for lo in range(0, v.size - 1, step):
+            block = v[lo:lo + step + 1]  # overlaps the next by one
             # <= rather than not >: a NaN fails it.
             if not np.all(block[1:] <= block[:-1]):
                 raise ValueError("risks must be nonincreasing")
@@ -70,9 +71,6 @@ class RiskCurve:
         return self.values.size - 1
 
 
-# n values per block of ``RiskCurve``'s monotonicity check; bounds its
-# extra memory (a few arrays of this many entries) for any n_max.
-_CURVE_BLOCK = 1 << 16
 # h values per block of ``bayes_risk_curve``, one Binomial tail sum each.
 _CURVE_ANCHOR = 256
 
@@ -150,7 +148,7 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     underflow (n0 = 5188 at r = 2), plus one anchor of at most min(L,
     sqrt(h log h)) terms per block of 256 h (L = 38 at r = 2, 468 at
     r = 1.05), plus the output.  The extra memory is a few arrays of
-    ``_CURVE_ANCHOR`` entries, and the validation's of ``_CURVE_BLOCK``.
+    ``_CURVE_ANCHOR`` entries, and the validation's of ``pbin._BLOCK``.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
@@ -243,7 +241,7 @@ def _enumeration_blocks(trials: int, weights: np.ndarray,
     """Mult(trials, weights)'s enumeration (``multinomial_enumerate``) a
     block of rows at a time, in row order: yields each block's ``(probs,
     pmfs)``, its rows' probabilities and the PBin pmfs of ``table`` at
-    their counts (``pbin_pmf_rows``), about ``pbin._PMF_BLOCK`` entries.
+    their counts (``pbin_pmf_rows``), about ``pbin._BLOCK`` entries.
     Besides the compact count table, the memory is a few blocks, whatever
     the number of rows; the tables are dropped once the walk ends."""
     counts, probs = multinomial_enumerate(trials, weights)
@@ -289,9 +287,6 @@ _GF_ALIAS = 45
 # cost what powering some 5000 entries does.  At math.inf every grid is
 # powered whole: the dense engine that tests take as the reference.
 _GF_PRUNE_MIN = 1 << 12
-# Complex entries per (z, x) block of the engine; bounds its memory
-# (about 1 MiB an array) for any n.
-_GF_BLOCK = 1 << 16
 
 
 def _mul_power(acc: np.ndarray, base: np.ndarray, mult: int) -> None:
@@ -408,7 +403,7 @@ def _gf_window(
     z-coefficients come from the values at K_z roots of unity by an
     inverse real DFT, keeping the half of them that conjugate symmetry
     determines; the z-nodes are processed in blocks of at most
-    ``_GF_BLOCK`` entries.
+    ``pbin._BLOCK`` complex entries (about 1 MiB an array, for any n).
 
     Windowed z-DFT: with K_z < d + 1 nodes the inverse DFT returns the
     coefficients folded mod K_z, F_q = sum over l = q (mod K_z) of [z^l].
@@ -518,7 +513,7 @@ def _gf_window(
     factors = [(mult, a[cols], b[cols]) for mult, a, b in factors]
     zs = np.exp(-2j * math.pi * np.arange(rows) / K_z)
     values = np.zeros(K_z // 2 + 1, dtype=complex)
-    step = max(1, _GF_BLOCK // max(pick.size, 1))
+    step = _block_rows(max(pick.size, 1))
     acc_buf = np.empty((min(step, rows), pick.size), dtype=complex)
     base_buf = np.empty_like(acc_buf)
     for lo in range(0, rows, step):

@@ -45,15 +45,18 @@ def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
     pmf[1:k + 2] += up
 
 
-# Entries per block of ``pbin_pmf_rows``; the block and its scratch (about
-# 512 KiB each) stay in cache for all m steps.
-_PMF_BLOCK = 1 << 16
+# Entries per block of every blocked loop of the package: the rows of
+# ``pbin_pmf_rows`` and of the enumeration, the z-nodes of the
+# generating-function engine and the values of ``RiskCurve``'s check.  A
+# block of floats (512 KiB) and its scratch stay in cache, and the extra
+# memory of a loop is a few blocks, whatever its size.
+_BLOCK = 1 << 16
 
 
 def _block_rows(cols: int) -> int:
-    """Rows of ``cols`` entries each in a block of about ``_PMF_BLOCK``
+    """Rows of ``cols`` entries each in a block of about ``_BLOCK``
     entries."""
-    return max(1, _PMF_BLOCK // cols)
+    return max(1, _BLOCK // cols)
 
 
 def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ def pbin_pmf_rows(probs: np.ndarray) -> np.ndarray:
     pmfs, in a new C-ordered array.  Inputs are not validated; see
     :func:`pbin_pmf`.
 
-    Rows are processed in blocks of about ``_PMF_BLOCK`` entries.  A block
+    Rows are processed in blocks of about ``_BLOCK`` entries.  A block
     is held transposed, (m+1, rows), so each of the m Bernoulli steps runs
     over contiguous memory, in place, on buffers allocated once per call;
     each block is then copied into its rows of the output.  The extra

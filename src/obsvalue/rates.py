@@ -49,16 +49,19 @@ class BoundReport:
 
 def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
     """One :class:`BoundReport` per n.  Every entry is computed exactly (no
-    random draws), so reports are reproducible byte for byte."""
-    ns = list(n_values)
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+    random draws), so reports are reproducible byte for byte.  The output
+    budget is checked before the sequence is walked: a ``range`` is never
+    listed."""
+    if n_values:
+        check_cube_output(n_values[-1])  # before the curve is allocated
+    if (not n_values or n_values[0] < 1
+            or any(b <= a for a, b in zip(n_values, n_values[1:]))):
         raise ValueError("n_values must be nonempty and increasing, all >= 1")
     ratio = uniform_ratio(hypercube_density(HypercubeSpec(r, 1, [0]))).two_level
     cert = hoeffding_certificate(r)
-    check_cube_output(ns[-1])  # before the curve is allocated
-    risks = bayes_risk_curve(r, ns[-1] + 1).values  # one curve for every n
+    risks = bayes_risk_curve(r, n_values[-1] + 1).values  # one curve for all
     reports = []
-    for n in ns:
+    for n in n_values:
         cube = cube_lower(n, r, _risks=risks)
         reports.append(BoundReport(
             r=r, n=n, m=cube.m,

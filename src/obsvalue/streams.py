@@ -4,9 +4,9 @@ Carlo loop.
 Every Monte Carlo estimator runs through :func:`mc_mean`: it partitions the
 draws into fixed-size chunks, gives every chunk its own ``numpy`` generator
 seeded by ``child_seed(master, tag, index)``, draws the chunks one after
-another in the calling thread, and reduces the per-chunk moments in
-chunk-index order (:func:`merge_moments`).  The output therefore depends
-only on the seed, the tag and the number of draws.
+another in the calling thread, and merges each chunk's moments into the
+running ones as it is drawn, in chunk-index order.  The output therefore
+depends only on the seed, the tag and the number of draws.
 
 The mixing function is fixed so the partition of randomness is reproducible
 from the documented recipe alone:
@@ -57,38 +57,6 @@ def child_rng(master: int, tag: str, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child_seed(master, tag, index)))
 
 
-def chunk_sizes(total: int, chunk: int) -> list[int]:
-    """Split ``total`` draws into fixed-size chunks (last one may be short)."""
-    if total <= 0:
-        return []
-    full, rest = divmod(total, chunk)
-    return [chunk] * full + ([rest] if rest else [])
-
-
-def chunk_moments(values: np.ndarray):
-    """``(count, mean, m2)`` of one chunk's draws along axis 0, where ``m2``
-    is the centered sum of squares."""
-    mean = values.mean(axis=0)
-    return values.shape[0], mean, np.square(values - mean).sum(axis=0)
-
-
-def merge_moments(parts):
-    """Merge per-chunk ``(count, mean, m2)`` triples in the given order,
-    where ``m2`` is the centered sum of squares, by the pairwise update of
-    Chan, Golub and LeVeque; ``mean`` and ``m2`` may be scalars or arrays.
-    Avoids the cancellation of ``sum_sq/N - mean**2`` for small variances,
-    and the fixed order makes the result a function of the draws alone.
-    """
-    count, mean, m2 = parts[0]
-    for n, mu, s in parts[1:]:
-        total = count + n
-        delta = mu - mean
-        mean = mean + delta * (n / total)
-        m2 = m2 + s + delta * delta * (count * n / total)
-        count = total
-    return count, mean, m2
-
-
 def mc_mean(tag: str, seed: int, samples: int,
             draw: Callable[[np.random.Generator, int], np.ndarray]):
     """Mean and ``CI_SIGMA`` half-width of ``samples`` >= 1 Monte Carlo rows.
@@ -97,9 +65,22 @@ def mc_mean(tag: str, seed: int, samples: int,
     ``draw(child_rng(seed, tag, i), rows)``, an array with one row per draw
     along axis 0; the rows may be scalars or vectors, and the mean and
     half-width have the shape of one row.  Chunks are drawn in order in the
-    calling thread and their moments merged in that order.
+    calling thread, and each chunk's count, mean and centered sum of
+    squares m2 are merged into the running ones as it is drawn, by the
+    pairwise update of Chan, Golub and LeVeque.  That avoids the
+    cancellation of ``sum_sq/N - mean**2`` for small variances, and the
+    fixed order makes the result a function of the draws alone.
     """
-    parts = [chunk_moments(draw(child_rng(seed, tag, i), rows))
-             for i, rows in enumerate(chunk_sizes(samples, MC_CHUNK))]
-    _, mean, m2 = merge_moments(parts)
+    for i, lo in enumerate(range(0, samples, MC_CHUNK)):
+        values = draw(child_rng(seed, tag, i), min(MC_CHUNK, samples - lo))
+        n, mu = values.shape[0], values.mean(axis=0)
+        s = np.square(values - mu).sum(axis=0)
+        if i == 0:
+            count, mean, m2 = n, mu, s
+            continue
+        total = count + n
+        delta = mu - mean
+        mean = mean + delta * (n / total)
+        m2 = m2 + s + delta * delta * (count * n / total)
+        count = total
     return mean, CI_SIGMA * np.sqrt(m2 / samples / samples)

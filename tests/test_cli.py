@@ -141,6 +141,7 @@ class TestJsonMatchesCsv:
         with contextlib.redirect_stdout(io.StringIO()) as js:
             assert main(argv + ["--format", "json"]) == 0
         records = json.loads(js.getvalue())
+        assert js.getvalue() == json.dumps(records, indent=2) + "\n"
         rows = csv_records(out.getvalue())
         assert len(records) == len(rows) == d + 1
         for rec, row in zip(records, rows):
@@ -148,6 +149,18 @@ class TestJsonMatchesCsv:
             for key, text in row.items():
                 x = float(text)
                 assert x == rec[key] or (np.isnan(x) and np.isnan(rec[key]))
+
+    @pytest.mark.parametrize("argv", [
+        ["lower", "risks", "--r", "2", "--n", "3"],
+        ["lower", "cube", "--r", "2", "--n", "1:9:4"],  # a string column
+        ["lower", "mixedpbin", "--r", "2", "--n", "4", "--m", "3"],  # 1 row
+    ])
+    def test_records_are_the_whole_list_encoding(self, argv):
+        # The text json.dumps(records, indent=2) gave, record by record.
+        with contextlib.redirect_stdout(io.StringIO()) as js:
+            assert main(argv + ["--format", "json"]) == 0
+        text = js.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestPbinCommand:
@@ -361,6 +374,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["lower", "cube", "--r", "2", "--n", "1099511627776"],
         ["sweep", "--r", "2", "--n", "4:1099511627776:x2"],
+        ["sweep", "--r", "2", "--n", "1:30000000"],
     ])
     def test_output_budget_exits_one_in_one_line(self, capsys, argv):
         assert main(argv) == 1
@@ -371,7 +385,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["lower", "risks", "--r", "2", "--n", "1099511627776"],
-        ["lower", "risks", "--r", "2", "--n", "600000", "--format", "json"],
+        ["lower", "risks", "--r", "2", "--n", "2097152", "--format", "json"],
         ["lower", "mixedpbin", "--r", "2", "--m", "1099511627776"],
         ["lower", "mixedpbin", "--r", "2", "--m", "2",
          "--n", "1099511627776"],
@@ -385,6 +399,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "output budget" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lower_risks_row_stays_within_its_budget(self, capsys,
+                                                     traced_peak, fmt):
+        # The output guard's premise: 512 bytes a row of either format.
+        # About 220 (CSV) and 300 (JSON) are measured at any n from 10^5
+        # to 5 * 10^5; the smaller n keeps the traced run to seconds.
+        n = 100_000
+        code, peak = traced_peak(lambda: main(
+            ["lower", "risks", "--r", "2", "--n", str(n), "--format", fmt]))
+        assert code == 0 and peak <= 512 * (n + 1)
+        rows = capsys.readouterr().out.count('"risk"' if fmt == "json"
+                                             else "\n2,")
+        assert rows == n + 1
 
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])

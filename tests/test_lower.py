@@ -2,7 +2,6 @@
 coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
 import hashlib
-import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +18,9 @@ from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
                             richness_lower_bound)
 from obsvalue.pbin import (_compositions, binom_pmf, multinomial_logpmf,
                            pbin_pmf_rows, pbin_survival)
-from obsvalue.verify import (dp_risk_curve, mc_cube_gaps, mc_mixed_pmf,
-                             simulate_mixture_risk, simulate_multitest_risk)
+from obsvalue.verify import (dp_risk_curve, enum_pmf, mc_cube_gaps,
+                             mc_mixed_pmf, simulate_mixture_risk,
+                             simulate_multitest_risk)
 
 EXACT = 1e-12
 
@@ -90,19 +90,9 @@ def rational_cube_gaps(n: int, r: Fraction) -> np.ndarray:
 
 def enum_mixed_survival(count_law, risks, l):
     """Oracle for E[P(PBin(r(N_1), ..., r(N_m)) >= l)] over an explicit
-    count law {counts: prob}."""
-    total = 0.0
-    for counts, w in count_law.items():
-        params = [risks[c] for c in counts]
-        surv = 0.0
-        for bits in itertools.product((0, 1), repeat=len(params)):
-            if sum(bits) >= l:
-                term = 1.0
-                for b, p in zip(bits, params):
-                    term *= p if b else 1.0 - p
-                surv += term
-        total += w * surv
-    return total
+    count law {counts: prob}, each PBin law by 2^m enumeration."""
+    return sum(w * enum_pmf(risks[list(counts)])[l:].sum()
+               for counts, w in count_law.items())
 
 
 def dense_enumeration(trials, w):
@@ -336,13 +326,12 @@ class TestBayesRiskCurve:
             lambda: bayes_risk_curve(1.05, 300_000).values)
         assert peak <= out.nbytes + 2**20
 
-    @pytest.mark.parametrize("at", [1, lower._CURVE_BLOCK - 1,
-                                    lower._CURVE_BLOCK,
-                                    2 * lower._CURVE_BLOCK + 1])
+    @pytest.mark.parametrize("at", [1, pbin._BLOCK - 1, pbin._BLOCK,
+                                    2 * pbin._BLOCK + 1])
     def test_validation_sees_a_rise_at_every_pair(self, at):
         # Monotonicity is checked over blocks that share one entry, so a
         # rise between two blocks is seen too; flat steps are allowed.
-        v = np.linspace(0.5, 0.0, 2 * lower._CURVE_BLOCK + 3)
+        v = np.linspace(0.5, 0.0, 2 * pbin._BLOCK + 3)
         v[at + 1] = v[at]
         lower.RiskCurve(2.0, v)
         v[at + 1] = np.nextafter(v[at], 1.0)
@@ -455,7 +444,7 @@ class TestCubeLower:
     def test_sum_carried_across_small_blocks(self, monkeypatch, block):
         # Blocks of 1 and 6 rows of 17 entries: the carry crosses hundreds
         # of block boundaries, and the last block is partial.
-        monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+        monkeypatch.setattr(pbin, "_BLOCK", block)
         risks = bayes_risk_curve(2.0, 5).values
         for n in (1, 4):
             assert np.array_equal(cube_lower(n, 2.0).per_l,
@@ -541,6 +530,16 @@ class TestCubeLower:
         one = cube_lower(1024, 2.0)
         assert one.method == "gf" and one.per_l.min() >= 0.0
         assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_z_blocks_agree_with_one_block(self, n, monkeypatch):
+        # Blocks of one or two z-nodes: the powering loop crosses every
+        # block boundary, and the last block may be partial.  The x-sum's
+        # rounding may depend on how many rows one product takes.
+        whole = cube_lower(n, 2.0)
+        assert whole.method == "gf"
+        monkeypatch.setattr(pbin, "_BLOCK", 100)
+        assert np.abs(cube_lower(n, 2.0).per_l - whole.per_l).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [1024, 4096, 65536])
     def test_pruned_grid_agrees_with_the_dense_engine(self, n, monkeypatch):
@@ -670,7 +669,7 @@ class TestMixedPbinMass:
     def test_exact_path_equals_dense_formula_nonuniform(self, monkeypatch,
                                                         n, block):
         if block is not None:  # blocks of 3 rows of 9 entries
-            monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+            monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.random.default_rng(11).dirichlet(np.ones(8))
         w /= w.sum()
         table = bayes_risk_curve(1.5, n).values

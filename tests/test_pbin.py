@@ -11,7 +11,7 @@ import pytest
 
 from obsvalue import pbin
 from obsvalue.constants import ENUM_GUARD
-from obsvalue.pbin import (_PMF_BLOCK, EnumerationGuardError, _binom_band,
+from obsvalue.pbin import (_BLOCK, EnumerationGuardError, _binom_band,
                            _compositions, _poisson_band, binom_pmf,
                            enumeration_fits, multinomial_enumerate,
                            multinomial_logpmf, n_compositions, pbin_pmf,
@@ -124,7 +124,7 @@ class TestPmf:
 
     @pytest.mark.parametrize("m", [0, 1, 14, 64])
     def test_blocked_kernel_equals_allocating_steps(self, m):
-        width = max(1, _PMF_BLOCK // (m + 1))  # rows per block
+        width = max(1, _BLOCK // (m + 1))  # rows per block
         rng = np.random.default_rng(400 + m)
         for rows in (0, 1, width - 1, width, width + 1, 3 * width + 7):
             probs = rng.random((rows, m))
@@ -447,7 +447,7 @@ class TestMultinomial:
         # The dense evaluation multinomial_enumerate replaced, over one
         # int64 table.
         if block is not None:
-            monkeypatch.setattr(pbin, "_PMF_BLOCK", block)
+            monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.asarray(w)
         counts, probs = multinomial_enumerate(trials, w)
         dense = _compositions(trials, w.size).astype(np.int64)

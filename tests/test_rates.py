@@ -99,10 +99,18 @@ class TestBoundSweep:
                 == (cube.delta, cube.l_star, cube.delta_avg, cube.method)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            bound_sweep(2.0, [])
-        with pytest.raises(ValueError):
-            bound_sweep(2.0, [4, 2])
+        for ns in ([], [4, 2], [0, 1], range(5, 5), range(9, 0, -1)):
+            with pytest.raises(ValueError, match="increasing"):
+                bound_sweep(2.0, ns)
+
+    def test_refuses_an_oversized_range_without_listing_it(self,
+                                                          traced_peak):
+        # listing these 30 million ints took about 1.3 GiB
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                bound_sweep(2.0, range(1, 30_000_001))
+        _, peak = traced_peak(call)
+        assert peak < 64 << 10
 
     def test_report_invariant_enforced(self):
         with pytest.raises(AssertionError):
