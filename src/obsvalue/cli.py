@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid arguments (also an input too large for
-memory), 2 a verify property failed, 3 I/O failure.  Numbers go to stdout in
+memory, and a table over the output budget, refused before any row is
+computed), 2 a verify property failed, 3 I/O failure.  Numbers go to stdout in
 shortest round-trip form; CSV files use 17 significant digits; JSON uses
 native number encoding.  Identical flags (including ``--seed``) produce
 byte-identical output.  Monte Carlo draws run in the calling thread;
@@ -18,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .constants import check_budget
 from .densities import (HypercubeSpec, StepDensity, hypercube_density,
                         sample_density, tv_distance)
-from .lower import (_check_budget, bayes_risk_curve, cube_lower,
+from .lower import (bayes_risk_curve, check_cube_output, cube_lower,
                     mixedpbin_mass, richness_lower_bound)
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from .rates import (bound_sweep, format_number, reports_to_csv, sweep_summary,
@@ -87,17 +89,33 @@ def _load_density(path: str) -> StepDensity:
     return StepDensity.from_json(Path(path).read_text())
 
 
-def _table(columns, rows, args) -> str:
-    """CSV, or the text of ``json.dumps(records, indent=2)`` built one
-    record at a time, so no list of records is held.  Each record's items
-    are split by what ``indent=2`` puts between them at a record's depth,
-    so json's C encoder, which takes no indent, renders it."""
-    if args.format == "json":
-        recs = ("  {\n    " + json.dumps(to_record(columns, row),
-                                         separators=(",\n    ", ": "))[1:-1]
-                + "\n  }" for row in rows)
-        return "[\n" + ",\n".join(recs) + "\n]\n"
-    return to_csv(columns, rows)
+# Bytes a cell of a table, or a draw of `experiment sample`, holds at the
+# command's peak: its value, its share of its row's CSV line or JSON record,
+# of the text they are joined into and of that text encoded for stdout.
+# Measured with tracemalloc at 2 * 10^4 and 10^5 rows: at most 93 (`upper
+# mad --format json`).
+_CELL_BYTES = 128
+
+
+def _table(args, columns, ns, rows) -> None:
+    """Emit the table whose rows ``rows(ns)`` yields, a tuple of
+    ``columns`` values for each value of ``ns``: CSV, or the text of
+    ``json.dumps(records, indent=2)``.
+
+    A table over the output budget is refused before ``rows`` is called,
+    so nothing it builds for its rows (a risk curve) is built.  Each row is
+    rendered to its line or record as it is computed and then dropped, and
+    the text is printed or written only after the last row, so a failed
+    run prints nothing.  A record's items are split by what ``indent=2``
+    puts between them at a record's depth, so json's C encoder, which
+    takes no indent, renders it."""
+    check_budget(len(ns) * len(columns) * _CELL_BYTES, f"the {len(ns)} rows")
+    if args.format == "csv":
+        return _emit(to_csv(columns, rows(ns)), args.out)
+    recs = ("  {\n    " + json.dumps(to_record(columns, row),
+                                     separators=(",\n    ", ": "))[1:-1]
+            + "\n  }" for row in rows(ns))
+    _emit("[\n" + ",\n".join(recs) + "\n]\n", args.out)
 
 
 def _cmd_pbin(args) -> int:
@@ -124,13 +142,18 @@ def _cmd_experiment(args) -> int:
             spec = HypercubeSpec(args.r, len(bits), bits)
         _emit(hypercube_density(spec).to_json(), args.out)
     elif args.action == "sample":
-        f = _load_density(args.density)
-        rng = child_rng(args.seed, "cli-sample", 0)
-        x = sample_density(f, args.n, rng)
+        check_budget(args.n * _CELL_BYTES, f"the {args.n} draws")
+        x = sample_density(_load_density(args.density), args.n,
+                           child_rng(args.seed, "cli-sample", 0))
+        # Rendered 4096 draws at a time: the text of every draw at once
+        # held up to 76 bytes a draw more (JSON at 2 * 10^4 draws).
+        blocks = [x[i:i + 4096] for i in range(0, args.n, 4096)]
         if args.format == "json":
-            _emit(json.dumps([float(v) for v in x]) + "\n", args.out)
+            _emit("[" + ", ".join(json.dumps(b.tolist())[1:-1]
+                                  for b in blocks) + "]\n", args.out)
         else:
-            _emit("\n".join(format_number(v) for v in x) + "\n", args.out)
+            _emit("".join("\n".join(map(format_number, b)) + "\n"
+                          for b in blocks), args.out)
     else:  # tv
         f = _load_density(args.density)
         g = _load_density(args.density2)
@@ -148,77 +171,71 @@ def _cmd_upper(args) -> int:
     ratio = uniform_ratio(f).two_level
     if args.action == "bound":
         cert = hoeffding_certificate(args.r)
-        rows = [(args.r, n, certificate_upper_bound(cert, n)) for n in ns]
-        _emit(_table(("r", "n", "certificate_bound"), rows, args), args.out)
+        _table(args, ("r", "n", "certificate_bound"), ns, lambda ns: (
+            (args.r, n, certificate_upper_bound(cert, n)) for n in ns))
     elif args.action == "floor":
-        rows = [(args.r, n, mad_floor(ratio, n + 1) / 2.0) for n in ns]
-        _emit(_table(("r", "n", "floor_half"), rows, args), args.out)
+        _table(args, ("r", "n", "floor_half"), ns, lambda ns: (
+            (args.r, n, mad_floor(ratio, n + 1) / 2.0) for n in ns))
     else:  # mad
         cert = hoeffding_certificate(args.r)
-        columns = ("r", "n", "exact_mad_half", "certificate_bound",
-                   "floor_half", "mc_estimate", "mc_ci")
-        rows = []
-        for n in ns:
-            mc_est, mc_ci = (np.nan, np.nan)
-            if args.mc:
-                mc_est, mc_ci = mc_mad(f, n + 1, args.mc, seed=args.seed)
-            rows.append((args.r, n, exact_mad(ratio, n + 1) / 2.0,
-                         certificate_upper_bound(cert, n),
-                         mad_floor(ratio, n + 1) / 2.0, mc_est, mc_ci))
-        _emit(_table(columns, rows, args), args.out)
+
+        def row(n):
+            mc = (mc_mad(f, n + 1, args.mc, seed=args.seed) if args.mc
+                  else (np.nan, np.nan))
+            return (args.r, n, exact_mad(ratio, n + 1) / 2.0,
+                    certificate_upper_bound(cert, n),
+                    mad_floor(ratio, n + 1) / 2.0, *mc)
+        _table(args, ("r", "n", "exact_mad_half", "certificate_bound",
+                      "floor_half", "mc_estimate", "mc_ci"), ns,
+               lambda ns: map(row, ns))
     return 0
 
 
-# Bytes a row of `lower risks` holds at the command's peak, in either
-# format: its value in the risk curve, its Python tuple and its text.
-# Measured with tracemalloc from 20 000 to 500 000 rows: at most 230 (CSV)
-# and 313 (JSON).
-_RISK_ROW_BYTES = 512
+def _cube_rows(r: float, ns):
+    """Rows of `lower cube`, every n's bound from one risk curve, refused
+    before the curve when the last n's outputs exceed the budget."""
+    check_cube_output(ns[-1])
+    # cube_lower, not the curve, refuses an n below 1.
+    risks = bayes_risk_curve(r, max(ns[-1], 0) + 1).values
+    for n in ns:
+        res = cube_lower(n, r, _risks=risks)
+        yield (r, n, res.m, res.l_star, res.delta, res.delta_avg,
+               richness_lower_bound(1.0 - 1.0 / r, 1.0, n), res.ci_at_star,
+               res.method)
 
 
 def _cmd_lower(args) -> int:
+    ns = parse_n_values(args.n)
     if args.action == "risks":
-        n_max = parse_n_values(args.n)[-1]
-        _check_budget(_RISK_ROW_BYTES * (n_max + 1),
-                      f"n = {n_max}: the {n_max + 1} {args.format} rows")
-        curve = bayes_risk_curve(args.r, n_max)
-        rows = [(args.r, n, v) for n, v in enumerate(curve.values)]
-        _emit(_table(("r", "n", "risk"), rows, args), args.out)
+        _table(args, ("r", "n", "risk"), range(ns[-1] + 1), lambda _: (
+            (args.r, n, v)
+            for n, v in enumerate(bayes_risk_curve(args.r, ns[-1]).values)))
     elif args.action == "cube":
-        columns = ("r", "n", "m", "l_star", "delta_max", "delta_avg",
-                   "richness_bound", "ci", "method")
-        rows = []
-        for n in parse_n_values(args.n):
-            res = cube_lower(n, args.r)
-            rows.append((args.r, n, res.m, res.l_star, res.delta,
-                         res.delta_avg,
-                         richness_lower_bound(1.0 - 1.0 / args.r, 1.0, n),
-                         res.ci_at_star, res.method))
-        _emit(_table(columns, rows, args), args.out)
+        _table(args, ("r", "n", "m", "l_star", "delta_max", "delta_avg",
+                      "richness_bound", "ci", "method"), ns,
+               lambda ns: _cube_rows(args.r, ns))
     else:  # mixedpbin
-        n = parse_n_values(args.n)[-1]
         # The weights and the sorted copy the engine groups them by, the
         # risks, the masses and their half-widths.
-        _check_budget(8 * (4 * args.m + n + 3),
-                      f"m = {args.m}, n = {n}: the weights, risks and masses")
-        table = bayes_risk_curve(args.r, n).values
-        res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m), table)
-        columns = ("r", "n", "m", "k_star", "mass", "mass_sqrt_m", "ci",
-                   "method")
-        rows = [(args.r, n, args.m, res.k_star, res.mass,
-                 res.mass * args.m**0.5, res.ci_at_star, res.method)]
-        _emit(_table(columns, rows, args), args.out)
+        check_budget(8 * (4 * args.m + ns[-1] + 3), f"m = {args.m}, n = "
+                     f"{ns[-1]}: the weights, risks and masses")
+
+        def row(n):
+            res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m),
+                                 bayes_risk_curve(args.r, n).values)
+            return (args.r, n, args.m, res.k_star, res.mass,
+                    res.mass * args.m**0.5, res.ci_at_star, res.method)
+        _table(args, ("r", "n", "m", "k_star", "mass", "mass_sqrt_m", "ci",
+                      "method"), ns[-1:], lambda ns: map(row, ns))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     reports = bound_sweep(args.r, parse_n_values(args.n))
     if args.format == "json":
-        payload = {
-            "reports": [to_record(vars(rep), vars(rep).values())
-                        for rep in reports],
-            "summary": sweep_summary(reports),
-        }
+        payload = {"reports": [to_record(vars(rep), vars(rep).values())
+                               for rep in reports],
+                   "summary": sweep_summary(reports)}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(reports_to_csv(reports), args.out)

@@ -1,4 +1,5 @@
-"""Central numerical constants shared by every module."""
+"""Central numerical constants, and the one output-budget check, shared by
+every module."""
 
 # Absolute tolerance for exact identities (convolution vs enumeration,
 # shift identity, unit-mean ratios, density integrals).
@@ -13,14 +14,23 @@ EXACT_TOL = 1e-12
 # over 16 cells (490 314 x 17), exact.
 ENUM_GUARD = 1 << 23
 
-# Refuse a ``cube_lower`` (and so ``lower cube`` and ``sweep``) whose
-# outputs, the risk curve (n + 2 floats), the per-threshold gaps and their
-# all-zero half-widths (2n floats each), would take more bytes than this.
-# Its engine's own memory does not grow with n, so the outputs are what
-# bounds a call.  2^30 (1 GiB) admits n up to 26 843 545; n = 2^24 takes
-# 640 MiB, of which the zero half-widths' 256 MiB are pages that are
-# never written.
+# Refuse, through ``check_budget``, whatever would take more bytes than
+# this: the outputs of a ``cube_lower`` (and so of ``lower cube`` and
+# ``sweep``), the risk curve (n + 2 floats), the per-threshold gaps and
+# their all-zero half-widths (2n floats each); a Binomial band
+# (``pbin._binom_band``); a CLI table.  2^30 (1 GiB) admits ``cube_lower``
+# up to n = 26 843 545; n = 2^24 takes 640 MiB, of which the zero
+# half-widths' 256 MiB are pages that are never written.
 OUTPUT_BUDGET = 1 << 30
+
+
+def check_budget(need: int, what: str) -> None:
+    """Raise ValueError when ``what`` takes ``need`` bytes, more than
+    ``OUTPUT_BUDGET``; callers check before they allocate."""
+    if need > OUTPUT_BUDGET:
+        raise ValueError(f"{what} take {need} bytes, over the "
+                         f"{OUTPUT_BUDGET}-byte output budget")
+
 
 # All confidence intervals are 3-sigma normal intervals.
 CI_SIGMA = 3.0

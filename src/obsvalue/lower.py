@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import OUTPUT_BUDGET
+from .constants import check_budget
 from .pbin import (_as_weights, _block_rows, _poisson_band, _spread,
                    enumeration_fits, multinomial_enumerate, pbin_pmf_rows)
 
@@ -552,21 +552,13 @@ def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
     return _spread(m, *_gf_survival_window(n, m, risks))
 
 
-def _check_budget(need: int, what: str) -> None:
-    """Raise ValueError when ``what`` takes ``need`` bytes, more than
-    ``OUTPUT_BUDGET``."""
-    if need > OUTPUT_BUDGET:
-        raise ValueError(f"{what} take {need} bytes, over the "
-                         f"{OUTPUT_BUDGET}-byte output budget")
-
-
 def check_cube_output(n: int) -> None:
     """Raise ValueError, before anything is allocated, when the outputs of
     ``cube_lower(n, r)``, its risk curve (n + 2 floats), its per-threshold
     gaps and their all-zero half-widths (2n floats each), exceed
     ``OUTPUT_BUDGET`` bytes."""
-    _check_budget(8 * (5 * n + 2), f"n = {n}: the risk curve and the 2n "
-                                   "threshold gaps and half-widths")
+    check_budget(8 * (5 * n + 2), f"n = {n}: the risk curve and the 2n "
+                                  "threshold gaps and half-widths")
 
 
 def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
@@ -581,9 +573,10 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     exact up to rounding, so ``ci`` is all zeros.  Refuses, before it
     allocates, outputs over the byte budget (``check_cube_output``).
 
-    ``_risks``, for sweeps only, is ``bayes_risk_curve(r, N).values`` for
-    some N > n; the curve is prefix-stable, so its first n + 2 values are
-    those of ``bayes_risk_curve(r, n + 1)`` bit for bit.
+    ``_risks``, for callers that bound several n from one curve
+    (``bound_sweep``, ``lower cube``), is ``bayes_risk_curve(r, N).values``
+    for some N > n; the curve is prefix-stable, so its first n + 2 values
+    are those of ``bayes_risk_curve(r, n + 1)`` bit for bit.
     """
     if n < 1:
         raise ValueError("requires n >= 1")

@@ -15,13 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obsvalue
-from obsvalue.cli import main, parse_n_values
+from obsvalue.cli import _CELL_BYTES, main, parse_n_values
+from obsvalue.lower import cube_lower
+from obsvalue.rates import format_number
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+@pytest.fixture
+def density(tmp_path):
+    """Path of a four-cell step density at r = 2."""
+    path = tmp_path / "density.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["experiment", "build", "--r", "2", "--bits", "0110",
+                     "--out", str(path)]) == 0
+    return path
 
 
 class TestParseNValues:
@@ -154,6 +166,10 @@ class TestJsonMatchesCsv:
         ["lower", "risks", "--r", "2", "--n", "3"],
         ["lower", "cube", "--r", "2", "--n", "1:9:4"],  # a string column
         ["lower", "mixedpbin", "--r", "2", "--n", "4", "--m", "3"],  # 1 row
+        ["upper", "bound", "--r", "2", "--n", "1:9:4"],
+        ["upper", "floor", "--r", "3", "--n", "1:16:x2"],
+        ["upper", "mad", "--r", "2", "--n", "0:3"],  # NaN columns
+        ["upper", "mad", "--r", "2", "--n", "5", "--mc", "100"],
     ])
     def test_records_are_the_whole_list_encoding(self, argv):
         # The text json.dumps(records, indent=2) gave, record by record.
@@ -385,7 +401,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["lower", "risks", "--r", "2", "--n", "1099511627776"],
-        ["lower", "risks", "--r", "2", "--n", "2097152", "--format", "json"],
+        ["lower", "risks", "--r", "2", "--n", "2796202", "--format", "json"],
         ["lower", "mixedpbin", "--r", "2", "--m", "1099511627776"],
         ["lower", "mixedpbin", "--r", "2", "--m", "2",
          "--n", "1099511627776"],
@@ -400,19 +416,85 @@ class TestExitCodes:
         assert len(captured.err.strip().splitlines()) == 1
         assert "output budget" in captured.err
 
+    def test_risks_are_refused_from_the_first_row_over_budget(
+            self, capsys, monkeypatch):
+        # (n + 1) rows of 3 cells at 128 bytes: n = 2 796 201 fits 2^30.
+        def started(r, n_max):
+            raise ValueError("rows started")
+        monkeypatch.setattr("obsvalue.cli.bayes_risk_curve", started)
+        for n, err in ((2_796_201, "rows started"),
+                       (2_796_202, "output budget")):
+            assert main(["lower", "risks", "--r", "2", "--n", str(n)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and err in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        "upper floor --r 2 --n 1:4000000000",
+        "upper mad --r 2 --n 1:4000000000 --format json",
+        "upper mad --r 2 --n 100000000000000",  # one Binomial band
+        "experiment sample --density {density} --n 100000000000",
+    ], ids=["upper-floor", "upper-mad-json", "upper-mad-band",
+            "experiment-sample"])
+    def test_oversized_table_is_refused_before_any_row(
+            self, capsys, traced_peak, density, argv):
+        # Unchecked, these asked for about 1.1 TB, 2.8 TB, 7.3 GiB and 10 TB.
+        code, peak = traced_peak(
+            lambda: main(argv.format(density=density).split()))
+        assert code == 1 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "output budget" in captured.err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_lower_risks_row_stays_within_its_budget(self, capsys,
-                                                     traced_peak, fmt):
-        # The output guard's premise: 512 bytes a row of either format.
-        # About 220 (CSV) and 300 (JSON) are measured at any n from 10^5
-        # to 5 * 10^5; the smaller n keeps the traced run to seconds.
-        n = 100_000
-        code, peak = traced_peak(lambda: main(
-            ["lower", "risks", "--r", "2", "--n", str(n), "--format", fmt]))
-        assert code == 0 and peak <= 512 * (n + 1)
-        rows = capsys.readouterr().out.count('"risk"' if fmt == "json"
-                                             else "\n2,")
-        assert rows == n + 1
+    @pytest.mark.parametrize("argv, rows, columns", [
+        ("upper bound --r 2 --n 1:20000", 20_000, 3),
+        ("upper floor --r 2 --n 1:20000", 20_000, 3),
+        ("upper mad --r 2 --n 1:4000", 4000, 7),
+        ("lower risks --r 2 --n 19999", 20_000, 3),
+        ("experiment sample --density {density} --n 20000", 20_000, 1),
+    ], ids=["upper-bound", "upper-floor", "upper-mad", "lower-risks",
+            "experiment-sample"])
+    def test_table_stays_within_the_cell_budget(
+            self, capsys, traced_peak, density, argv, rows, columns, fmt):
+        # The row check's premise: a table holds at most _CELL_BYTES a
+        # cell at its peak, whatever the table and the format.
+        argv = argv.format(density=density).split() + ["--format", fmt]
+        main(argv)  # warm caches and imports
+        capsys.readouterr()
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and peak <= rows * columns * _CELL_BYTES
+        out = capsys.readouterr().out
+        header = 0 if argv[0] == "experiment" else 1
+        assert len(json.loads(out) if fmt == "json"
+                   else out.splitlines()[header:]) == rows
+
+    def test_lower_cube_refuses_before_its_first_row(self, capsys,
+                                                     monkeypatch):
+        # It computed 27 bounds before it refused n = 27 000 001.
+        calls = []
+        monkeypatch.setattr("obsvalue.cli.cube_lower",
+                            lambda *args, **kw: calls.append(args))
+        assert main(["lower", "cube", "--r", "2",
+                     "--n", "1:30000000:1000000"]) == 1
+        captured = capsys.readouterr()
+        assert calls == [] and captured.out == ""
+        assert "output budget" in captured.err
+
+    def test_lower_cube_rows_share_one_curve(self, capsys, monkeypatch):
+        import obsvalue.cli as cli
+        curves, real = [], cli.bayes_risk_curve
+        monkeypatch.setattr(cli, "bayes_risk_curve",
+                            lambda r, n: curves.append(n) or real(r, n))
+        code, out = run_cli(capsys, "lower", "cube", "--r", "2",
+                            "--n", "1:300:23")
+        assert code == 0 and curves == [301]
+        # each row as cube_lower gives it from its own curve
+        for line in out.splitlines()[1:]:
+            fields = line.split(",")
+            res = cube_lower(int(fields[1]), 2.0)
+            assert fields[3:6] == [str(res.l_star), format_number(res.delta),
+                                   format_number(res.delta_avg)]
 
     @pytest.mark.parametrize("exc", [OverflowError(), ZeroDivisionError("x"),
                                      AssertionError()])

@@ -173,6 +173,25 @@ class TestSurvival:
                     want = 1.0
                 assert abs(pbin_survival(probs, l) - want) < EXACT
 
+    def test_small_survivals_match_exact_rationals(self):
+        # 1 less the lower tail was 8.3e-8 off, relative, in the first case
+        def exact(probs, l):
+            pmf = [Fraction(1)]
+            for q in map(Fraction, probs):
+                pmf = [a * (1 - q) + b * q
+                       for a, b in zip(pmf + [0], [0] + pmf)]
+            return sum(pmf[l:])
+
+        rng = np.random.default_rng(31)
+        cases = [([1e-10] * 10, 1), ([1e-3] * 20, 2), ([0.5] * 12, 1),
+                 ([0.999] * 9, 9)]
+        cases += [(list(rng.random(12) ** 6), int(rng.integers(1, 13)))
+                  for _ in range(40)]
+        for probs, l in cases:
+            want = exact(probs, l)
+            got = Fraction(pbin_survival(probs, l))
+            assert float(abs(got / want - 1)) < 1e-14, (probs, l)
+
     def test_stochastic_monotonicity(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
@@ -266,6 +285,48 @@ class TestBinomPmf:
     def test_agrees_with_convolution(self):
         for n, p in ((17, 0.3), (64, 0.05)):
             assert np.abs(binom_pmf(n, p) - pbin_pmf([p] * n)).max() < 1e-13
+
+
+def binom_width(n, p):
+    """The width bound of ``_binom_band``'s docstring: min(n + 1, 2T + 1),
+    T = L/3 + sqrt(L^2/9 + 2 L n p (1-p)), L = 1022 log 2 + log(n+1) + 1."""
+    big_l = 1022 * math.log(2) + math.log(n + 1) + 1
+    t = big_l / 3 + math.sqrt(big_l**2 / 9 + 2 * big_l * n * p * (1 - p))
+    return min(n + 1, int(2 * t) + 1)
+
+
+class TestBinomBandGuard:
+    @pytest.mark.parametrize("n", [0, 10, 1000, 10**6, 3 * 10**8])
+    @pytest.mark.parametrize("p", [0.0, 1e-6, 0.01, 0.25, 0.5, 0.9, 1.0])
+    def test_band_is_within_its_width_bound(self, n, p):
+        lo, band = _binom_band(n, p)
+        assert band.size <= binom_width(n, p)
+        assert 0 <= lo and lo + band.size <= n + 1
+
+    @pytest.mark.parametrize("n", [10**6, 10**8])
+    @pytest.mark.parametrize("p", [0.01, 0.25, 0.5])
+    def test_memory_is_within_the_charge(self, traced_peak, n, p):
+        # The guard charges 32 bytes an entry of the bound.
+        _binom_band(1000, p)  # warm caches
+        _, peak = traced_peak(lambda: _binom_band(n, p))
+        assert peak <= 32 * binom_width(n, p)
+
+    def test_refuses_before_building(self, traced_peak):
+        # Bin(10^14, 1/4), the band of `upper mad --r 2 --n 10^14`, would
+        # have taken 7.3 GiB.
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                _binom_band(10**14, 0.25)
+        _, peak = traced_peak(call)
+        assert peak < 64 << 10
+
+    def test_budget_edge(self, monkeypatch):
+        width = binom_width(10**6, 0.25)
+        monkeypatch.setattr("obsvalue.constants.OUTPUT_BUDGET", 32 * width)
+        _binom_band(10**6, 0.25)
+        monkeypatch.setattr("obsvalue.constants.OUTPUT_BUDGET", 32 * width - 1)
+        with pytest.raises(ValueError, match="output budget"):
+            _binom_band(10**6, 0.25)
 
 
 class TestPoissonPmf:
