@@ -12,8 +12,8 @@ from .densities import (HypercubeSpec, RichnessWitness, StepDensity,
                         density_integral, hypercube_density, richness_witness,
                         sample_density, tv_distance)
 from .lower import (CubeLowerResult, MixedPbinResult, RiskCurve,
-                    bayes_risk_curve, cube_lower, mixedpbin_mass,
-                    richness_lower_bound)
+                    bayes_risk_curve, cube_lower, cube_lowers,
+                    mixedpbin_mass, richness_lower_bound)
 from .pbin import (EnumerationGuardError, binom_pmf, multinomial_enumerate,
                    n_compositions, pbin_pmf, pbin_shift_difference,
                    pbin_survival)
@@ -39,7 +39,7 @@ __all__ = [
     "uniform_ratio",
     # lower bounds
     "CubeLowerResult", "MixedPbinResult", "RiskCurve", "bayes_risk_curve",
-    "cube_lower", "mixedpbin_mass", "richness_lower_bound",
+    "cube_lower", "cube_lowers", "mixedpbin_mass", "richness_lower_bound",
     # rate analysis
     "BoundReport", "RateFit", "bound_sweep", "rate_fit",
     "reports_to_csv", "sweep_summary",

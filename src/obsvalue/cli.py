@@ -22,8 +22,8 @@ from . import __version__
 from .constants import check_budget
 from .densities import (HypercubeSpec, StepDensity, hypercube_density,
                         sample_density, tv_distance)
-from .lower import (bayes_risk_curve, check_cube_output, cube_lower,
-                    mixedpbin_mass, richness_lower_bound)
+from .lower import (bayes_risk_curve, check_mixedpbin_output, cube_lowers,
+                    mixedpbin_mass)
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from .rates import (bound_sweep, format_number, reports_to_csv, sweep_summary,
                     to_csv, to_record)
@@ -191,19 +191,6 @@ def _cmd_upper(args) -> int:
     return 0
 
 
-def _cube_rows(r: float, ns):
-    """Rows of `lower cube`, every n's bound from one risk curve, refused
-    before the curve when the last n's outputs exceed the budget."""
-    check_cube_output(ns[-1])
-    # cube_lower, not the curve, refuses an n below 1.
-    risks = bayes_risk_curve(r, max(ns[-1], 0) + 1).values
-    for n in ns:
-        res = cube_lower(n, r, _risks=risks)
-        yield (r, n, res.m, res.l_star, res.delta, res.delta_avg,
-               richness_lower_bound(1.0 - 1.0 / r, 1.0, n), res.ci_at_star,
-               res.method)
-
-
 def _cmd_lower(args) -> int:
     ns = parse_n_values(args.n)
     if args.action == "risks":
@@ -212,13 +199,11 @@ def _cmd_lower(args) -> int:
             for n, v in enumerate(bayes_risk_curve(args.r, ns[-1]).values)))
     elif args.action == "cube":
         _table(args, ("r", "n", "m", "l_star", "delta_max", "delta_avg",
-                      "richness_bound", "ci", "method"), ns,
-               lambda ns: _cube_rows(args.r, ns))
+                      "richness_bound", "ci", "method"), ns, lambda ns: (
+            (args.r, c.n, c.m, c.l_star, c.delta, c.delta_avg, c.closed,
+             c.ci_at_star, c.method) for c in cube_lowers(args.r, ns)))
     else:  # mixedpbin
-        # The weights and the sorted copy the engine groups them by, the
-        # risks, the masses and their half-widths.
-        check_budget(8 * (4 * args.m + ns[-1] + 3), f"m = {args.m}, n = "
-                     f"{ns[-1]}: the weights, risks and masses")
+        check_mixedpbin_output(ns[-1], args.m)
 
         def row(n):
             res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m),
@@ -232,16 +217,19 @@ def _cmd_lower(args) -> int:
 
 def _cmd_sweep(args) -> int:
     reports = bound_sweep(args.r, parse_n_values(args.n))
+    # The rate fit needs 3 reports, and a CSV sweep without --summary may
+    # have fewer: it fits nothing.
+    summary = (sweep_summary(reports)
+               if args.format == "json" or args.summary else None)
     if args.format == "json":
         payload = {"reports": [to_record(vars(rep), vars(rep).values())
                                for rep in reports],
-                   "summary": sweep_summary(reports)}
+                   "summary": summary}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(reports_to_csv(reports), args.out)
-        if args.summary:
-            Path(args.summary).write_text(
-                json.dumps(sweep_summary(reports), indent=2) + "\n")
+    if args.summary:
+        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

@@ -7,7 +7,8 @@ P(PBin(r_1(N_1), ..., r_m(N_m)) >= l), where r_j(.) is the per-cell Bayes
 risk curve.  The drop of that survival when one more observation arrives is a
 valid deficiency lower bound for every threshold l; this module computes it,
 together with the closed-form bound alpha * beta / (12 sqrt(2) sqrt(n+1)) it
-certifies.
+certifies, for one n (``cube_lower``) or for many from one risk curve
+(``cube_lowers``).
 
 The risk curve costs O(1) a value, and nothing past the n where it
 underflows to 0 (5188 at r = 2) but its output: each even n repeats the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,10 +66,6 @@ class RiskCurve:
         # With r(0) = 1/2 and no increase, this bounds them all to [0, 1/2].
         if not v[-1] >= 0.0:
             raise ValueError("risks must lie in [0, 1/2]")
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size - 1
 
 
 # h values per block of ``bayes_risk_curve``, one Binomial tail sum each.
@@ -215,7 +212,9 @@ class CubeLowerResult:
 
     ``per_l[l-1]`` is the gap at threshold l; ``delta`` its maximum (at
     ``l_star``) and ``delta_avg`` the best average of two adjacent
-    thresholds.  ``method`` is "exact" or "gf"; both are exact, so ``ci``
+    thresholds.  ``closed`` is the closed form the witness certifies,
+    ``richness_lower_bound(1 - 1/r, 1, n)``: the witness is (2n, 1 - 1/r,
+    1)-rich.  ``method`` is "exact" or "gf"; both are exact, so ``ci``
     (3-sigma half-widths) is all zeros and ``samples`` is 0.  Both fields
     stay in the report format.
     """
@@ -226,6 +225,7 @@ class CubeLowerResult:
     l_star: int
     delta: float
     delta_avg: float
+    closed: float
     per_l: np.ndarray
     ci: np.ndarray
     method: str
@@ -561,6 +561,16 @@ def check_cube_output(n: int) -> None:
                                   "threshold gaps and half-widths")
 
 
+def check_mixedpbin_output(n: int, m: int) -> None:
+    """Raise ValueError, before anything is allocated, when what
+    ``mixedpbin_mass(n, m, weights, f)`` holds at its peak, the m weights
+    and the sorted copy the engine groups them by, the n + 1 risks, and
+    the m + 1 masses and their half-widths, exceeds ``OUTPUT_BUDGET``
+    bytes."""
+    check_budget(8 * (4 * m + n + 3), f"m = {m}, n = {n}: the weights, "
+                                      "risks and masses")
+
+
 def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
                ) -> CubeLowerResult:
     """Deficiency lower bound from the 2n-cell uniform-weight witness.
@@ -573,10 +583,10 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     exact up to rounding, so ``ci`` is all zeros.  Refuses, before it
     allocates, outputs over the byte budget (``check_cube_output``).
 
-    ``_risks``, for callers that bound several n from one curve
-    (``bound_sweep``, ``lower cube``), is ``bayes_risk_curve(r, N).values``
-    for some N > n; the curve is prefix-stable, so its first n + 2 values
-    are those of ``bayes_risk_curve(r, n + 1)`` bit for bit.
+    ``_risks`` is internal to this module: ``cube_lowers`` passes
+    ``bayes_risk_curve(r, N).values`` for some N > n, so that its n share
+    one curve.  The curve is prefix-stable, so its first n + 2 values are
+    those of ``bayes_risk_curve(r, n + 1)`` bit for bit.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
@@ -600,9 +610,30 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     pair_avg = 0.5 * (core[:-1] + core[1:])
     return CubeLowerResult(
         r=r, n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
-        delta_avg=float(pair_avg.max()), per_l=per_l, ci=np.zeros(m),
-        method=method,
+        delta_avg=float(pair_avg.max()),
+        closed=richness_lower_bound(1.0 - 1.0 / r, 1.0, n), per_l=per_l,
+        ci=np.zeros(m), method=method,
     )
+
+
+def cube_lowers(r: float, ns: Sequence[int]) -> Iterator[CubeLowerResult]:
+    """``cube_lower(n, r)`` for each n of ``ns`` in turn, lazily, every n's
+    risks read from one curve: the many-n loop of ``sweep`` and ``lower
+    cube``.
+
+    Before the curve is built, and before anything is iterated, it refuses
+    a last n whose outputs exceed the budget (``check_cube_output``), then
+    an ``ns`` that is empty, not increasing or below 1; so a ``range`` is
+    never listed.  Each bound is a call of the module global
+    ``cube_lower``, so a wrapper put there (the benchmark's spans) sees
+    every n.
+    """
+    if ns:
+        check_cube_output(ns[-1])
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_values must be nonempty and increasing, all >= 1")
+    curve = bayes_risk_curve(r, ns[-1] + 1).values
+    return (cube_lower(n, r, _risks=curve) for n in ns)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ import numpy as np
 
 from .constants import EXACT_TOL
 from .densities import HypercubeSpec, hypercube_density
-from .lower import (bayes_risk_curve, check_cube_output, cube_lower,
-                    richness_lower_bound)
+from .lower import cube_lowers
 from .upper import (certificate_upper_bound, exact_mad, hoeffding_certificate,
                     mad_floor, uniform_ratio)
 
@@ -49,30 +48,21 @@ class BoundReport:
 
 def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
     """One :class:`BoundReport` per n.  Every entry is computed exactly (no
-    random draws), so reports are reproducible byte for byte.  The output
-    budget is checked before the sequence is walked: a ``range`` is never
-    listed."""
-    if n_values:
-        check_cube_output(n_values[-1])  # before the curve is allocated
-    if (not n_values or n_values[0] < 1
-            or any(b <= a for a, b in zip(n_values, n_values[1:]))):
-        raise ValueError("n_values must be nonempty and increasing, all >= 1")
+    random draws), so reports are reproducible byte for byte.  The lower
+    side is ``cube_lowers``, which checks the grid and the output budget
+    before anything is built: a ``range`` is never listed."""
+    cubes = cube_lowers(r, n_values)
     ratio = uniform_ratio(hypercube_density(HypercubeSpec(r, 1, [0]))).two_level
     cert = hoeffding_certificate(r)
-    risks = bayes_risk_curve(r, n_values[-1] + 1).values  # one curve for all
-    reports = []
-    for n in n_values:
-        cube = cube_lower(n, r, _risks=risks)
-        reports.append(BoundReport(
-            r=r, n=n, m=cube.m,
-            lower=cube.delta, lower_ci=cube.ci_at_star, l_star=cube.l_star,
-            delta_avg=cube.delta_avg, lower_method=cube.method,
-            lower_closed=richness_lower_bound(1.0 - 1.0 / r, 1.0, n),
-            upper_exact=exact_mad(ratio, n + 1) / 2.0,
-            upper_closed=certificate_upper_bound(cert, n),
-            floor_half=mad_floor(ratio, n + 1) / 2.0,
-        ))
-    return reports
+    return [BoundReport(
+        r=r, n=cube.n, m=cube.m,
+        lower=cube.delta, lower_ci=cube.ci_at_star, l_star=cube.l_star,
+        delta_avg=cube.delta_avg, lower_method=cube.method,
+        lower_closed=cube.closed,
+        upper_exact=exact_mad(ratio, cube.n + 1) / 2.0,
+        upper_closed=certificate_upper_bound(cert, cube.n),
+        floor_half=mad_floor(ratio, cube.n + 1) / 2.0,
+    ) for cube in cubes]
 
 
 @dataclass(frozen=True)

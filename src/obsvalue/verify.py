@@ -137,6 +137,7 @@ def _worst_z(hits, trials: int, probs) -> float:
 
 
 def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
+    cube = lower.cube_lower(1, 2.0)
     checks = [
         abs(pbin.pbin_pmf([0.1, 0.2, 0.3])
             - [0.504, 0.398, 0.092, 0.006]).max(),
@@ -144,8 +145,8 @@ def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
         abs(upper.exact_mad(upper.TwoLevelRatio(2.0, 2 / 3, 0.25), 2) - 0.375),
         abs(lower.bayes_risk_curve(2.0, 3).values
             - [0.5, 0.25, 0.25, 0.15625]).max(),
-        abs(lower.cube_lower(1, 2.0).delta - 0.09375),
-        abs(lower.richness_lower_bound(0.5, 1.0, 1) - 0.5 / 24.0),
+        abs(cube.delta - 0.09375),
+        abs(cube.closed - 0.5 / 24.0),
         abs(upper.certificate_upper_bound(upper.hoeffding_certificate(2.0), 0)
             - 2.0 * math.sqrt(math.pi / 2.0)),
     ]
@@ -377,10 +378,9 @@ def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
     gf_err = 0.0
     for r_gf in (1.5, 2.0, 4.0):
         risks = lower.bayes_risk_curve(r_gf, 5).values  # prefix-stable
-        for n_gf in range(1, 5):
-            gf = lower._gf_survival_gap(n_gf, 2 * n_gf, risks[:n_gf + 2])
-            enum = lower.cube_lower(n_gf, r_gf, _risks=risks).per_l
-            gf_err = max(gf_err, np.abs(gf - enum).max())
+        for enum in lower.cube_lowers(r_gf, range(1, 5)):
+            gf = lower._gf_survival_gap(enum.n, enum.m, risks[:enum.n + 2])
+            gf_err = max(gf_err, np.abs(gf - enum.per_l).max())
     return (bool(dev.max() <= 1.0 and gf_err <= EXACT_TOL),
             f"worst_dev_over_ci={dev.max():.2f}, gf_vs_enum={gf_err:.1e}")
 
@@ -392,8 +392,7 @@ def check_cube_bounds(budget: Budget, rng) -> tuple[bool, str]:
             res = lower.cube_lower(n, r)
             if res.per_l.min() < 0.0:
                 return False, f"negative per-l delta at r={r}, n={n}"
-            closed = lower.richness_lower_bound(1.0 - 1.0 / r, 1.0, n)
-            margin = min(margin, res.delta + res.ci_at_star - closed)
+            margin = min(margin, res.delta + res.ci_at_star - res.closed)
     return margin >= 0.0, f"min_margin={margin:.4f}"
 
 

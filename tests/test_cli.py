@@ -330,6 +330,25 @@ class TestSweepCommand:
                           "--summary", str(summary_path))
         assert code == 0
         assert "exponent_upper" in json.loads(summary_path.read_text())
+        summary_path.unlink()
+        code, out = run_cli(capsys, "sweep", "--r", "2", "--n", "1:4:x2",
+                            "--format", "json",
+                            "--summary", str(summary_path))
+        assert code == 0
+        assert (json.loads(summary_path.read_text())
+                == json.loads(out)["summary"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_in_a_missing_directory_exits_three(self, capsys,
+                                                        tmp_path, fmt):
+        code = main(["sweep", "--r", "2", "--n", "1:4:x2", "--format", fmt,
+                     "--summary", str(tmp_path / "no" / "summary.json")])
+        assert code == 3 and "i/o error" in capsys.readouterr().err
+
+    def test_csv_sweep_without_summary_needs_no_rate_fit(self, capsys):
+        # rate_fit needs 3 points; two reports still make a CSV table
+        code, out = run_cli(capsys, "sweep", "--r", "2", "--n", "4:5")
+        assert code == 0 and len(out.splitlines()) == 3
 
 
 class TestExitCodes:
@@ -473,7 +492,7 @@ class TestExitCodes:
                                                      monkeypatch):
         # It computed 27 bounds before it refused n = 27 000 001.
         calls = []
-        monkeypatch.setattr("obsvalue.cli.cube_lower",
+        monkeypatch.setattr("obsvalue.lower.cube_lower",
                             lambda *args, **kw: calls.append(args))
         assert main(["lower", "cube", "--r", "2",
                      "--n", "1:30000000:1000000"]) == 1
@@ -482,9 +501,9 @@ class TestExitCodes:
         assert "output budget" in captured.err
 
     def test_lower_cube_rows_share_one_curve(self, capsys, monkeypatch):
-        import obsvalue.cli as cli
-        curves, real = [], cli.bayes_risk_curve
-        monkeypatch.setattr(cli, "bayes_risk_curve",
+        import obsvalue.lower as lower
+        curves, real = [], lower.bayes_risk_curve
+        monkeypatch.setattr(lower, "bayes_risk_curve",
                             lambda r, n: curves.append(n) or real(r, n))
         code, out = run_cli(capsys, "lower", "cube", "--r", "2",
                             "--n", "1:300:23")

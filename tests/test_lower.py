@@ -1,6 +1,7 @@
 """Lower-bound tests; oracles are exact rationals, hand enumeration and the
 coupled Monte Carlo reference estimators of ``obsvalue.verify``."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from obsvalue import lower, pbin
 from obsvalue.cli import main as cli_main
 from obsvalue.constants import EXACT_TOL, OUTPUT_BUDGET
-from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
-                            richness_lower_bound)
+from obsvalue.lower import (bayes_risk_curve, cube_lower, cube_lowers,
+                            mixedpbin_mass, richness_lower_bound)
 from obsvalue.pbin import (_compositions, binom_pmf, multinomial_logpmf,
                            pbin_pmf_rows, pbin_survival)
 from obsvalue.verify import (dp_risk_curve, enum_pmf, mc_cube_gaps,
@@ -623,7 +624,72 @@ class TestCubeLower:
                 cube_lower(1, r)
 
 
+class TestCubeLowers:
+    @staticmethod
+    def counted_curves(monkeypatch):
+        calls = []
+
+        def counted(r, n_max):
+            calls.append(n_max)
+            return bayes_risk_curve(r, n_max)
+        monkeypatch.setattr(lower, "bayes_risk_curve", counted)
+        return calls
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("ns", [range(1, 40),
+                                    [4 << k for k in range(11)]],
+                             ids=["dense", "geometric"])
+    def test_bit_identical_to_per_n_cube_lower(self, r, ns, monkeypatch):
+        calls = self.counted_curves(monkeypatch)
+        got = list(cube_lowers(r, ns))
+        assert calls == [ns[-1] + 1]  # one curve for every n
+        monkeypatch.undo()
+        assert [res.n for res in got] == list(ns)
+        for res in got:
+            want = cube_lower(res.n, r)
+            for field in dataclasses.fields(res):
+                a, b = getattr(res, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+
+    @pytest.mark.parametrize("ns", [[], range(5, 5), [0, 1], [4, 2],
+                                    [3, 3], range(9, 0, -1)])
+    def test_bad_grid_raises_before_any_curve(self, ns, monkeypatch):
+        calls = self.counted_curves(monkeypatch)
+        with pytest.raises(ValueError, match="increasing"):
+            cube_lowers(2.0, ns)
+        assert calls == []
+
+    def test_oversized_last_n_is_refused_before_any_curve(
+            self, traced_peak, monkeypatch):
+        calls = self.counted_curves(monkeypatch)
+
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                cube_lowers(2.0, range(1, 30_000_001))
+        _, peak = traced_peak(call)
+        assert calls == [] and peak < 64 << 10
+
+    @pytest.mark.parametrize("r", [1.05, 1.5, 2.0, 4.0, 1e6])
+    def test_closed_is_the_richness_bound(self, r):
+        for res in cube_lowers(r, [1, 2, 7, 8, 100, 4096]):
+            assert res.closed == richness_lower_bound(1.0 - 1.0 / r, 1.0,
+                                                      res.n)
+
+
 class TestMixedPbinMass:
+    def test_output_check_at_its_budget_edge(self):
+        # 8 (4m + n + 3) bytes: at m = 2^25 - 1, n = 1 fills 2^30 exactly.
+        m = (1 << 25) - 1
+        lower.check_mixedpbin_output(1, m)
+        with pytest.raises(ValueError, match="output budget"):
+            lower.check_mixedpbin_output(2, m)
+        lower.check_mixedpbin_output((1 << 27) - 7, 1)
+        with pytest.raises(ValueError, match="output budget"):
+            lower.check_mixedpbin_output((1 << 27) - 6, 1)
+
     def test_single_cell_constant_half(self):
         res = mixedpbin_mass(1, 1, [1.0], [0.5, 0.5])
         assert abs(res.mass - 0.5) < EXACT

@@ -3,8 +3,10 @@
 Runs ``python3 -m obsvalue ARG...`` in 5 fresh processes, one after the
 other, with this checkout's ``src`` on PYTHONPATH and stdout discarded.
 Prints each run's wall time, peak RSS (``os.wait4``'s rusage) and exit
-status, their medians, and the machine's nproc, Python and numpy; exits 1
-if any run exited nonzero, so an error path is not timed unnoticed."""
+status, their medians with the first and third quartiles beside them
+(``statistics.quantiles(n=4)``), and the machine's nproc, Python and
+numpy; exits 1 if any run exited nonzero, so an error path is not timed
+unnoticed."""
 import os
 import statistics
 import subprocess
@@ -29,8 +31,11 @@ for i in range(RUNS):
     codes.append(proc.returncode)
     print(f"run {i + 1}: {walls[-1]:.3f} s  {rss[-1]:.1f} MiB  "
           f"exit {proc.returncode}")
-print(f"median: {statistics.median(walls):.3f} s  "
-      f"{statistics.median(rss):.1f} MiB")
+for name, values, fmt in (("wall", walls, "{:.3f} s"),
+                          ("peak RSS", rss, "{:.1f} MiB")):
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    print(f"{name}: median {fmt.format(med)}  "
+          f"(Q1 {fmt.format(q1)}, Q3 {fmt.format(q3)})")
 nproc = len(os.sched_getaffinity(0))
 print(f"nproc {nproc}  Python {sys.version.split()[0]}  numpy {np.__version__}")
 sys.exit(1 if any(codes) else 0)
