@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ from .densities import (HypercubeSpec, StepDensity, hypercube_density,
 from .lower import (bayes_risk_curve, check_mixedpbin_output, cube_lowers,
                     mixedpbin_mass)
 from .pbin import pbin_pmf, pbin_shift_difference, pbin_survival
-from .rates import (bound_sweep, format_number, reports_to_csv, sweep_summary,
-                    to_csv, to_record)
+from .rates import (BoundReport, bound_sweep, format_number, reports_to_csv,
+                    sweep_summary, to_csv, to_record)
 from .streams import child_rng
 from .upper import (certificate_upper_bound, chi2_radius, exact_mad,
                     hoeffding_certificate, mad_floor, mc_mad, uniform_ratio)
@@ -215,12 +216,26 @@ def _cmd_lower(args) -> int:
     return 0
 
 
+# Bytes a cell of the `sweep` report holds at its peak: the reports, which
+# the rate fit reads all at once, and the text json.dumps(indent=2)'s
+# pure-Python encoder builds of them.  Measured with tracemalloc: at most
+# 328 (2000 rows, CSV or JSON; 12 columns).
+_SWEEP_CELL_BYTES = 384
+
+
 def _cmd_sweep(args) -> int:
-    reports = bound_sweep(args.r, parse_n_values(args.n))
+    ns = parse_n_values(args.n)
+    check_budget(len(ns) * len(fields(BoundReport)) * _SWEEP_CELL_BYTES,
+                 f"the {len(ns)} rows")
+    reports = bound_sweep(args.r, ns)
     # The rate fit needs 3 reports, and a CSV sweep without --summary may
     # have fewer: it fits nothing.
     summary = (sweep_summary(reports)
                if args.format == "json" or args.summary else None)
+    # The sidecar is written first, so a run that cannot write it prints
+    # no report.
+    if args.summary:
+        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     if args.format == "json":
         payload = {"reports": [to_record(vars(rep), vars(rep).values())
                                for rep in reports],
@@ -228,8 +243,6 @@ def _cmd_sweep(args) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(reports_to_csv(reports), args.out)
-    if args.summary:
-        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
 

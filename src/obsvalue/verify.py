@@ -12,6 +12,14 @@ Binomial pmf), the coupled Monte Carlo reference estimators
 ``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``,
 and the simulators ``simulate_multitest_risk`` and
 ``simulate_mixture_risk`` of the multi-test and mixture risk laws.
+
+The Poisson-binomial properties draw all their instances first and then
+evaluate them in one ``pbin.pbin_pmf_rows`` call over the probability lists
+zero-padded to the longest (``_pmf_table``).  A Bernoulli(0) step leaves a
+pmf unchanged bit for bit, fl(p * 1) + fl(p * 0) = p, so each row equals
+``pbin_pmf`` of its own list and is 0 past it.  Survivals are the row tails
+summed as ``pbin_survival`` sums them (``_survivals``), and the public
+wrappers stay covered by ``spot-values`` and by the first shift case.
 """
 
 from __future__ import annotations
@@ -136,6 +144,33 @@ def _worst_z(hits, trials: int, probs) -> float:
     return float((np.abs(np.asarray(hits) / trials - p) / se).max())
 
 
+def _pmf_table(lists: Sequence[np.ndarray]) -> np.ndarray:
+    """PBin pmfs of ``lists``, one row each, from one ``pbin_pmf_rows``
+    call over the lists zero-padded to the longest: row i is ``pbin_pmf``
+    of lists[i] bit for bit on its first len + 1 entries and 0 after."""
+    table = np.zeros((len(lists), max(map(len, lists), default=0)))
+    for row, p in zip(table, lists):
+        row[:len(p)] = p
+    return pbin.pbin_pmf_rows(table)
+
+
+def _survivals(pmfs: np.ndarray, sizes: np.ndarray, rows: np.ndarray,
+               ls: np.ndarray) -> np.ndarray:
+    """P(PBin >= ls[j]) from row rows[j] of ``pmfs``, the pmf of
+    sizes[rows[j]] probabilities, for every query j: 1 for l <= 0, else
+    the sum of the row's entries l to its size, as ``pbin_survival``'s
+    ``np.sum`` adds them.  That sum's pairwise order depends on the number
+    of terms, so the tails are summed in groups of one length, each group
+    one row-wise reduce."""
+    out = (ls <= 0).astype(float)
+    terms = sizes[rows] + 1 - ls
+    for n in np.unique(terms[ls > 0]):
+        pick = np.flatnonzero((terms == n) & (ls > 0))
+        tails = pmfs[rows[pick, None], ls[pick, None] + np.arange(n)]
+        out[pick] = np.add.reduce(tails, axis=1)
+    return out
+
+
 def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
     cube = lower.cube_lower(1, 2.0)
     checks = [
@@ -155,44 +190,67 @@ def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_pmf_enumeration(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
-    for _ in range(budget.pmf_sets):
-        p = rng.random(int(rng.integers(0, 11)))
-        worst = max(worst, np.abs(pbin.pbin_pmf(p) - enum_pmf(p)).max())
+    lists = [rng.random(int(rng.integers(0, 11)))
+             for _ in range(budget.pmf_sets)]
+    pmfs = _pmf_table(lists)
+    enum = np.zeros_like(pmfs)
+    for row, p in zip(enum, lists):
+        row[:p.size + 1] = enum_pmf(p)
+    worst = np.abs(pmfs - enum).max()
     return worst <= 1e-12, f"sets={budget.pmf_sets}, max_err={worst:.3e}"
 
 
 def check_pmf_permutation(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
+    lists, perms = [], []
     for _ in range(budget.pmf_sets):
-        p = rng.random(int(rng.integers(1, 13)))
-        ref = pbin.pbin_pmf(p)
-        worst = max(worst, np.abs(pbin.pbin_pmf(rng.permutation(p)) - ref).max())
+        lists.append(rng.random(int(rng.integers(1, 13))))
+        perms.append(rng.permutation(lists[-1]))
+    pmfs = _pmf_table(lists + perms)
+    worst = np.abs(pmfs[len(lists):] - pmfs[:len(lists)]).max()
     return worst <= 1e-12, f"max_err={worst:.3e}"
 
 
 def check_survival_monotone(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
+    lists, lowered = [], []
     for _ in range(budget.pmf_sets):
         p = rng.random(int(rng.integers(1, 11)))
         i = int(rng.integers(p.size))
         q = p.copy()
         q[i] = rng.uniform(0.0, p[i])
-        for l in range(p.size + 1):
-            worst = max(worst, pbin.pbin_survival(q, l) - pbin.pbin_survival(p, l))
+        lists.append(p)
+        lowered.append(q)
+    # every l in 0..size of every set, first on p, then on q
+    sizes = np.array([p.size for p in lists])
+    rows = np.repeat(np.arange(2 * sizes.size), np.tile(sizes + 1, 2))
+    ls = np.tile(np.concatenate([np.arange(m + 1) for m in sizes]), 2)
+    surv = _survivals(_pmf_table(lists + lowered), np.tile(sizes, 2), rows,
+                      ls)
+    half = surv.size // 2
+    worst = max(0.0, (surv[half:] - surv[:half]).max())
     return worst <= 1e-12, f"max_increase={worst:.3e}"
 
 
 def check_shift_identity(budget: Budget, rng) -> tuple[bool, str]:
-    worst = 0.0
+    cases = []
     for _ in range(budget.shift_sets):
         rest = rng.random(int(rng.integers(0, 10)))
         hi, lo = np.sort(rng.random(2))[::-1]
         if hi == lo:
             continue
-        l = int(rng.integers(1, rest.size + 2))
-        lhs, rhs = pbin.pbin_shift_difference(rest, hi, lo, l)
-        worst = max(worst, abs(lhs - rhs))
+        cases.append((rest, hi, lo, int(rng.integers(1, rest.size + 2))))
+    rests, his, los, ls = zip(*cases)
+    his, los, ls = np.array(his), np.array(los), np.array(ls)
+    k = len(cases)
+    # rows: rest + [hi] for every case, then rest + [lo], then rest
+    pmfs = _pmf_table([*map(np.append, rests, his),
+                       *map(np.append, rests, los), *rests])
+    sizes = np.array([rest.size + 1 for rest in rests] * 2)
+    surv = _survivals(pmfs, sizes, np.arange(2 * k), np.tile(ls, 2))
+    lhs = surv[:k] - surv[k:]
+    rhs = pmfs[2 * k + np.arange(k), ls - 1] * (his - los)
+    if pbin.pbin_shift_difference(*cases[0]) != (lhs[0], rhs[0]):
+        return False, "pbin_shift_difference differs from the batched sides"
+    worst = np.abs(lhs - rhs).max()
     return worst <= 1e-12, f"sets={budget.shift_sets}, max_err={worst:.3e}"
 
 
@@ -214,8 +272,8 @@ def check_multinomial_frequencies(budget: Budget, rng) -> tuple[bool, str]:
     counts, probs = pbin.multinomial_enumerate(trials, w)
     samples = rng.multinomial(trials, w, size=draws)
     digits = np.array([1, 10, 100])
-    key = samples @ digits
-    hits = [np.count_nonzero(key == k) for k in counts @ digits]
+    cells = counts @ digits
+    hits = np.bincount(samples @ digits, minlength=cells.max() + 1)[cells]
     worst = _worst_z(hits, draws, probs)
     return worst <= 4.0, f"draws={draws}, worst_z={worst:.2f}"
 

@@ -343,7 +343,9 @@ class TestSweepCommand:
                                                         tmp_path, fmt):
         code = main(["sweep", "--r", "2", "--n", "1:4:x2", "--format", fmt,
                      "--summary", str(tmp_path / "no" / "summary.json")])
-        assert code == 3 and "i/o error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert code == 3 and "i/o error" in captured.err
+        assert captured.out == ""
 
     def test_csv_sweep_without_summary_needs_no_rate_fit(self, capsys):
         # rate_fit needs 3 points; two reports still make a CSV table
@@ -498,6 +500,27 @@ class TestExitCodes:
                      "--n", "1:30000000:1000000"]) == 1
         captured = capsys.readouterr()
         assert calls == [] and captured.out == ""
+        assert "output budget" in captured.err
+
+    def test_sweep_refuses_its_rows_before_the_first_bound(
+            self, capsys, monkeypatch, traced_peak):
+        # Rows of 12 cells at 384 bytes: 233 016 fit 2^30, one more does
+        # not; each n alone is inside cube_lower's own output check.
+        def started(*args, **kw):
+            raise ValueError("bounds started")
+        monkeypatch.setattr("obsvalue.lower.cube_lower", started)
+        for n, err in ((233_016, "bounds started"),
+                       (233_017, "output budget")):
+            assert main(["sweep", "--r", "2", "--n", f"1:{n}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and err in captured.err
+        code, peak = traced_peak(lambda: main(
+            ["sweep", "--r", "2", "--n", "1:3000000", "--format", "json"]))
+        assert code == 1 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "the 3000000 rows" in captured.err
         assert "output budget" in captured.err
 
     def test_lower_cube_rows_share_one_curve(self, capsys, monkeypatch):

@@ -4,8 +4,11 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from obsvalue import lower, verify
+from obsvalue import lower, pbin, verify
 from obsvalue.streams import child_rng
 
 # Reference-estimator values recorded before the draws moved to
@@ -89,3 +92,101 @@ def test_simulation_check_flags_a_biased_simulator(monkeypatch):
     monkeypatch.setattr(verify, "simulate_multitest_risk", biased)
     ok, _ = verify.check_simulations(verify.QUICK, np.random.default_rng(1))
     assert not ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(0.0, 1.0), max_size=12), min_size=1,
+                max_size=8),
+       st.integers(0, 4))
+def test_zero_padded_rows_are_the_unpadded_pmfs(lists, extra):
+    width = max(map(len, lists)) + extra
+    table = np.zeros((len(lists), width))
+    for row, p in zip(table, lists):
+        row[:len(p)] = p
+    pmfs = pbin.pbin_pmf_rows(table)
+    for row, p in zip(pmfs, lists):
+        assert np.array_equal(row[:len(p) + 1], pbin.pbin_pmf(p))
+        assert not row[len(p) + 1:].any()
+
+
+def test_pmf_table_and_survivals_match_the_wrappers():
+    rng = np.random.default_rng(3)
+    lists = [rng.random(m) for m in (0, 3, 12, 1, 9, 8)] + [np.array([0.5])]
+    pmfs = verify._pmf_table(lists)
+    for row, p in zip(pmfs, lists):
+        assert np.array_equal(row[:p.size + 1], pbin.pbin_pmf(p))
+        assert not row[p.size + 1:].any()
+    # every l from -1 to size + 2, with a different tail length for each
+    sizes = np.array([p.size for p in lists])
+    rows = np.repeat(np.arange(len(lists)), sizes + 4)
+    ls = np.concatenate([np.arange(-1, m + 3) for m in sizes])
+    got = verify._survivals(pmfs, sizes, rows, ls)
+    assert got.tolist() == [pbin.pbin_survival(lists[i], l)
+                            for i, l in zip(rows, ls)]
+
+
+# The per-instance loops the batched PBin properties replaced, kept as
+# their oracles: each draws and evaluates one instance at a time through
+# the public wrappers.
+def loop_pmf_enumeration(budget, rng):
+    worst = 0.0
+    for _ in range(budget.pmf_sets):
+        p = rng.random(int(rng.integers(0, 11)))
+        worst = max(worst, np.abs(pbin.pbin_pmf(p) - verify.enum_pmf(p)).max())
+    return worst <= 1e-12, f"sets={budget.pmf_sets}, max_err={worst:.3e}"
+
+
+def loop_pmf_permutation(budget, rng):
+    worst = 0.0
+    for _ in range(budget.pmf_sets):
+        p = rng.random(int(rng.integers(1, 13)))
+        ref = pbin.pbin_pmf(p)
+        worst = max(worst, np.abs(pbin.pbin_pmf(rng.permutation(p)) - ref).max())
+    return worst <= 1e-12, f"max_err={worst:.3e}"
+
+
+def loop_survival_monotone(budget, rng):
+    worst = 0.0
+    for _ in range(budget.pmf_sets):
+        p = rng.random(int(rng.integers(1, 11)))
+        i = int(rng.integers(p.size))
+        q = p.copy()
+        q[i] = rng.uniform(0.0, p[i])
+        for l in range(p.size + 1):
+            worst = max(worst, pbin.pbin_survival(q, l) - pbin.pbin_survival(p, l))
+    return worst <= 1e-12, f"max_increase={worst:.3e}"
+
+
+def loop_shift_identity(budget, rng):
+    worst = 0.0
+    for _ in range(budget.shift_sets):
+        rest = rng.random(int(rng.integers(0, 10)))
+        hi, lo = np.sort(rng.random(2))[::-1]
+        if hi == lo:
+            continue
+        l = int(rng.integers(1, rest.size + 2))
+        lhs, rhs = pbin.pbin_shift_difference(rest, hi, lo, l)
+        worst = max(worst, abs(lhs - rhs))
+    return worst <= 1e-12, f"sets={budget.shift_sets}, max_err={worst:.3e}"
+
+
+BATCHED = [
+    ("pbin-pmf-vs-enumeration", verify.check_pmf_enumeration,
+     loop_pmf_enumeration),
+    ("pbin-pmf-permutation-invariance", verify.check_pmf_permutation,
+     loop_pmf_permutation),
+    ("pbin-survival-stochastic-monotonicity", verify.check_survival_monotone,
+     loop_survival_monotone),
+    ("pbin-shift-identity", verify.check_shift_identity, loop_shift_identity),
+]
+
+
+@pytest.mark.parametrize("name, batched, loop", BATCHED,
+                         ids=[b[0] for b in BATCHED])
+def test_batched_properties_report_what_their_loops_report(name, batched,
+                                                           loop):
+    for budget, seeds in ((verify.QUICK, range(20)), (verify.FULL, range(3))):
+        for seed in seeds:
+            want = loop(budget, child_rng(seed, f"verify:{name}", 0))
+            got = batched(budget, child_rng(seed, f"verify:{name}", 0))
+            assert got == want, (seed, budget)
