@@ -6,6 +6,10 @@ densities bounded below by 1/r for some r > 1; its two-level vertex densities
 (one flipped/unflipped pair per mesh cell) are built by
 :func:`hypercube_density`, and :func:`richness_witness` packages the per-cell
 pairs together with their exact total variation separation.
+
+``obsvalue verify`` makes thousands of these calls on densities of a few
+pieces, so each function is a few ufunc and array-method calls rather than
+numpy's Python-level helpers (``np.diff``, ``np.clip``, ``np.union1d``).
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from .constants import EXACT_TOL
 class StepDensity:
     """Piecewise-constant probability density on [0, 1].
 
-    ``breakpoints`` is strictly increasing from 0 to 1; ``values`` holds one
-    nonnegative height per interval.  Construction rejects inputs whose
-    integral differs from 1 by more than 1e-12 unless ``normalize=True`` is
-    passed explicitly (silent normalization would mask construction bugs).
+    ``breakpoints`` is strictly increasing from 0 to 1, so finite;
+    ``values`` holds one finite nonnegative height per interval.
+    Construction rejects inputs whose integral differs from 1 by more than
+    1e-12 unless ``normalize=True`` is passed explicitly (silent
+    normalization would mask construction bugs).
     Instances are immutable.
     """
 
@@ -41,13 +46,16 @@ class StepDensity:
             raise ValueError("need at least two breakpoints")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0.0):
+        widths = bp[1:] - bp[:-1]
+        # NaN compares False, and an infinite breakpoint between 0 and 1
+        # leaves some width -inf or NaN: only finite breakpoints pass.
+        if not (widths > 0.0).all():
             raise ValueError("breakpoints must be strictly increasing")
         if val.ndim != 1 or val.size != bp.size - 1:
             raise ValueError("need exactly one value per interval")
-        if not np.all(np.isfinite(val)) or val.min(initial=0.0) < 0.0:
+        if not (val.min() >= 0.0 and val.max() < math.inf):
             raise ValueError("heights must be finite and nonnegative")
-        total = float(np.sum(val * np.diff(bp)))
+        total = float((val * widths).sum())
         if abs(total - 1.0) > EXACT_TOL:
             if not normalize:
                 raise ValueError(
@@ -62,15 +70,17 @@ class StepDensity:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
+        return self.breakpoints[1:] - self.breakpoints[:-1]
 
     def __call__(self, x) -> np.ndarray:
         """Height at ``x`` (vectorized); right-half-open intervals, f(1) is
-        the last height."""
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float),
-                              side="right") - 1
-        idx = np.clip(idx, 0, self.values.size - 1)
-        return self.values[idx]
+        the last height.
+
+        The index is the count of interior breakpoints at or below x, which
+        is already in [0, values.size - 1]: 0 for x < 0, the last piece for
+        x >= 1, and (searchsorted sorts NaN last) the last piece for NaN."""
+        return self.values[self.breakpoints[1:-1].searchsorted(
+            np.asarray(x, dtype=float), side="right")]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -80,8 +90,7 @@ class StepDensity:
 
     @classmethod
     def from_json(cls, text: str) -> "StepDensity":
-        data = json.loads(text)
-        return cls(data["breakpoints"], data["values"])
+        return cls(*_json_fields(text, breakpoints=list, values=list))
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class HypercubeSpec:
     bits: tuple[int, ...]
 
     def __init__(self, r: float, m: int, bits: Sequence[int]):
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(bits)
         if not 1.0 < r < math.inf:
             raise ValueError("requires finite r > 1")
         if m < 1:
@@ -105,28 +114,42 @@ class HypercubeSpec:
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "r", float(r))
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
 
     def to_json(self) -> str:
         return json.dumps({"r": self.r, "m": self.m, "bits": list(self.bits)})
 
     @classmethod
     def from_json(cls, text: str) -> "HypercubeSpec":
-        data = json.loads(text)
-        return cls(data["r"], data["m"], data["bits"])
+        return cls(*_json_fields(text, r=float, m=float, bits=list))
+
+
+def _json_fields(text: str, **kinds: type) -> list:
+    """The fields of the JSON object ``text`` that ``kinds`` names, in its
+    order: a list of numbers for kind ``list``, else a number.  A missing
+    or mistyped field, or text that is no JSON object, raises ValueError
+    naming the (first) field."""
+    data = json.loads(text)
+    for name, kind in kinds.items():
+        value = data.get(name) if isinstance(data, dict) else None
+        items = value if kind is list else [value]
+        if type(items) is not list or {*map(type, items)} - {int, float}:
+            what = "a list of numbers" if kind is list else "a number"
+            raise ValueError(f"field {name!r} is missing or not {what}")
+    return [data[name] for name in kinds]
 
 
 def hypercube_density(spec: HypercubeSpec) -> StepDensity:
     """Vertex density for ``spec``: 2m equal-width pieces where cell j carries
-    heights (1/r, 2-1/r) for bit 0 and (2-1/r, 1/r) for bit 1."""
+    heights (1/r, 2-1/r) for bit 0 and (2-1/r, 1/r) for bit 1, that is the
+    high height on piece i exactly when i's parity differs from its cell's
+    bit."""
     r, m = spec.r, spec.m
     lo, hi = 1.0 / r, 2.0 - 1.0 / r
     breakpoints = np.arange(2 * m + 1, dtype=float) / (2 * m)
     breakpoints[-1] = 1.0
-    values = np.empty(2 * m)
-    for j, bit in enumerate(spec.bits):
-        values[2 * j], values[2 * j + 1] = (hi, lo) if bit else (lo, hi)
-    return StepDensity(breakpoints, values)
+    high = np.array(spec.bits).repeat(2) != np.arange(2 * m) % 2
+    return StepDensity(breakpoints, np.where(high, hi, lo))
 
 
 def density_integral(f: StepDensity, a: float, b: float) -> float:
@@ -142,27 +165,27 @@ def density_integral(f: StepDensity, a: float, b: float) -> float:
 def sample_density(
     f: StepDensity, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n i.i.d. draws from f by inverting the exact piecewise-linear CDF."""
+    """n i.i.d. draws from f by inverting the exact piecewise-linear CDF.
+
+    A draw u = U * cdf[-1] with U in [0, 1) lies in [0, cdf[-1]), so the
+    count of interior cdf entries at or below it is the piece i with
+    cdf[i] <= u < cdf[i + 1].  A zero-height piece has cdf[i] == cdf[i + 1]
+    (adding 0 rounds to nothing), so no draw lands on one: side="right"
+    skips it, and ``(u - cdf[i]) / height`` never divides by zero."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cdf = np.concatenate(([0.0], np.cumsum(f.values * f.widths)))
+    cdf = np.concatenate(([0.0], (f.values * f.widths).cumsum()))
     u = rng.random(n) * cdf[-1]
-    # side="right" skips zero-height (flat-CDF) pieces entirely.
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1,
-                  0, f.values.size - 1)
-    h = f.values[idx]
-    offset = np.zeros(n)
-    pos = h > 0.0
-    offset[pos] = (u[pos] - cdf[idx[pos]]) / h[pos]
-    return f.breakpoints[idx] + offset
+    idx = cdf[1:-1].searchsorted(u, side="right")
+    return f.breakpoints[idx] + (u - cdf[idx]) / f.values[idx]
 
 
 def tv_distance(f: StepDensity, g: StepDensity) -> float:
     """Total variation distance between two step densities, computed exactly
     on the merged breakpoint grid."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
+    grid = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     mids = 0.5 * (grid[:-1] + grid[1:])
-    return float(0.5 * np.sum(np.abs(f(mids) - g(mids)) * np.diff(grid)))
+    return float(0.5 * (abs(f(mids) - g(mids)) * (grid[1:] - grid[:-1])).sum())
 
 
 @dataclass(frozen=True)
@@ -181,9 +204,10 @@ class RichnessWitness:
         """Mixture density sum_j weights[j] * pair[j][bits[j]]."""
         if len(bits) != self.m:
             raise ValueError("need exactly m bits")
-        grid = self.pairs[0][0].breakpoints
-        for q0, q1 in self.pairs:
-            grid = np.union1d(grid, np.union1d(q0.breakpoints, q1.breakpoints))
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError("bits must be 0 or 1")
+        grid = np.unique(np.concatenate(
+            [q.breakpoints for pair in self.pairs for q in pair]))
         mids = 0.5 * (grid[:-1] + grid[1:])
         heights = np.zeros(mids.size)
         for w, (q0, q1), bit in zip(self.weights, self.pairs, bits):

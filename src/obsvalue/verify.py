@@ -267,13 +267,21 @@ def check_multinomial_enumeration(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_multinomial_frequencies(budget: Budget, rng) -> tuple[bool, str]:
+    """Cell frequencies of Mult(3, w) draws against the enumeration.  A
+    draw is three categorical trials, each one uniform inverted through
+    the cumulative weights; its cell's key is the sum of the trials'
+    digits, counts @ (1, 10, 100).  The trials are drawn one at a time,
+    so only one uniform array is alive at once."""
     w = np.array([0.2, 0.3, 0.5])
     trials, draws = 3, budget.sample_draws
     counts, probs = pbin.multinomial_enumerate(trials, w)
-    samples = rng.multinomial(trials, w, size=draws)
     digits = np.array([1, 10, 100])
+    edges = w.cumsum()[:-1]
+    keys = np.zeros(draws, dtype=digits.dtype)
+    for _ in range(trials):
+        keys += digits[edges.searchsorted(rng.random(draws), side="right")]
     cells = counts @ digits
-    hits = np.bincount(samples @ digits, minlength=cells.max() + 1)[cells]
+    hits = np.bincount(keys, minlength=cells.max() + 1)[cells]
     worst = _worst_z(hits, draws, probs)
     return worst <= 4.0, f"draws={draws}, worst_z={worst:.2f}"
 

@@ -238,6 +238,48 @@ class TestExperimentCommand:
                           str(tmp_path / "nope.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("action", ["sample --n 3", "tv"])
+    def test_non_finite_breakpoint_exits_one(self, capsys, tmp_path,
+                                             density, action):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"breakpoints": [0, NaN, 1], "values": [1, 1]}')
+        argv = ["experiment", *action.split(), "--density", str(bad),
+                "--density2", str(density)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "strictly increasing" in captured.err
+
+    @pytest.mark.parametrize("flag, text, field", [
+        ("--density", '{"breakpoints": [0, 1]}', "values"),
+        ("--density", "[0, 1]", "breakpoints"),
+        ("--density", '{"breakpoints": "01", "values": [1]}', "breakpoints"),
+        ("--density", '{"breakpoints": [0, "a", 1], "values": [1, 1]}',
+         "breakpoints"),
+        ("--density", '{"breakpoints": [0, 1], "values": null}', "values"),
+        ("--density", '{"breakpoints": [0, 1], "values": [{}]}', "values"),
+        ("--density", "{not json", None),
+        ("--spec-file", '{"r": 2, "m": 2}', "bits"),
+        ("--spec-file", '{"r": "2", "m": 1, "bits": [0]}', "r"),
+        ("--spec-file", '{"r": 2, "m": [1], "bits": [0]}', "m"),
+        ("--spec-file", '{"r": 2, "m": 1, "bits": 0}', "bits"),
+        ("--spec-file", '{"r": 2, "m": 1, "bits": [true]}', "bits"),
+        ("--spec-file", '"r"', "r"),
+    ])
+    def test_malformed_json_exits_one_in_one_line(self, capsys, tmp_path,
+                                                  flag, text, field):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        action = (["tv", "--density2", str(path)] if flag == "--density"
+                  else ["build"])
+        assert main(["experiment", *action, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert field is None or f"'{field}'" in captured.err
+
 
 class TestUpperLowerCommands:
     def test_upper_mad_csv(self, capsys):
