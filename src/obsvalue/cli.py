@@ -6,7 +6,8 @@ computed), 2 a verify property failed, 3 I/O failure.  Numbers go to stdout in
 shortest round-trip form; CSV files use 17 significant digits; JSON uses
 native number encoding.  Identical flags (including ``--seed``) produce
 byte-identical output.  Monte Carlo draws run in the calling thread;
-``--workers`` is accepted for compatibility and has no effect.
+``upper``, ``lower`` and ``sweep`` accept ``--workers`` for compatibility,
+and it has no effect.
 """
 
 from __future__ import annotations
@@ -427,8 +428,6 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, ArithmeticError, AssertionError, MemoryError,
             SystemExit) as exc:
-        if isinstance(exc, SystemExit) and isinstance(exc.code, int):
-            return exc.code
         print(str(exc) or type(exc).__name__, file=sys.stderr)
         return 1
 

@@ -62,6 +62,9 @@ class StepDensity:
                     f"density integrates to {total!r}, not 1; "
                     "pass normalize=True to rescale"
                 )
+            if not total > 0.0:
+                raise ValueError(f"density integrates to {total!r}; "
+                                 "a zero density cannot be normalized")
             val = val / total
         bp.setflags(write=False)
         val.setflags(write=False)

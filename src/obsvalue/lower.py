@@ -15,11 +15,12 @@ underflows to 0 (5188 at r = 2) but its output: each even n repeats the
 odd n before it, and each odd n adds one term to the next odd n, from an
 anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
-enumeration while its table stays under the guard (``method="exact"``),
-otherwise an exact generating-function engine (``method="gf"``).  The
-enumeration is walked a block of rows at a time (``_enumeration_blocks``)
-and no table of its terms is kept: ``cube_lower`` carries one sequential
-sum from block to block, ``mixedpbin_mass`` adds one product a block.
+enumeration while its table stays under the guard and its trials number
+at most 254 (``_enumerates``, ``method="exact"``), otherwise an exact
+generating-function engine (``method="gf"``).  The enumeration is walked
+a block of rows at a time (``_enumeration_blocks``) and no table of its
+terms is kept: ``cube_lower`` carries one sequential sum from block to
+block, ``mixedpbin_mass`` adds one product a block.
 The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
@@ -363,18 +364,6 @@ def _gf_grid(factors, extra: np.ndarray, cut: float, K_z: int):
     return cols, rows
 
 
-def _gf_mixed_pbin(
-    t: int,
-    groups: Sequence[tuple[int, float]],
-    table: np.ndarray,
-    tagged: tuple[float, np.ndarray] | None = None,
-) -> np.ndarray:
-    """All d + 1 coefficients in z of ``_gf_window``, d = sum of the
-    multiplicities, the zeros outside its window included."""
-    return _spread(1 + sum(mult for mult, _ in groups),
-                   *_gf_window(t, groups, table, tagged))
-
-
 def _gf_window(
     t: int,
     groups: Sequence[tuple[int, float]],
@@ -547,9 +536,14 @@ def _gf_survival_window(n: int, m: int, risks: np.ndarray
                       tagged=(1.0 / m, risks[:n + 2]))
 
 
-def _gf_survival_gap(n: int, m: int, risks: np.ndarray) -> np.ndarray:
-    """All m gaps of ``_gf_survival_window``."""
-    return _spread(m, *_gf_survival_window(n, m, risks))
+def _enumerates(trials: int, m: int) -> bool:
+    """Whether ``cube_lower`` and ``mixedpbin_mass`` take composition
+    enumeration: while its table fits the guard (``enumeration_fits``) and
+    the trials fit the uint8 compositions, at most 254.  Beyond that the
+    lgamma form of ``multinomial_logpmf`` drifts: at Mult(10^4) over two
+    cells the masses were 9.6e-12 off an exact Binomial oracle, where the
+    generating-function engine is within 2.2e-16."""
+    return trials <= 254 and enumeration_fits(trials, m)
 
 
 def check_cube_output(n: int) -> None:
@@ -578,7 +572,7 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     Computes, for every threshold l, the drop in the best multi-test risk
     when the n-observation multinomial allocation gains one extra
     observation, and returns the best threshold.  Composition enumeration
-    while both enumerations stay under the guard (``method="exact"``),
+    while both enumerations pass ``_enumerates`` (``method="exact"``),
     otherwise the generating-function engine (``method="gf"``); both are
     exact up to rounding, so ``ci`` is all zeros.  Refuses, before it
     allocates, outputs over the byte budget (``check_cube_output``).
@@ -596,7 +590,7 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     m = 2 * n
     risks = (bayes_risk_curve(r, n + 1).values if _risks is None
              else _risks[:n + 2])
-    if enumeration_fits(n + 1, m):  # the larger of the two enumerations
+    if _enumerates(n + 1, m):  # the larger of the two enumerations
         per_l = (_survival_sums(n, m, risks)
                  - _survival_sums(n + 1, m, risks))[1:]
         method = "exact"
@@ -665,10 +659,10 @@ def mixedpbin_mass(
     """Best outcome mass max_k E[P(PBin(f(N_1), ..., f(N_m)) = k)] with
     N ~ Mult(n, weights) and ``f`` a monotone table on {0, ..., n}.
 
-    Composition enumeration under the guard (``method="exact"``), otherwise
-    the generating-function engine over groups of equal weights
-    (``method="gf"``); both are exact up to rounding, so ``ci`` is all
-    zeros.
+    Composition enumeration while ``_enumerates`` allows it
+    (``method="exact"``), otherwise the generating-function engine over
+    groups of equal weights (``method="gf"``); both are exact up to
+    rounding, so ``ci`` is all zeros.
     """
     if n < 1:
         raise ValueError("requires n >= 1")
@@ -686,14 +680,15 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if enumeration_fits(n, m):  # one product a block, added in row order
+    if _enumerates(n, m):  # one product a block, added in row order
         masses = sum(probs @ pmfs
                      for probs, pmfs in _enumeration_blocks(n, w, table))
         method = "exact"
     else:
         values, mults = np.unique(w / w.sum(), return_counts=True)
         groups = [(int(k), float(v)) for k, v in zip(mults, values)]
-        masses, method = _gf_mixed_pbin(n, groups, table), "gf"
+        masses = _spread(m + 1, *_gf_window(n, groups, table))
+        method = "gf"
     k_star = int(np.argmax(masses))
     return MixedPbinResult(
         k_star=k_star, mass=float(masses[k_star]), masses=masses,

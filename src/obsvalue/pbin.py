@@ -139,51 +139,46 @@ def pbin_shift_difference(
     return lhs, rhs
 
 
-# Entries of the first chunk of ``_running_products``.
-_FIRST_CHUNK = 1024
-# The smallest normal double, where ``_running_products`` stops.
+# The smallest normal double, where a band's running products stop.
 _TINY = float(np.finfo(float).tiny)
 
 
-def _running_products(ratio, start: int, stop: int, step: int) -> np.ndarray:
+def _reach(big_l: float, v: float) -> float:
+    """Bernstein's reach: the T = L/3 + sqrt(L^2/9 + 2 L v) beyond which
+    exp(-t^2 / (2 (v + t/3))), the bound on the tail P(|X - E X| >= t) of
+    a law of variance at most v, falls below e^-L."""
+    return big_l / 3 + math.sqrt(big_l**2 / 9 + 2 * big_l * v)
+
+
+def _products(ratio, start: int, stop: int, step: int) -> np.ndarray:
     """Running products of ``ratio(j)`` for j = start, start + step, ...,
-    short of ``stop``, up to the last one that is a normal double; every
-    ratio must be at most 1, as it is from a true mode on.  Taken in
-    chunks that double from ``_FIRST_CHUNK`` entries, each chunk's first
-    ratio multiplied by the last product so far: every product is the one
-    a single ``cumprod`` over the whole range gives, bit for bit, but the
-    walk stops at the chunk where the products leave the normal range.
-    It does not run on to 0: a product at the least subnormal stays there
-    until a ratio falls below 1/2, which made the bands of Bin(2^24, 1/4)
-    and Pois(10^6) 30 to 40 times wider than their normal part."""
-    parts, carry, width = [], 1.0, _FIRST_CHUNK
-    while start != stop and carry >= _TINY:
-        end = (min(start + width, stop) if step > 0
-               else max(start - width, stop))
-        p = ratio(np.arange(start, end, step, dtype=float))
-        if parts:
-            p[0] *= carry
-        np.cumprod(p, out=p)
-        parts.append(p)
-        carry, start, width = p[-1], end, 2 * width
-    if carry < _TINY:  # the subnormals are a suffix of the last chunk
-        parts[-1] = parts[-1][:np.count_nonzero(parts[-1] >= _TINY)]
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.empty(0)
+    short of ``stop``, by one ``cumprod``, cut after the last one that is
+    a normal double; every ratio must be at most 1, as it is from a true
+    mode on, so the products never rise and the subnormals are a suffix."""
+    if (stop - start) * step <= 0:
+        return np.empty(0)
+    p = ratio(np.arange(start, stop, step, dtype=float))
+    np.cumprod(p, out=p)
+    if p[-1] < _TINY:
+        p = p[:np.count_nonzero(p >= _TINY)]
+    return p
 
 
-def _neighbour_band(size: int, mode: int, up, down) -> tuple[int, np.ndarray]:
-    """Normalized pmf on {0, ..., size-1} from the running products of
-    ``up(j)`` = P(j) / P(j-1) above ``mode`` and of ``down(j)`` = P(j-1) /
-    P(j) below it (:func:`_running_products`), with 1 at ``mode``, divided
-    by their sum.  Returns ``(lo, band)``: the pmf is ``band`` on {lo, ...,
+def _neighbour_band(size: int, mode: int, mean: float, reach: float, up,
+                    down) -> tuple[int, np.ndarray]:
+    """Normalized pmf on {0, ..., size-1} from the running products
+    (:func:`_products`) of ``up(j)`` = P(j) / P(j-1) above ``mode`` and of
+    ``down(j)`` = P(j-1) / P(j) below it, with 1 at ``mode``, divided by
+    their sum.  Returns ``(lo, band)``: the pmf is ``band`` on {lo, ...,
     lo + band.size - 1}, and elsewhere, where it is below 2^-1022 of its
-    mode, it is taken as 0; the cost is the band's width, not ``size``.  At
-    a true mode no ratio exceeds 1, so nothing overflows, and a point mass
-    (ratios 0) needs no branch."""
-    above = _running_products(up, mode + 1, size, 1)
-    below = _running_products(down, mode, 0, -1)
+    mode, it is taken as 0.  The products are taken over the j within
+    ``reach`` of ``mean`` only, which the caller proves holds every kept
+    j, so the cost is the reach, not ``size``.  At a true mode no ratio
+    exceeds 1, so nothing overflows, and a point mass (ratios 0) needs no
+    branch."""
+    above = _products(up, mode + 1,
+                      min(size - 1, math.ceil(mean + reach)) + 1, 1)
+    below = _products(down, mode, max(0, math.floor(mean - reach)), -1)
     band = np.concatenate((below[::-1], [1.0], above))
     return mode - below.size, band / band.sum()
 
@@ -197,10 +192,11 @@ def _spread(size: int, start: int, window: np.ndarray) -> np.ndarray:
 
 def _binom_band(n: int, p: float) -> tuple[int, np.ndarray]:
     """Bin(n, p) pmf as the ``(lo, band)`` of :func:`_neighbour_band`, from
-    the mode floor((n+1)p) and the neighbour ratios (n-j+1) p / (j (1-p)):
-    about 2 sqrt(1417 n p (1-p)) entries, whatever n is.  Refuses, before
-    it builds anything, a band whose width bound below, at 32 bytes an
-    entry, exceeds ``OUTPUT_BUDGET``: the build holds three floats an entry
+    the mode floor((n+1)p) and the neighbour ratios (n-j+1) p / (j (1-p))
+    over the j within Bernstein's reach T of np (below): about
+    2 sqrt(1417 n p (1-p)) entries, whatever n is.  Refuses, before it
+    builds anything, a band whose width bound below, at 32 bytes an entry,
+    exceeds ``OUTPUT_BUDGET``: the build holds three floats an entry
     (23.6 bytes an entry of the bound, traced, for n from 10^6 to 10^10),
     so Bin(10^14, 1/4) is refused where it would have taken 7.3 GiB.
 
@@ -212,20 +208,24 @@ def _binom_band(n: int, p: float) -> tuple[int, np.ndarray]:
     Bernoulli(p), with v = n p (1-p), bounds P(j) by P(X - np >= t) <=
     exp(-t^2 / (2 (v + t/3))) for t = j - np >= 0, and the lower tail
     alike.  So a kept j has t^2 - (2L/3) t - 2 L v <= 0 with t = |j - np|:
-    t <= T = L/3 + sqrt(L^2/9 + 2 L v), and the band has at most 2T + 1
-    entries (measured: 96.8% to 98.5% of the bound for n from 10^7 to
-    10^10 and p from 0.01 to 1/2)."""
+    t <= T = L/3 + sqrt(L^2/9 + 2 L v) (:func:`_reach`), and the band has
+    at most 2T + 1 entries (measured: 96.8% to 98.5% of the bound for n
+    from 10^7 to 10^10 and p from 0.01 to 1/2).  The products are taken
+    over [floor(np - T), ceil(np + T)] only, and the band is the one that
+    products over all of {0, ..., n} give: T grows by at least 2/3 per
+    unit of L, so what the factor e leaves over the products' rounding is
+    far more than the rounding of np and T, for n below 2^53."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
-    big_l = 1022 * math.log(2) + math.log(n + 1) + 1  # the width bound
-    t = big_l / 3 + math.sqrt(big_l**2 / 9 + 2 * big_l * n * p * q)
+    big_l = 1022 * math.log(2) + math.log(n + 1) + 1
+    t = _reach(big_l, n * p * q)
     width = min(n + 1, int(2 * t) + 1)
     check_budget(32 * width, f"the up to {width} entries of the Bin({n}, {p}) "
                              "band")
-    return _neighbour_band(n + 1, min(int((n + 1) * p), n),
+    return _neighbour_band(n + 1, min(int((n + 1) * p), n), n * p, t,
                            lambda j: (n - j + 1) * p / (j * q),
                            lambda j: j * q / ((n - j + 1) * p))
 
@@ -240,14 +240,32 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
 
 
 def _poisson_band(t: int, lam: float) -> tuple[int, np.ndarray]:
-    """Pois(lam) pmf on {0, ..., t} from the neighbour ratios lam / j, as
-    the ``(lo, band)`` of :func:`_neighbour_band`.  The band holds 150
-    entries at lam = 1/2, whatever t is, and for large lam about
-    2 sqrt(1417 lam), where (k - lam)^2 / (2 lam) reaches 1022 log 2:
-    75 279 at lam = 10^6.  Against
-    200-bit arithmetic, P(k) / P(mode) for |k - lam| <= 6 sqrt(lam) at
-    t = 2 lam is within 3.2e-15 relative for lam up to 32 768."""
-    return _neighbour_band(t + 1, min(int(lam), t),
+    """Pois(lam) pmf on {0, ..., t} from the mode min(floor(lam), t) and
+    the neighbour ratios lam / j, as the ``(lo, band)`` of
+    :func:`_neighbour_band`.  The band holds 150 entries at lam = 1/2,
+    whatever t is, and for large lam about 2 sqrt(1417 lam), where
+    (k - lam)^2 / (2 lam) reaches 1022 log 2: 75 279 at lam = 10^6.
+    Against 200-bit arithmetic, P(k) / P(mode) for |k - lam| <= 6 sqrt(lam)
+    at t = 2 lam is within 3.2e-15 relative for lam up to 32 768.
+
+    Reach.  A kept k has P(k) / P(mode) >= 2^-1022, up to rounding far
+    below a factor e, as in :func:`_binom_band`.  For lam <= t the mode is
+    floor(lam), and three steps put every kept k within T = :func:`_reach`
+    (L, lam) of lam, L = 1022 log 2 + log(4 (4 sqrt(lam) + 1) / 3) + 1.
+    (1) Chebyshev puts mass at least 3/4 on (lam - 2 sqrt(lam), lam +
+    2 sqrt(lam)), which holds at most 4 sqrt(lam) + 1 integers, so P(mode)
+    >= 3 / (4 (4 sqrt(lam) + 1)) and a kept k has P(k) >= e^-L.
+    (2) Bernstein's bound exp(-s^2 / (2 (lam + s/3))) on P(|X - lam| >= s)
+    holds for Pois(lam) as the limit of Bin(N, lam/N), whose variances are
+    at most lam; so |k - lam| <= T, as for the Binomial.  (3) lam = 0 is
+    the point mass, where every ratio is 0 and only the mode is kept.  For
+    lam > t the mode is t, and P(k) / P(t) = prod_{k<j<=t} j / lam is at
+    most the same ratio of Pois(t): the kept k are among those of Pois(t),
+    so the reach is taken at mu = min(lam, t)."""
+    mu = min(lam, t)
+    big_l = (1022 * math.log(2) + math.log(4 * (4 * math.sqrt(mu) + 1) / 3)
+             + 1)
+    return _neighbour_band(t + 1, min(int(lam), t), mu, _reach(big_l, mu),
                            lambda j: lam / j, lambda j: j / lam)
 
 

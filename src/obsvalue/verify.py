@@ -445,7 +445,8 @@ def check_cube_exact_vs_mc(budget: Budget, rng) -> tuple[bool, str]:
     for r_gf in (1.5, 2.0, 4.0):
         risks = lower.bayes_risk_curve(r_gf, 5).values  # prefix-stable
         for enum in lower.cube_lowers(r_gf, range(1, 5)):
-            gf = lower._gf_survival_gap(enum.n, enum.m, risks[:enum.n + 2])
+            gf = pbin._spread(enum.m, *lower._gf_survival_window(
+                enum.n, enum.m, risks[:enum.n + 2]))
             gf_err = max(gf_err, np.abs(gf - enum.per_l).max())
     return (bool(dev.max() <= 1.0 and gf_err <= EXACT_TOL),
             f"worst_dev_over_ci={dev.max():.2f}, gf_vs_enum={gf_err:.1e}")

@@ -1,6 +1,7 @@
 """Experiment-model tests: construction, exact integrals and TV, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ class TestStepDensity:
     def test_normalize_flag(self):
         f = StepDensity([0.0, 0.5, 1.0], [2.0, 2.0], normalize=True)
         assert np.allclose(f.values, [1.0, 1.0], atol=EXACT)
+
+    @pytest.mark.parametrize("values", [[0.0], [0.0, 0.0]])
+    def test_refuses_to_normalize_zero_mass(self, values):
+        # It divided by the zero integral: values NaN and a RuntimeWarning.
+        bp = np.linspace(0.0, 1.0, len(values) + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero density"):
+                StepDensity(bp, values, normalize=True)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ from obsvalue.cli import main as cli_main
 from obsvalue.constants import EXACT_TOL, OUTPUT_BUDGET
 from obsvalue.lower import (bayes_risk_curve, cube_lower, cube_lowers,
                             mixedpbin_mass, richness_lower_bound)
-from obsvalue.pbin import (_compositions, binom_pmf, multinomial_logpmf,
-                           pbin_pmf_rows, pbin_survival)
+from obsvalue.pbin import (_compositions, _spread, binom_pmf,
+                           multinomial_logpmf, pbin_pmf_rows, pbin_survival)
 from obsvalue.verify import (dp_risk_curve, enum_pmf, mc_cube_gaps,
                              mc_mixed_pmf, simulate_mixture_risk,
                              simulate_multitest_risk)
@@ -497,8 +497,8 @@ class TestCubeLower:
     def test_gf_matches_rational_oracle(self, n):
         want = rational_cube_gaps(n, Fraction(2))
         risks = bayes_risk_curve(2.0, n + 1).values
-        assert np.abs(lower._gf_survival_gap(n, 2 * n, risks)
-                      - want).max() <= EXACT_TOL
+        gf = _spread(2 * n, *lower._gf_survival_window(n, 2 * n, risks))
+        assert np.abs(gf - want).max() <= EXACT_TOL
         if n <= 6:  # enumeration is 1.3e-12 off at n = 7
             assert np.abs(cube_lower(n, 2.0).per_l - want).max() <= EXACT_TOL
 
@@ -773,7 +773,7 @@ class TestMixedPbinMass:
         want = np.array([float(p) for p in rational_mixed_pmf(
             n, m, [rational_risk(r, k) for k in range(n + 1)])])
         table = bayes_risk_curve(2.0, n).values
-        got = lower._gf_mixed_pbin(n, [(m, 1.0 / m)], table)
+        got = _spread(m + 1, *lower._gf_window(n, [(m, 1.0 / m)], table))
         assert np.abs(got - want).max() <= EXACT_TOL
         assert np.abs(mixedpbin_mass(n, m, np.full(m, 1.0 / m), table).masses
                       - want).max() <= 1e-14
@@ -786,8 +786,12 @@ class TestMixedPbinMass:
         law = binom_pmf(n, 0.5)
         pmfs = pbin_pmf_rows(np.stack([table, table[::-1]], axis=1))
         want = [math.fsum(law * pmfs[:, k]) for k in range(3)]
-        got = lower._gf_mixed_pbin(n, [(2, 0.5)], table)
+        got = _spread(3, *lower._gf_window(n, [(2, 0.5)], table))
         assert np.abs(got - want).max() <= 1e-15
+        # Past 254 trials mixedpbin_mass leaves enumeration, whose lgamma
+        # form was 9.6e-12 off here at n = 10^4.
+        res = mixedpbin_mass(n, 2, [0.5, 0.5], table)
+        assert res.method == "gf" and np.abs(res.masses - want).max() <= 1e-15
 
     def test_z_window_with_two_weight_groups(self, monkeypatch):
         # The window is centred on the mean summed over both groups.
@@ -828,7 +832,8 @@ class TestMixedPbinMass:
         table = bayes_risk_curve(1.5, 7).values
         counts, probs = multinomial_enumerate(7, w)
         want = probs @ pbin_pmf_rows(table[counts])
-        got = lower._gf_mixed_pbin(7, [(1, 0.1), (2, 0.2), (1, 0.5)], table)
+        got = _spread(5, *lower._gf_window(
+            7, [(1, 0.1), (2, 0.2), (1, 0.5)], table))
         assert np.abs(got - want).max() <= EXACT_TOL
 
     def test_rejects_non_monotone_table(self):

@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsvalue import pbin
 from obsvalue.constants import ENUM_GUARD
@@ -357,19 +359,117 @@ class TestPoissonPmf:
         assert np.isfinite(got).all() and abs(got.sum() - 1.0) < 1e-15
 
 
+def walk_band(size, mode, up, down, first=1024):
+    """The band builder that searched for its extent: running products
+    from ``mode`` in chunks that double from ``first`` entries, each chunk's
+    first ratio multiplied by the last product so far, until a chunk
+    leaves the normal range or the support ends.  The bit-for-bit oracle
+    of the bands built over their Bernstein reach."""
+    def walk(ratio, start, stop, step):
+        parts, carry, width = [], 1.0, first
+        while start != stop and carry >= pbin._TINY:
+            end = (min(start + width, stop) if step > 0
+                   else max(start - width, stop))
+            p = ratio(np.arange(start, end, step, dtype=float))
+            if parts:
+                p[0] *= carry
+            np.cumprod(p, out=p)
+            parts.append(p)
+            carry, start, width = p[-1], end, 2 * width
+        if carry < pbin._TINY:
+            parts[-1] = parts[-1][:np.count_nonzero(parts[-1] >= pbin._TINY)]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    above, below = walk(up, mode + 1, size, 1), walk(down, mode, 0, -1)
+    band = np.concatenate((below[::-1], [1.0], above))
+    return mode - below.size, band / band.sum()
+
+
+def binom_law(n, p):
+    """Bin(n, p)'s size, mode and neighbour ratios, as ``_binom_band``
+    takes them."""
+    q = 1.0 - p
+    return (n + 1, min(int((n + 1) * p), n),
+            lambda j: (n - j + 1) * p / (j * q),
+            lambda j: j * q / ((n - j + 1) * p))
+
+
+def poisson_law(t, lam):
+    """Pois(lam) on {0, ..., t}: size, mode and neighbour ratios."""
+    return t + 1, min(int(lam), t), lambda j: lam / j, lambda j: j / lam
+
+
+def assert_walks_band(got, law, first=1024):
+    """``got`` is the ``(lo, band)`` that ``walk_band(*law, first)`` gives,
+    bit for bit."""
+    want = walk_band(*law, first)
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape and np.array_equal(got[1], want[1])
+
+
+EDGE_PS = [0.0, 5e-324, 1e-300, 1e-6, 0.01, 0.25, 1 / 3, 0.5, 0.9,
+           1 - 2**-53, 1.0]
+
+
+class TestBandsOverTheirReach:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 256, 257, 1000, 10**4, 10**6,
+                                   10**8])
+    @pytest.mark.parametrize("p", EDGE_PS)
+    def test_binomial_is_the_walks_band(self, n, p):
+        assert_walks_band(_binom_band(n, p), binom_law(n, p))
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 1000, 10**6])
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-3, 0.5, 7.3, "half",
+                                     "t", "twice"])
+    def test_poisson_is_the_walks_band(self, t, lam):
+        lam = {"half": t / 2, "t": float(t), "twice": 2.0 * t}.get(lam, lam)
+        assert_walks_band(_poisson_band(t, lam), poisson_law(t, lam))
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 10**8),
+           st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 1.0)))
+    def test_binomial_draws_are_the_walks_band(self, n, p):
+        assert_walks_band(_binom_band(n, p), binom_law(n, p))
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6).flatmap(lambda t: st.tuples(
+        st.just(t), st.one_of(st.sampled_from([0.0, 1e-300]),
+                              st.floats(0.0, 3.0 * t)))))
+    def test_poisson_draws_are_the_walks_band(self, law):
+        # lam above t puts the mode at t
+        t, lam = law
+        assert_walks_band(_poisson_band(t, lam), poisson_law(t, lam))
+
+    @pytest.mark.parametrize("kind, size, x", [
+        ("bin", 10**5, 0.5), ("bin", 10**5, 0.01), ("bin", 3 * 10**4, 0.9),
+        ("bin", 5000, 1e-4), ("pois", 2 * 10**5, 10**5),
+        ("pois", 10**4, 30.0), ("pois", 5000, 2 * 10**4),
+    ])
+    def test_reach_holds_every_normal_product(self, kind, size, x):
+        # The products over the whole support, not only the reach: the
+        # band is the run of those at or above 2^-1022 of the mode.
+        band_of, law_of = {"bin": (_binom_band, binom_law),
+                           "pois": (_poisson_band, poisson_law)}[kind]
+        lo, band = band_of(size, x)
+        size, mode, up, down = law_of(size, x)
+        normal = [np.cumprod(ratio(np.arange(start, stop, step, dtype=float)))
+                  >= pbin._TINY
+                  for ratio, start, stop, step in ((down, mode, 0, -1),
+                                                   (up, mode + 1, size, 1))]
+        below, above = map(np.count_nonzero, normal)
+        assert normal[0][:below].all() and normal[1][:above].all()
+        assert (lo, band.size) == (mode - below, below + 1 + above)
+
+
 @pytest.mark.parametrize("size", [1, 2, 9, 300, 1024, 5000])
-def test_bands_do_not_depend_on_the_chunk_size(monkeypatch, size):
-    # Chunks of 1, 2, 4, ... entries carry each chunk's last product into
-    # the next, and must give the band of chunks from 1024 bit for bit.
+def test_bands_do_not_depend_on_the_chunk_size(size):
+    # The walk's chunks of 1, 2, 4, ... entries, each carrying its last
+    # product into the next, give the one cumprod's band bit for bit.
     t = size - 1
-    laws = [lambda lam=lam: _poisson_band(t, lam)
-            for lam in (0.0, 1e-3, 0.5, 1.0, 7.3, size / 2, float(t))]
-    laws += [lambda p=p: _binom_band(t, p) for p in (0.0, 0.3, 0.5, 1.0)]
-    want = [law() for law in laws]
-    monkeypatch.setattr(pbin, "_FIRST_CHUNK", 1)
-    for law, (lo, band) in zip(laws, want):
-        got_lo, got = law()
-        assert got_lo == lo and np.array_equal(got, band)
+    for lam in (0.0, 1e-3, 0.5, 1.0, 7.3, size / 2, float(t)):
+        assert_walks_band(_poisson_band(t, lam), poisson_law(t, lam), 1)
+    for p in (0.0, 0.3, 0.5, 1.0):
+        assert_walks_band(_binom_band(t, p), binom_law(t, p), 1)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1e4, 1e6])
