@@ -94,9 +94,22 @@ def _load_density(path: str) -> StepDensity:
 # Bytes a cell of a table, or a draw of `experiment sample`, holds at the
 # command's peak: its value, its share of its row's CSV line or JSON record,
 # of the text they are joined into and of that text encoded for stdout.
-# Measured with tracemalloc at 2 * 10^4 and 10^5 rows: at most 93 (`upper
-# mad --format json`).
+# Measured with tracemalloc at 2 * 10^4 and 10^5 rows: at most 108 (`sweep
+# --format json`, whose reports the rate fit reads all at once).
 _CELL_BYTES = 128
+
+
+def _json_records(columns, rows, depth: int) -> str:
+    """``rows`` as the records of ``columns`` that ``json.dumps(...,
+    indent=2)`` prints as the items of a list at nesting ``depth``, joined
+    by ",\n".  json's C encoder, which takes no indent, renders each
+    record as its row is computed: its items are split by what ``indent=2``
+    puts between them at that depth."""
+    pad = "\n" + "  " * depth
+    return ",\n".join(
+        pad[1:] + "{" + pad + "  " + json.dumps(
+            to_record(columns, row), separators=("," + pad + "  ", ": "))[1:-1]
+        + pad + "}" for row in rows)
 
 
 def _table(args, columns, ns, rows) -> None:
@@ -108,16 +121,11 @@ def _table(args, columns, ns, rows) -> None:
     so nothing it builds for its rows (a risk curve) is built.  Each row is
     rendered to its line or record as it is computed and then dropped, and
     the text is printed or written only after the last row, so a failed
-    run prints nothing.  A record's items are split by what ``indent=2``
-    puts between them at a record's depth, so json's C encoder, which
-    takes no indent, renders it."""
+    run prints nothing."""
     check_budget(len(ns) * len(columns) * _CELL_BYTES, f"the {len(ns)} rows")
     if args.format == "csv":
         return _emit(to_csv(columns, rows(ns)), args.out)
-    recs = ("  {\n    " + json.dumps(to_record(columns, row),
-                                     separators=(",\n    ", ": "))[1:-1]
-            + "\n  }" for row in rows(ns))
-    _emit("[\n" + ",\n".join(recs) + "\n]\n", args.out)
+    _emit("[\n" + _json_records(columns, rows(ns), 1) + "\n]\n", args.out)
 
 
 def _cmd_pbin(args) -> int:
@@ -144,6 +152,8 @@ def _cmd_experiment(args) -> int:
             spec = HypercubeSpec(args.r, len(bits), bits)
         _emit(hypercube_density(spec).to_json(), args.out)
     elif args.action == "sample":
+        if args.density is None:
+            raise SystemExit("error: sample needs --density")
         check_budget(args.n * _CELL_BYTES, f"the {args.n} draws")
         x = sample_density(_load_density(args.density), args.n,
                            child_rng(args.seed, "cli-sample", 0))
@@ -157,6 +167,8 @@ def _cmd_experiment(args) -> int:
             _emit("".join("\n".join(map(format_number, b)) + "\n"
                           for b in blocks), args.out)
     else:  # tv
+        if args.density is None or args.density2 is None:
+            raise SystemExit("error: tv needs --density and --density2")
         f = _load_density(args.density)
         g = _load_density(args.density2)
         _print_row([tv_distance(f, g)])
@@ -207,27 +219,24 @@ def _cmd_lower(args) -> int:
     else:  # mixedpbin
         check_mixedpbin_output(ns[-1], args.m)
 
-        def row(n):
-            res = mixedpbin_mass(n, args.m, np.full(args.m, 1.0 / args.m),
-                                 bayes_risk_curve(args.r, n).values)
-            return (args.r, n, args.m, res.k_star, res.mass,
-                    res.mass * args.m**0.5, res.ci_at_star, res.method)
+        def rows(ns):
+            # one curve for every n: its first n + 1 values are the curve
+            # of n
+            curve = bayes_risk_curve(args.r, ns[-1]).values
+            weights = np.full(args.m, 1.0 / args.m)
+            for n in ns:
+                res = mixedpbin_mass(n, args.m, weights, curve[:n + 1])
+                yield (args.r, n, args.m, res.k_star, res.mass,
+                       res.mass * args.m**0.5, res.ci_at_star, res.method)
         _table(args, ("r", "n", "m", "k_star", "mass", "mass_sqrt_m", "ci",
-                      "method"), ns[-1:], lambda ns: map(row, ns))
+                      "method"), ns, rows)
     return 0
-
-
-# Bytes a cell of the `sweep` report holds at its peak: the reports, which
-# the rate fit reads all at once, and the text json.dumps(indent=2)'s
-# pure-Python encoder builds of them.  Measured with tracemalloc: at most
-# 328 (2000 rows, CSV or JSON; 12 columns).
-_SWEEP_CELL_BYTES = 384
 
 
 def _cmd_sweep(args) -> int:
     ns = parse_n_values(args.n)
-    check_budget(len(ns) * len(fields(BoundReport)) * _SWEEP_CELL_BYTES,
-                 f"the {len(ns)} rows")
+    columns = [f.name for f in fields(BoundReport)]
+    check_budget(len(ns) * len(columns) * _CELL_BYTES, f"the {len(ns)} rows")
     reports = bound_sweep(args.r, ns)
     # The rate fit needs 3 reports, and a CSV sweep without --summary may
     # have fewer: it fits nothing.
@@ -238,10 +247,13 @@ def _cmd_sweep(args) -> int:
     if args.summary:
         Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n")
     if args.format == "json":
-        payload = {"reports": [to_record(vars(rep), vars(rep).values())
-                               for rep in reports],
-                   "summary": summary}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        # The text of json.dumps({"reports": records, "summary": summary},
+        # indent=2); the reports are dropped before it is written.
+        text = ('{\n  "reports": [\n' + _json_records(
+            columns, (vars(rep).values() for rep in reports), 2) + "\n  ],"
+            + json.dumps({"summary": summary}, indent=2)[1:] + "\n")
+        del reports
+        _emit(text, args.out)
     else:
         _emit(reports_to_csv(reports), args.out)
     return 0
@@ -366,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
             "             generating functions; both exact, ci is 0)\n"
             "  mixedpbin: r, n, m, k_star (best outcome), mass,\n"
             "             mass_sqrt_m (mass*sqrt(m)), ci, method\n"
+            "cube and mixedpbin print one row per n of --n; risks one row\n"
+            "per n from 0 to the largest\n"
         ),
     )
     p.add_argument("action", choices=("risks", "cube", "mixedpbin"))

@@ -103,14 +103,17 @@ def pbin_pmf(probs: Sequence[float]) -> np.ndarray:
 def pbin_survival(probs: Sequence[float], l: int) -> float:
     """P(PBin(probs) >= l).  Returns 1 for l <= 0 and 0 for l > len(probs).
 
-    The upper tail is summed, whichever tail is shorter: each mass is
-    within a few ulps of its exact value, relative, and so is a sum of
-    them, while 1 less the lower tail cancels at small survivals
-    (8.3e-8 off, relative, for ten probabilities 1e-10 and l = 1)."""
+    The upper tail is summed, whichever tail is shorter, from its last
+    term, as the pmf's reversed cumsum: each mass is within a few ulps of
+    its exact value, relative, and so is a sum of them, while 1 less the
+    lower tail cancels at small survivals (8.3e-8 off, relative, for ten
+    probabilities 1e-10 and l = 1)."""
     p = _as_probs(probs)
     if l <= 0:
         return 1.0
-    return float(np.sum(pbin_pmf(p)[l:]))
+    if l > p.size:
+        return 0.0
+    return float(np.cumsum(pbin_pmf(p)[::-1])[::-1][l])
 
 
 def pbin_shift_difference(

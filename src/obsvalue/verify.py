@@ -17,9 +17,11 @@ The Poisson-binomial properties draw all their instances first and then
 evaluate them in one ``pbin.pbin_pmf_rows`` call over the probability lists
 zero-padded to the longest (``_pmf_table``).  A Bernoulli(0) step leaves a
 pmf unchanged bit for bit, fl(p * 1) + fl(p * 0) = p, so each row equals
-``pbin_pmf`` of its own list and is 0 past it.  Survivals are the row tails
-summed as ``pbin_survival`` sums them (``_survivals``), and the public
-wrappers stay covered by ``spot-values`` and by the first shift case.
+``pbin_pmf`` of its own list and is 0 past it.  Survivals are the table's
+reversed cumsums, the order ``pbin_survival`` sums a tail in; adding the
+padding's zeros first is exact, so each equals ``pbin_survival`` bit for
+bit at every l >= 1.  The public wrappers stay covered by ``spot-values``
+and by the first shift case.
 """
 
 from __future__ import annotations
@@ -154,23 +156,6 @@ def _pmf_table(lists: Sequence[np.ndarray]) -> np.ndarray:
     return pbin.pbin_pmf_rows(table)
 
 
-def _survivals(pmfs: np.ndarray, sizes: np.ndarray, rows: np.ndarray,
-               ls: np.ndarray) -> np.ndarray:
-    """P(PBin >= ls[j]) from row rows[j] of ``pmfs``, the pmf of
-    sizes[rows[j]] probabilities, for every query j: 1 for l <= 0, else
-    the sum of the row's entries l to its size, as ``pbin_survival``'s
-    ``np.sum`` adds them.  That sum's pairwise order depends on the number
-    of terms, so the tails are summed in groups of one length, each group
-    one row-wise reduce."""
-    out = (ls <= 0).astype(float)
-    terms = sizes[rows] + 1 - ls
-    for n in np.unique(terms[ls > 0]):
-        pick = np.flatnonzero((terms == n) & (ls > 0))
-        tails = pmfs[rows[pick, None], ls[pick, None] + np.arange(n)]
-        out[pick] = np.add.reduce(tails, axis=1)
-    return out
-
-
 def check_spot_values(budget: Budget, rng) -> tuple[bool, str]:
     cube = lower.cube_lower(1, 2.0)
     checks = [
@@ -219,14 +204,11 @@ def check_survival_monotone(budget: Budget, rng) -> tuple[bool, str]:
         q[i] = rng.uniform(0.0, p[i])
         lists.append(p)
         lowered.append(q)
-    # every l in 0..size of every set, first on p, then on q
-    sizes = np.array([p.size for p in lists])
-    rows = np.repeat(np.arange(2 * sizes.size), np.tile(sizes + 1, 2))
-    ls = np.tile(np.concatenate([np.arange(m + 1) for m in sizes]), 2)
-    surv = _survivals(_pmf_table(lists + lowered), np.tile(sizes, 2), rows,
-                      ls)
-    half = surv.size // 2
-    worst = max(0.0, (surv[half:] - surv[:half]).max())
+    # every l >= 1 of every set, p's rows first, then q's; past its size
+    # a set's survivals are 0 on both.  At l = 0 both are exactly 1.
+    surv = np.cumsum(_pmf_table(lists + lowered)[:, ::-1], axis=1)[:, ::-1]
+    k = len(lists)
+    worst = max(0.0, (surv[k:, 1:] - surv[:k, 1:]).max())
     return worst <= 1e-12, f"max_increase={worst:.3e}"
 
 
@@ -244,9 +226,8 @@ def check_shift_identity(budget: Budget, rng) -> tuple[bool, str]:
     # rows: rest + [hi] for every case, then rest + [lo], then rest
     pmfs = _pmf_table([*map(np.append, rests, his),
                        *map(np.append, rests, los), *rests])
-    sizes = np.array([rest.size + 1 for rest in rests] * 2)
-    surv = _survivals(pmfs, sizes, np.arange(2 * k), np.tile(ls, 2))
-    lhs = surv[:k] - surv[k:]
+    surv = np.cumsum(pmfs[:2 * k, ::-1], axis=1)[:, ::-1]
+    lhs = surv[np.arange(k), ls] - surv[k + np.arange(k), ls]
     rhs = pmfs[2 * k + np.arange(k), ls - 1] * (his - los)
     if pbin.pbin_shift_difference(*cases[0]) != (lhs[0], rhs[0]):
         return False, "pbin_shift_difference differs from the batched sides"

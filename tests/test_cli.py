@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 import obsvalue
 from obsvalue.cli import _CELL_BYTES, main, parse_n_values
-from obsvalue.lower import cube_lower
-from obsvalue.rates import format_number
+from obsvalue.lower import CubeLowerResult, cube_lower
+from obsvalue.rates import bound_sweep, format_number, sweep_summary, to_record
+
+
+def flat_cube(n, r, _risks=None):
+    """A stand-in for ``cube_lower`` at a constant cost per n."""
+    delta = 0.5 / math.sqrt(n + 1)
+    return CubeLowerResult(r, n, 2 * n, 1, delta, delta, delta / 12,
+                           np.zeros(1), np.zeros(1), "gf")
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +240,18 @@ class TestExperimentCommand:
         assert code == 0
         assert json.loads(out)["values"] == [1.75, 0.25]
 
+    @pytest.mark.parametrize("argv, err", [
+        ("experiment sample --n 3", "error: sample needs --density"),
+        ("experiment tv --density {density}",
+         "error: tv needs --density and --density2"),
+        ("experiment tv", "error: tv needs --density and --density2"),
+    ], ids=["sample", "tv-without-density2", "tv"])
+    def test_missing_density_exits_one_in_one_line(self, capsys, density,
+                                                   argv, err):
+        assert main(argv.format(density=density).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [err]
+
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "experiment", "sample", "--density",
                           str(tmp_path / "nope.json"))
@@ -329,6 +348,18 @@ class TestUpperLowerCommands:
         row = out.strip().splitlines()[1].split(",")
         assert abs(float(row[4]) - 0.5) < 1e-12
 
+    def test_lower_mixedpbin_prints_one_row_per_n(self, capsys):
+        code, out = run_cli(capsys, "lower", "mixedpbin", "--r", "2",
+                            "--n", "1:4", "--m", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        for n, line in enumerate(lines[1:], 1):
+            # as the command prints it for that n alone, from its own curve
+            code, alone = run_cli(capsys, "lower", "mixedpbin", "--r", "2",
+                                  "--n", str(n), "--m", "4")
+            assert code == 0 and alone.splitlines() == [lines[0], line]
+
     def test_lower_mixedpbin_many_cells_takes_the_gf(self, capsys):
         # 10^5 compositions of 10^5 + 1 entries each: beyond the guard.
         m = 100_000
@@ -388,6 +419,21 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == 3 and "i/o error" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("r, grid", [("2", "4:1024:x2"), ("1.5", "1:39"),
+                                         ("4", "3:9:2")])
+    def test_json_is_the_whole_payload_encoding(self, capsys, r, grid):
+        code, out = run_cli(capsys, "sweep", "--r", r, "--n", grid,
+                            "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        # The report as json.dumps rendered it whole, the records in
+        # BoundReport's field order.
+        reports = bound_sweep(float(r), parse_n_values(grid))
+        payload = {"reports": [to_record(vars(rep), vars(rep).values())
+                               for rep in reports],
+                   "summary": sweep_summary(reports)}
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_csv_sweep_without_summary_needs_no_rate_fit(self, capsys):
         # rate_fit needs 3 points; two reports still make a CSV table
@@ -516,21 +562,33 @@ class TestExitCodes:
         ("upper mad --r 2 --n 1:4000", 4000, 7),
         ("lower risks --r 2 --n 19999", 20_000, 3),
         ("experiment sample --density {density} --n 20000", 20_000, 1),
+        ("sweep --r 2 --n 1:20000", 20_000, 12),
     ], ids=["upper-bound", "upper-floor", "upper-mad", "lower-risks",
-            "experiment-sample"])
+            "experiment-sample", "sweep"])
     def test_table_stays_within_the_cell_budget(
-            self, capsys, traced_peak, density, argv, rows, columns, fmt):
+            self, capsys, traced_peak, monkeypatch, density, argv, rows,
+            columns, fmt):
         # The row check's premise: a table holds at most _CELL_BYTES a
         # cell at its peak, whatever the table and the format.
+        if argv.startswith("sweep"):
+            # Bounds at a constant cost: real ones take about 18 s for
+            # these rows, and the engine's own 7.6 MB would swamp the
+            # cells of fewer.  The values have a real bound's digits.
+            monkeypatch.setattr("obsvalue.lower.cube_lower", flat_cube)
+            monkeypatch.setattr("obsvalue.rates.exact_mad",
+                                lambda ratio, k: 0.25 / math.sqrt(k))
         argv = argv.format(density=density).split() + ["--format", fmt]
         main(argv)  # warm caches and imports
         capsys.readouterr()
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= rows * columns * _CELL_BYTES
         out = capsys.readouterr().out
-        header = 0 if argv[0] == "experiment" else 1
-        assert len(json.loads(out) if fmt == "json"
-                   else out.splitlines()[header:]) == rows
+        if fmt == "csv":
+            table = out.splitlines()[0 if argv[0] == "experiment" else 1:]
+        else:
+            table = json.loads(out)
+            table = table["reports"] if argv[0] == "sweep" else table
+        assert len(table) == rows
 
     def test_lower_cube_refuses_before_its_first_row(self, capsys,
                                                      monkeypatch):
@@ -546,13 +604,13 @@ class TestExitCodes:
 
     def test_sweep_refuses_its_rows_before_the_first_bound(
             self, capsys, monkeypatch, traced_peak):
-        # Rows of 12 cells at 384 bytes: 233 016 fit 2^30, one more does
+        # Rows of 12 cells at 128 bytes: 699 050 fit 2^30, one more does
         # not; each n alone is inside cube_lower's own output check.
         def started(*args, **kw):
             raise ValueError("bounds started")
         monkeypatch.setattr("obsvalue.lower.cube_lower", started)
-        for n, err in ((233_016, "bounds started"),
-                       (233_017, "output budget")):
+        for n, err in ((699_050, "bounds started"),
+                       (699_051, "output budget")):
             assert main(["sweep", "--r", "2", "--n", f"1:{n}"]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and err in captured.err

@@ -116,13 +116,12 @@ def test_pmf_table_and_survivals_match_the_wrappers():
     for row, p in zip(pmfs, lists):
         assert np.array_equal(row[:p.size + 1], pbin.pbin_pmf(p))
         assert not row[p.size + 1:].any()
-    # every l from -1 to size + 2, with a different tail length for each
-    sizes = np.array([p.size for p in lists])
-    rows = np.repeat(np.arange(len(lists)), sizes + 4)
-    ls = np.concatenate([np.arange(-1, m + 3) for m in sizes])
-    got = verify._survivals(pmfs, sizes, rows, ls)
-    assert got.tolist() == [pbin.pbin_survival(lists[i], l)
-                            for i, l in zip(rows, ls)]
+    # the batched properties' survivals: every l >= 1 of the table, past
+    # a list's size too, where pbin_survival gives 0
+    tails = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
+    for row, p in zip(tails, lists):
+        assert row[1:].tolist() == [pbin.pbin_survival(p, l)
+                                    for l in range(1, row.size)]
 
 
 # The per-instance loops the batched PBin properties replaced, kept as
