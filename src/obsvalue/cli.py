@@ -305,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
             "output:\n"
             "  pmf       the m+1 mass values, space separated\n"
             "  survival  P(PBin(probs) >= l)\n"
-            "  shift     lhs, rhs, |lhs-rhs| of the shift identity, where\n"
-            "            the last listed probability is replaced by --p/--p2\n"
+            "  shift     lhs, rhs, |lhs-rhs| of the shift identity, with --p,\n"
+            "            then --p2, appended to the listed probabilities\n"
         ),
     )
     p.add_argument("action", choices=("pmf", "survival", "shift"))

@@ -11,7 +11,11 @@ test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration),
 Binomial pmf), the coupled Monte Carlo reference estimators
 ``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``,
 and the simulators ``simulate_multitest_risk`` and
-``simulate_mixture_risk`` of the multi-test and mixture risk laws.
+``simulate_mixture_risk`` of the multi-test and mixture risk laws.  Every
+frequency check, here and in the tests, is one gate: the exact two-sided
+Binomial tail of each count (``binom_two_sided``, ``min_two_sided``) must
+be at least ``LEVEL``, and each such property prints the union bound on
+its false-alarm rate, its number of counts times ``LEVEL``.
 
 The Poisson-binomial properties draw all their instances first and then
 evaluate them in one ``pbin.pbin_pmf_rows`` call over the probability lists
@@ -137,13 +141,40 @@ def _random_hypercube(rng: np.random.Generator) -> densities.HypercubeSpec:
     return densities.HypercubeSpec(r, m, rng.integers(0, 2, size=m))
 
 
-def _worst_z(hits, trials: int, probs) -> float:
-    """Largest |hits/trials - p| over cells, in standard errors of a
-    Binomial frequency, sqrt(p (1 - p) / trials) with the variance floored
-    at 1e-12 / trials."""
-    p = np.asarray(probs, dtype=float)
-    se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / trials)
-    return float((np.abs(np.asarray(hits) / trials - p) / se).max())
+# The level of every frequency check: the two-sided tail of a 4-sigma
+# normal band, about 6.33e-5 a comparison.
+LEVEL = math.erfc(4.0 / math.sqrt(2.0))
+
+
+def binom_two_sided(hits: int, trials: int, p: float) -> float:
+    """Exact two-sided tail probability of ``hits`` under Bin(trials, p):
+    twice the smaller of P(X <= hits) and P(X >= hits), capped at 1.
+
+    Both tails are sums over the Binomial band (``pbin._binom_band``), so
+    the cost is the band's O(sqrt(trials p (1-p))) entries, not trials + 1.
+    Off the band every mass is below 2^-1022 of the mode, so a tail that
+    lies wholly off it is taken as 0; it is less than (trials + 1) 2^-1022.
+    With F(x) = P(X <= x) and S(x) = P(X >= x), P(2 min(F(X), S(X)) < a)
+    <= a for any discrete X, so the check "at least ``LEVEL``" fails a
+    correct count with probability at most ``LEVEL``."""
+    lo, band = pbin._binom_band(trials, p)
+    tails = band[:max(hits - lo + 1, 0)].sum(), band[max(hits - lo, 0):].sum()
+    return float(min(1.0, 2.0 * min(tails)))
+
+
+def min_two_sided(hits, trials: int, probs) -> float:
+    """Smallest :func:`binom_two_sided` over cells: ``hits[i]`` of
+    ``trials`` against the cell probability ``probs[i]``."""
+    return min(binom_two_sided(h, trials, p) for h, p in zip(hits, probs))
+
+
+def _frequency_verdict(hits, trials: int, probs) -> tuple[bool, str]:
+    """A property's verdict on its counts: pass when :func:`min_two_sided`
+    is at least ``LEVEL``.  The message gives the union bound on a correct
+    program's chance to fail, the number of counts times ``LEVEL``."""
+    worst = min_two_sided(hits, trials, probs)
+    return worst >= LEVEL, (f"trials={trials}, min_two_sided_p={worst:.2e}, "
+                            f"alarm<={len(probs) * LEVEL:.2e}")
 
 
 def _pmf_table(lists: Sequence[np.ndarray]) -> np.ndarray:
@@ -263,8 +294,7 @@ def check_multinomial_frequencies(budget: Budget, rng) -> tuple[bool, str]:
         keys += digits[edges.searchsorted(rng.random(draws), side="right")]
     cells = counts @ digits
     hits = np.bincount(keys, minlength=cells.max() + 1)[cells]
-    worst = _worst_z(hits, draws, probs)
-    return worst <= 4.0, f"draws={draws}, worst_z={worst:.2f}"
+    return _frequency_verdict(hits, draws, probs)
 
 
 def check_density_construction(budget: Budget, rng) -> tuple[bool, str]:
@@ -302,17 +332,15 @@ def check_tv_bit_flips(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_sampler_frequencies(budget: Budget, rng) -> tuple[bool, str]:
-    n = 100_000
-    worst = 0.0
+    n, hits, probs = 100_000, [], []
     for _ in range(5):
         f = _random_density(rng)
         x = densities.sample_density(f, n, rng)
         # cells [k/4, (k+1)/4); 4x is exact, so floor(4x) = k there
-        hits = np.bincount((4.0 * x).astype(int), minlength=5)[:4]
-        probs = [densities.density_integral(f, k / 4, (k + 1) / 4)
-                 for k in range(4)]
-        worst = max(worst, _worst_z(hits, n, probs))
-    return worst <= 4.0, f"worst_z={worst:.2f}"
+        hits.extend(np.bincount((4.0 * x).astype(int), minlength=5)[:4])
+        probs.extend(densities.density_integral(f, k / 4, (k + 1) / 4)
+                     for k in range(4))
+    return _frequency_verdict(hits, n, probs)
 
 
 def check_witness(budget: Budget, rng) -> tuple[bool, str]:
@@ -382,8 +410,7 @@ def check_inject_positions(budget: Budget, rng) -> tuple[bool, str]:
     reps = budget.inject_reps
     out = upper.inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
     pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
-    worst = _worst_z(np.bincount(pos, minlength=3), reps, np.full(3, 1 / 3))
-    return worst <= 4.0, f"reps={reps}, worst_z={worst:.2f}"
+    return _frequency_verdict(np.bincount(pos, minlength=3), reps, [1 / 3] * 3)
 
 
 def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
@@ -393,8 +420,7 @@ def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
     ref = pbin.pbin_pmf([p_cell] * n + [0.5])
     x = densities.sample_density(f, reps * n, rng).reshape(reps, n)
     counts = np.count_nonzero(upper.inject_kernel(x, rng) < 0.5, axis=1)
-    worst = _worst_z(np.bincount(counts, minlength=ref.size), reps, ref)
-    return worst <= 4.0, f"worst_z={worst:.2f}"
+    return _frequency_verdict(np.bincount(counts, minlength=n + 2), reps, ref)
 
 
 def check_risk_curve(budget: Budget, rng) -> tuple[bool, str]:
@@ -460,17 +486,6 @@ def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
                 f"cases_above_1/3={sum(v >= 1/3 for v in lines)}/{len(lines)}")
 
 
-# Two-sided level of a 4-sigma normal band, about 6.3e-5.
-_SIM_LEVEL = math.erfc(4.0 / math.sqrt(2.0))
-
-
-def _binom_two_sided(hits: int, trials: int, p: float) -> float:
-    """Exact two-sided tail probability of ``hits`` under Bin(trials, p):
-    twice the smaller of P(X <= hits) and P(X >= hits), capped at 1."""
-    pmf = pbin.binom_pmf(trials, p)
-    return float(min(1.0, 2.0 * min(pmf[:hits + 1].sum(), pmf[hits:].sum())))
-
-
 def simulate_multitest_risk(
     risks: Sequence[float], l: int, trials: int, rng: np.random.Generator
 ) -> float:
@@ -486,12 +501,9 @@ def simulate_multitest_risk(
         raise ValueError("requires trials >= 10000")
     hits = 0
     batch = max(1, (1 << 22) // p.size)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        errors = rng.random((b, p.size)) < p
+    for done in range(0, trials, batch):
+        errors = rng.random((min(batch, trials - done), p.size)) < p
         hits += int(np.count_nonzero(errors.sum(axis=1) >= l))
-        done += b
     return hits / trials
 
 
@@ -519,24 +531,19 @@ def simulate_mixture_risk(
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
     # Exact Binomial tails, not a normal z-score: the targets can lie near
     # 0 or 1, where a handful of misses already reads as 4+ sigma.
-    worst = 1.0
-    trials = max(budget.sim_trials, 10_000)
+    trials, hits, targets = max(budget.sim_trials, 10_000), [], []
     for _ in range(5):
         m = int(rng.integers(1, 6))
         risks = rng.random(m)
         l = int(rng.integers(1, m + 1))
-        target = pbin.pbin_survival(risks, l)
-        est = simulate_multitest_risk(risks, l, trials, rng)
-        worst = min(worst, _binom_two_sided(round(est * trials), trials,
-                                            target))
+        targets.append(pbin.pbin_survival(risks, l))
+        hits.append(simulate_multitest_risk(risks, l, trials, rng) * trials)
 
         w = rng.random(m)
         w /= w.sum()
-        target = float(risks @ w)
-        est = simulate_mixture_risk(risks, w, trials, rng)
-        worst = min(worst, _binom_two_sided(round(est * trials), trials,
-                                            target))
-    return bool(worst >= _SIM_LEVEL), f"min_two_sided_p={worst:.2e}"
+        targets.append(float(risks @ w))
+        hits.append(simulate_mixture_risk(risks, w, trials, rng) * trials)
+    return _frequency_verdict(np.rint(hits).astype(int), trials, targets)
 
 
 def check_rate_fit(budget: Budget, rng) -> tuple[bool, str]:

@@ -16,8 +16,8 @@ from obsvalue.lower import (bayes_risk_curve, cube_lower, mixedpbin_mass,
 from obsvalue.pbin import pbin_pmf, pbin_shift_difference, pbin_survival
 from obsvalue.rates import rate_fit
 from obsvalue.upper import exact_mad, mad_floor, uniform_ratio
-from obsvalue.verify import (enum_pmf, simulate_mixture_risk,
-                             simulate_multitest_risk)
+from obsvalue.verify import (LEVEL, enum_pmf, min_two_sided,
+                             simulate_mixture_risk, simulate_multitest_risk)
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:
@@ -128,27 +128,23 @@ def test_c6_bayes_risk_curve():
 def test_c7_simulated_risk_laws():
     start = time.perf_counter()
     rng = np.random.default_rng(1007)
-    trials = 10**6
-    worst = 0.0
+    trials, hits, targets = 10**6, [], []
     for _ in range(20):
         m = int(rng.integers(1, 8))
         risks = rng.random(m)
         l = int(rng.integers(1, m + 1))
-        target = pbin_survival(risks, l)
-        est = simulate_multitest_risk(risks, l, trials, rng)
-        se = math.sqrt(max(target * (1.0 - target), 1e-12) / trials)
-        worst = max(worst, abs(est - target) / se)
+        targets.append(pbin_survival(risks, l))
+        hits.append(simulate_multitest_risk(risks, l, trials, rng) * trials)
 
         weights = rng.random(m)
         weights /= weights.sum()
-        target = float(risks @ weights)
-        est = simulate_mixture_risk(risks, weights, trials, rng)
-        se = math.sqrt(max(target * (1.0 - target), 1e-12) / trials)
-        worst = max(worst, abs(est - target) / se)
+        targets.append(float(risks @ weights))
+        hits.append(simulate_mixture_risk(risks, weights, trials, rng) * trials)
+    worst = min_two_sided(np.rint(hits).astype(int), trials, targets)
     elapsed = time.perf_counter() - start
-    criterion(7, worst <= 4.0,
-              f"20 configs x 1e6 trials, worst_z={worst:.2f} (<= 4), "
-              f"{elapsed:.0f}s")
+    criterion(7, worst >= LEVEL,
+              f"20 configs x 1e6 trials, min_two_sided_p={worst:.2e} "
+              f"(>= {LEVEL:.2e}), {elapsed:.0f}s")
 
 
 def test_c8_mixedpbin_mass():

@@ -201,7 +201,8 @@ class TestPbinCommand:
         code, out = run_cli(capsys, "pbin", "shift", "0.5",
                             "--p", "0.8", "--p2", "0.3", "--l", "1")
         lhs, rhs, gap = (float(v) for v in out.split())
-        assert code == 0 and lhs == rhs and gap == 0.0
+        # --p and --p2 are appended: 0.9 - 0.65, not 0.8 - 0.3 (replaced)
+        assert code == 0 and lhs == rhs == 0.25 and gap == 0.0
 
     def test_invalid_probability_exits_one(self, capsys):
         code, _ = run_cli(capsys, "pbin", "pmf", "1.5")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
                                 hypercube_density, richness_witness,
                                 sample_density, tv_distance)
+from obsvalue.verify import LEVEL, binom_two_sided
 
 EXACT = 1e-12
 UNIFORM = StepDensity([0.0, 1.0], [1.0])
@@ -282,7 +283,7 @@ class TestSampleDensity:
         f = hypercube_density(HypercubeSpec(2.0, 1, [0]))
         n = 10**5
         x = sample_density(f, n, np.random.default_rng(17))
-        assert abs((x < 0.5).mean() - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / n)
+        assert binom_two_sided(np.count_nonzero(x < 0.5), n, 0.25) >= LEVEL
 
     def test_cell_frequencies_match_integrals(self):
         rng = np.random.default_rng(11)
@@ -291,8 +292,8 @@ class TestSampleDensity:
         x = sample_density(f, n, rng)
         for a, b in zip(np.linspace(0, 1, 6)[:-1], np.linspace(0, 1, 6)[1:]):
             p = density_integral(f, float(a), float(b))
-            se = math.sqrt(max(p * (1 - p), 1e-12) / n)
-            assert abs(((x >= a) & (x < b)).mean() - p) <= 4.0 * se
+            hits = np.count_nonzero((x >= a) & (x < b))
+            assert binom_two_sided(hits, n, p) >= LEVEL
 
 
     def test_draws_match_the_masked_formula(self):

@@ -19,9 +19,9 @@ from obsvalue.lower import (bayes_risk_curve, cube_lower, cube_lowers,
                             mixedpbin_mass, richness_lower_bound)
 from obsvalue.pbin import (_compositions, _spread, binom_pmf,
                            multinomial_logpmf, pbin_pmf_rows, pbin_survival)
-from obsvalue.verify import (dp_risk_curve, enum_pmf, mc_cube_gaps,
-                             mc_mixed_pmf, simulate_mixture_risk,
-                             simulate_multitest_risk)
+from obsvalue.verify import (LEVEL, binom_two_sided, dp_risk_curve,
+                             enum_pmf, mc_cube_gaps, mc_mixed_pmf,
+                             simulate_mixture_risk, simulate_multitest_risk)
 
 EXACT = 1e-12
 
@@ -919,8 +919,7 @@ class TestSimulations:
     def test_multitest_fair_pair(self):
         rng = np.random.default_rng(5)
         est = simulate_multitest_risk([0.5, 0.5], 1, 10**6, rng)
-        se = math.sqrt(0.75 * 0.25 / 10**6)
-        assert abs(est - 0.75) <= 4.0 * se
+        assert binom_two_sided(round(est * 10**6), 10**6, 0.75) >= LEVEL
 
     def test_multitest_zero_risks(self):
         rng = np.random.default_rng(6)
@@ -929,8 +928,7 @@ class TestSimulations:
     def test_multitest_two_of_two(self):
         rng = np.random.default_rng(7)
         est = simulate_multitest_risk([0.25, 0.5], 2, 10**6, rng)
-        se = math.sqrt(0.125 * 0.875 / 10**6)
-        assert abs(est - 0.125) <= 4.0 * se
+        assert binom_two_sided(round(est * 10**6), 10**6, 0.125) >= LEVEL
 
     def test_multitest_matches_survival_on_random_configs(self):
         rng = np.random.default_rng(8)
@@ -940,8 +938,7 @@ class TestSimulations:
             l = int(rng.integers(1, m + 1))
             want = pbin_survival(risks, l)
             est = simulate_multitest_risk(risks, l, 10**5, rng)
-            se = math.sqrt(max(want * (1 - want), 1e-12) / 10**5)
-            assert abs(est - want) <= 4.0 * se
+            assert binom_two_sided(round(est * 10**5), 10**5, want) >= LEVEL
 
     def test_multitest_rejects_bad_input(self):
         rng = np.random.default_rng(9)
@@ -953,14 +950,12 @@ class TestSimulations:
     def test_mixture_weighted_average(self):
         rng = np.random.default_rng(10)
         est = simulate_mixture_risk([0.1, 0.3], [0.5, 0.5], 10**6, rng)
-        se = math.sqrt(0.2 * 0.8 / 10**6)
-        assert abs(est - 0.2) <= 4.0 * se
+        assert binom_two_sided(round(est * 10**6), 10**6, 0.2) >= LEVEL
 
     def test_mixture_single_component(self):
         rng = np.random.default_rng(11)
         est = simulate_mixture_risk([0.37], [1.0], 10**5, rng)
-        se = math.sqrt(0.37 * 0.63 / 10**5)
-        assert abs(est - 0.37) <= 4.0 * se
+        assert binom_two_sided(round(est * 10**5), 10**5, 0.37) >= LEVEL
 
     def test_mixture_zero_risks(self):
         rng = np.random.default_rng(12)

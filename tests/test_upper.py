@@ -16,6 +16,7 @@ from obsvalue.upper import (CsCertificate, TwoLevelRatio,
                             certificate_upper_bound, chi2_radius, exact_mad,
                             hoeffding_certificate, inject_kernel, mad_floor,
                             mc_mad, uniform_ratio)
+from obsvalue.verify import LEVEL, min_two_sided
 
 EXACT = 1e-12
 UNIFORM = StepDensity([0.0, 1.0], [1.0])
@@ -350,8 +351,7 @@ class TestInjectKernel:
         out = inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
         pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
         hits = np.bincount(pos, minlength=3)
-        se = math.sqrt((1 / 3) * (2 / 3) / reps)
-        assert np.abs(hits / reps - 1 / 3).max() <= 4.0 * se
+        assert min_two_sided(hits, reps, [1 / 3] * 3) >= LEVEL
 
     def test_batch_draws_positions_then_uniforms(self):
         x = np.random.default_rng(5).random((50, 4))
@@ -381,9 +381,8 @@ class TestInjectKernel:
         ref = pbin_pmf([p_cell] * n + [0.5])
         x = sample_density(f, reps * n, rng).reshape(reps, n)
         counts = np.count_nonzero(inject_kernel(x, rng) < 0.5, axis=1)
-        for k, p in enumerate(ref):
-            se = math.sqrt(max(p * (1 - p), 1e-12) / reps)
-            assert abs(np.count_nonzero(counts == k) / reps - p) <= 4.0 * se
+        hits = np.bincount(counts, minlength=ref.size)
+        assert min_two_sided(hits, reps, ref) >= LEVEL
 
 
 class TestChi2Radius:

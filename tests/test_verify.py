@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsvalue import lower, pbin, verify
+from obsvalue import densities, lower, pbin, upper, verify
 from obsvalue.streams import child_rng
 
 # Reference-estimator values recorded before the draws moved to
@@ -56,7 +56,10 @@ def test_reference_estimators_are_pinned():
 def mp_binom_tails(trials: int, p: float, hits: int):
     """P(X <= hits) and P(X >= hits) for X ~ Bin(trials, p) in 200-bit
     arithmetic: P(0) = (1-p)^trials, then P(j+1) = P(j) (trials-j) p /
-    ((j+1) (1-p)); relative error about trials * 2^-200."""
+    ((j+1) (1-p)); relative error about trials * 2^-200.  Bin(trials, 1)
+    is Bin(trials, 0) mirrored."""
+    if p == 1.0:
+        return mp_binom_tails(trials, 0.0, trials - hits)[::-1]
     with mpmath.workprec(200):
         p = mpmath.mpf(p)
         odds = p / (1 - p)
@@ -67,11 +70,19 @@ def mp_binom_tails(trials: int, p: float, hits: int):
 
 
 def test_binomial_tail_matches_pmf_sums():
-    for trials, p, hits in ((10_000, 0.3, 2_950), (50_000, 0.99999, 49_996),
-                            (20_000, 0.5, 10_000)):
+    lo, band = pbin._binom_band(4_000, 0.5)
+    hi = lo + band.size - 1
+    assert 0 < lo and hi < 4_000
+    cases = [(10_000, 0.3, 2_950), (50_000, 0.99999, 49_996),
+             (20_000, 0.5, 10_000)]
+    # off the band a tail is taken as 0; it is below (trials+1) 2^-1022
+    cases += [(4_000, 0.5, hits) for hits in (lo - 1, lo, hi, hi + 1)]
+    cases += [(trials, p, hits) for trials in (0, 1, 7, 1000)
+              for p in (0.0, 0.25, 1.0) for hits in (0, trials)]
+    for trials, p, hits in cases:
         want = min(1.0, 2.0 * min(mp_binom_tails(trials, p, hits)))
-        assert math.isclose(verify._binom_two_sided(hits, trials, p), want,
-                            rel_tol=1e-8)
+        assert math.isclose(verify.binom_two_sided(hits, trials, p), want,
+                            rel_tol=1e-8, abs_tol=1e-300), (trials, p, hits)
 
 
 def test_simulation_check_near_certain_survival():
@@ -99,11 +110,8 @@ def test_simulation_check_flags_a_biased_simulator(monkeypatch):
                 max_size=8),
        st.integers(0, 4))
 def test_zero_padded_rows_are_the_unpadded_pmfs(lists, extra):
-    width = max(map(len, lists)) + extra
-    table = np.zeros((len(lists), width))
-    for row, p in zip(table, lists):
-        row[:len(p)] = p
-    pmfs = pbin.pbin_pmf_rows(table)
+    # a list of zeros pads the table to ``extra`` past the longest list
+    pmfs = verify._pmf_table([*lists, [0.0] * (max(map(len, lists)) + extra)])
     for row, p in zip(pmfs, lists):
         assert np.array_equal(row[:len(p) + 1], pbin.pbin_pmf(p))
         assert not row[len(p) + 1:].any()
@@ -113,11 +121,9 @@ def test_pmf_table_and_survivals_match_the_wrappers():
     rng = np.random.default_rng(3)
     lists = [rng.random(m) for m in (0, 3, 12, 1, 9, 8)] + [np.array([0.5])]
     pmfs = verify._pmf_table(lists)
-    for row, p in zip(pmfs, lists):
-        assert np.array_equal(row[:p.size + 1], pbin.pbin_pmf(p))
-        assert not row[p.size + 1:].any()
-    # the batched properties' survivals: every l >= 1 of the table, past
-    # a list's size too, where pbin_survival gives 0
+    # its rows are checked by test_zero_padded_rows_are_the_unpadded_pmfs;
+    # here the batched properties' survivals: every l >= 1 of the table,
+    # past a list's size too, where pbin_survival gives 0
     tails = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
     for row, p in zip(tails, lists):
         assert row[1:].tolist() == [pbin.pbin_survival(p, l)
@@ -189,3 +195,26 @@ def test_batched_properties_report_what_their_loops_report(name, batched,
             want = loop(budget, child_rng(seed, f"verify:{name}", 0))
             got = batched(budget, child_rng(seed, f"verify:{name}", 0))
             assert got == want, (seed, budget)
+
+
+@pytest.mark.parametrize("check, module, name, bias", [
+    # draws 3% too small
+    (verify.check_sampler_frequencies, densities, "sample_density",
+     lambda real: lambda f, n, rng: 0.97 * real(f, n, rng)),
+    # the first and last weights swapped: probabilities of other cells
+    (verify.check_multinomial_frequencies, pbin, "multinomial_enumerate",
+     lambda real: lambda trials, w: real(trials, w[::-1])),
+    # spliced into the first n - 1 values, so never at the last position
+    (verify.check_inject_positions, upper, "inject_kernel",
+     lambda real: lambda x, rng: np.column_stack((real(x[:, :-1], rng),
+                                                   x[:, -1]))),
+    # the fresh draw is uniform on [0, 0.95)
+    (verify.check_inject_mixture, upper, "inject_kernel",
+     lambda real: lambda x, rng: np.column_stack((x, 0.95 * rng.random(
+         len(x))))),
+])
+def test_frequency_checks_flag_a_biased_input(monkeypatch, check, module,
+                                              name, bias):
+    monkeypatch.setattr(module, name, bias(getattr(module, name)))
+    ok, msg = check(verify.QUICK, np.random.default_rng(1))
+    assert not ok and "alarm<=" in msg, msg
