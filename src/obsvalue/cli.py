@@ -13,6 +13,7 @@ and it has no effect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
@@ -74,13 +75,19 @@ def parse_n_values(text: str) -> range | list[int]:
         raise SystemExit(f"error: bad n range {text!r}") from None
 
 
+# Characters ``_emit`` writes at a time.  The stream encodes each write, so
+# the write adds one slice and its encoding to the text, not a whole copy.
+_SLICE = 1 << 20
+
+
 def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text``, and a newline if it does not end in one, to the file
+    ``out`` or to stdout, ``_SLICE`` characters at a time."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        for lo in range(0, len(text), _SLICE):
+            f.write(text[lo:lo + _SLICE])
+        if not text.endswith("\n"):
+            f.write("\n")
 
 
 def _print_row(values) -> None:

@@ -7,11 +7,11 @@ EXACT_TOL = 1e-12
 
 # Refuse exact enumeration whose table, compositions x (cells + 1), holds
 # more entries than this; callers use the generating-function engine
-# instead.  The guard bounds the enumeration's time and the bytes of its
-# compact count table: one byte a count up to 254 trials, so under 8 MiB
-# there.  The float work runs in blocks of rows, and no float table of
-# every row is kept.  2^23 keeps the largest enumeration in use, Mult(8)
-# over 16 cells (490 314 x 17), exact.
+# instead.  The guard bounds the compact count table, one byte a count up
+# to 254 trials, so under 8 MiB there, and the rows a sum over it visits.
+# The Poisson-binomial work is done once a class of rows (at most one a
+# row), and no float table of every row is kept.  2^23 keeps the largest
+# enumeration in use, Mult(8) over 16 cells (490 314 x 17), exact.
 ENUM_GUARD = 1 << 23
 
 # Refuse, through ``check_budget``, whatever would take more bytes than

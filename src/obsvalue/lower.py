@@ -17,10 +17,13 @@ anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
 enumeration while its table stays under the guard and its trials number
 at most 254 (``_enumerates``, ``method="exact"``), otherwise an exact
-generating-function engine (``method="gf"``).  The enumeration is walked
-a block of rows at a time (``_enumeration_blocks``) and no table of its
-terms is kept: ``cube_lower`` carries one sequential sum from block to
-block, ``mixedpbin_mass`` adds one product a block.
+generating-function engine (``method="gf"``).  On the exact path each
+Poisson-binomial law is computed once a class of count vectors, those
+equal up to a permutation among cells of equal weight
+(``pbin.multinomial_classes``).  ``mixedpbin_mass`` weighs each class by
+its size and builds no table of compositions; ``cube_lower`` keeps the
+rows' probabilities and their order of summation, and reads each row's
+survivals from its class, a block of rows at a time.
 The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
@@ -40,8 +43,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constants import check_budget
-from .pbin import (_as_weights, _block_rows, _poisson_band, _spread,
-                   enumeration_fits, multinomial_enumerate, pbin_pmf_rows)
+from .pbin import (_as_weights, _block_rows, _partitions, _poisson_band,
+                   _spread, enumeration_fits, multinomial_classes,
+                   multinomial_enumerate, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -237,43 +241,70 @@ class CubeLowerResult:
         return float(self.ci[self.l_star - 1])
 
 
-def _enumeration_blocks(trials: int, weights: np.ndarray,
-                        table: np.ndarray):
-    """Mult(trials, weights)'s enumeration (``multinomial_enumerate``) a
-    block of rows at a time, in row order: yields each block's ``(probs,
-    pmfs)``, its rows' probabilities and the PBin pmfs of ``table`` at
-    their counts (``pbin_pmf_rows``), about ``pbin._BLOCK`` entries.
-    Besides the compact count table, the memory is a few blocks, whatever
-    the number of rows; the tables are dropped once the walk ends."""
-    counts, probs = multinomial_enumerate(trials, weights)
-    step = _block_rows(weights.size + 1)
-    for lo in range(0, probs.size, step):
-        yield probs[lo:lo + step], pbin_pmf_rows(table[counts[lo:lo + step]])
+def _class_index(reps: np.ndarray):
+    """The map from rows of counts to their classes over equal cells, the
+    rows of ``reps`` (``pbin._partitions``): a function that takes a
+    (rows, m) table of counts to its rows' class indices.
+
+    A row's key is sum_j B^c_j mod 2^64, for an odd B above the m cells:
+    that is sum_v mu_v B^v, with mu_v the cells that hold v, so it is the
+    same for every permutation of the row, and the integer sums wrap
+    exactly in any order.  Every mu_v <= m is a digit, so while B^(t+1) <=
+    2^64 (15^9 at t = 8, m = 14, the largest witness on the exact path)
+    the key is the base-B numeral of the row's multiset: one-to-one on
+    classes.  Whatever t, the classes' keys are checked distinct (it
+    raises RuntimeError if not), so each row's key, which is its class's,
+    names that class alone."""
+    m = reps.shape[1]
+    powers = np.array([pow((m + 1) | 1, v, 1 << 64)
+                       for v in range(int(reps.max()) + 1)], dtype=np.uint64)
+
+    def keys(counts):
+        return np.take(powers, counts).sum(axis=1)
+
+    own = keys(reps)
+    order = np.argsort(own)
+    own = own[order]
+    if np.any(own[1:] == own[:-1]):
+        raise RuntimeError(f"class keys collide over {m} cells")
+    return lambda counts: order[np.searchsorted(own, keys(counts))]
 
 
 def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
     equal cells, by composition enumeration.
 
+    The survival of a row depends on its class alone, the multiset of its
+    counts (a partition of the trials), so it is taken once a class, as the
+    reversed cumsum of the class representative's pmf: 22 pmfs at t = 8,
+    m = 14, for 203 490 rows.  Each row finds its class by a key that no
+    two classes share (``_class_index``).
+
     The expectation over rows is one sequential sum per threshold, in row
     order, carried from block to block: each block's product puts the
     carry in front of its rows as a row of weight 1, and reads the
-    survivals, the pmfs' reversed cumsums, through the reversed view that
-    a dense ``probs @ surv`` would, a negative stride that keeps numpy on
-    its non-BLAS loop.  So every sum is bit-identical to that dense
-    product.  That order is kept although its rounding, 1.3e-12 in the
+    survivals through the reversed view that a dense ``probs @ surv``
+    would, a negative stride that keeps numpy on its non-BLAS loop.  So
+    every sum is bit-identical to that dense product over the rows'
+    survivals.  That order is kept although its rounding, 1.3e-12 in the
     gaps at n = 7, is more than a pairwise sum's: the benchmark reference
     records the gaps within 1e-12, until enumeration becomes an oracle
     (ROADMAP item 2).
     """
+    counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
+    reps = _partitions(trials, m, counts.dtype)  # the classes of equal cells
+    # Each class's survivals, reversed: column k holds P(>= m - k).
+    surv = np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1], axis=1)
+    index = _class_index(reps)
     total = np.zeros(m + 1)
-    for probs, pmfs in _enumeration_blocks(trials, np.full(m, 1.0 / m),
-                                           risks):
-        # Row 0 carries the sum so far; surv = buf[:, ::-1].
-        buf = np.empty((probs.size + 1, m + 1))
+    step = _block_rows(m + 1)
+    for lo in range(0, probs.size, step):
+        cls = index(counts[lo:lo + step])
+        # Row 0 carries the sum so far; the survivals are buf[:, ::-1].
+        buf = np.empty((cls.size + 1, m + 1))
         buf[0] = total[::-1]
-        np.cumsum(pmfs[:, ::-1], axis=1, out=buf[1:])
-        total = np.concatenate(([1.0], probs)) @ buf[:, ::-1]
+        np.take(surv, cls, axis=0, out=buf[1:])
+        total = np.concatenate(([1.0], probs[lo:lo + step])) @ buf[:, ::-1]
     return total
 
 
@@ -680,9 +711,13 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if _enumerates(n, m):  # one product a block, added in row order
-        masses = sum(probs @ pmfs
-                     for probs, pmfs in _enumeration_blocks(n, w, table))
+    if _enumerates(n, m):  # one product a block of classes
+        reps, mult, probs = multinomial_classes(n, w)
+        weight = mult * probs
+        step = _block_rows(m + 1)
+        masses = sum(weight[lo:lo + step]
+                     @ pbin_pmf_rows(table[reps[lo:lo + step]])
+                     for lo in range(0, weight.size, step))
         method = "exact"
     else:
         values, mults = np.unique(w / w.sum(), return_counts=True)

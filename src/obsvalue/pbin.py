@@ -344,6 +344,27 @@ def _compositions(trials: int, m: int) -> np.ndarray:
     return out
 
 
+def _check_fits(trials: int, m: int) -> None:
+    """Raise :class:`EnumerationGuardError` when Mult(trials) over m cells
+    fails :func:`enumeration_fits`."""
+    if not enumeration_fits(trials, m):
+        raise EnumerationGuardError(
+            f"Mult({trials}) over {m} cells: its compositions x {m + 1} "
+            f"columns exceed the {ENUM_GUARD}-entry guard; use the "
+            "generating-function engine"
+        )
+
+
+def _row_probs(counts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp of :func:`multinomial_logpmf` of each row of ``counts``, taken
+    in blocks of rows, so the float temporaries are a few blocks."""
+    probs = np.empty(counts.shape[0])
+    step = _block_rows(w.size)
+    for lo in range(0, probs.size, step):
+        probs[lo:lo + step] = multinomial_logpmf(counts[lo:lo + step], w)
+    return np.exp(probs, out=probs)
+
+
 def multinomial_enumerate(
     trials: int, weights: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -352,28 +373,106 @@ def multinomial_enumerate(
     Returns ``(counts, probs)`` where ``counts`` has one composition per row
     (:func:`_compositions`; uint8 for up to 254 trials).  Probabilities sum
     to 1 within 1e-10; they are evaluated in blocks of rows, each row by
-    :func:`multinomial_logpmf`'s arithmetic, so the float temporaries are
-    a few blocks whatever the table's size.  Raises
+    :func:`multinomial_logpmf`'s arithmetic.  Raises
     :class:`EnumerationGuardError`, before allocating, when the table
     exceeds the guard (:func:`enumeration_fits`).
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     w = _as_weights(weights)
-    m = w.size
-    if not enumeration_fits(trials, m):
-        raise EnumerationGuardError(
-            f"Mult({trials}) over {m} cells: its compositions x {m + 1} "
-            f"columns exceed the {ENUM_GUARD}-entry guard; use the "
-            "generating-function engine"
-        )
-    counts = _compositions(trials, m)
-    probs = np.empty(counts.shape[0])
-    step = _block_rows(m)
-    for lo in range(0, probs.size, step):
-        probs[lo:lo + step] = multinomial_logpmf(counts[lo:lo + step], w)
-    np.exp(probs, out=probs)
-    return counts, probs
+    _check_fits(trials, w.size)
+    counts = _compositions(trials, w.size)
+    return counts, _row_probs(counts, w)
+
+
+def _partitions(total: int, parts: int, dtype) -> np.ndarray:
+    """The partitions of ``total`` into at most ``parts`` parts, one a row
+    of ``parts`` values in nonincreasing order (zeros last).
+
+    Built a column at a time, as :func:`_compositions` is: with ``left``
+    still to place in r places, this one included, the next value runs
+    from min(left, the value before) down to ceil(left / r), the least
+    that leaves the r - 1 places after it room for the rest.  A partition
+    has at most ``total`` nonzero parts, so the columns past that are 0."""
+    rows = np.zeros((1, parts), dtype=dtype)
+    left = hi = np.array([total])
+    for j in range(min(parts, total)):
+        width = hi + 1 + left // (j - parts)  # hi - ceil(left / r) + 1
+        pick = np.repeat(np.arange(width.size), width)
+        value = (np.repeat(hi + np.cumsum(width) - width, width)
+                 - np.arange(pick.size))
+        rows = rows[pick]
+        rows[:, j] = value
+        left = left[pick] - value
+        hi = np.minimum(left, value)
+    return rows
+
+
+def _arrangements(rows: np.ndarray) -> np.ndarray:
+    """How many orderings each nonincreasing row of ``rows`` has: k! /
+    prod_v mu_v! for k columns, mu_v of which hold v.  Taken as C(k, z)
+    for the z nonzero values, times the multinomial of those, which grows
+    a column at a time by j / (the run of equal values that ends at column
+    j); every step is an exact integer, at most j + 1 times the result."""
+    nonzero = np.count_nonzero(rows, axis=1)
+    cols = int(nonzero.max())
+    comb = [math.comb(rows.shape[1], z) for z in range(cols + 1)]
+    mult = np.array(comb, dtype=np.int64)[nonzero]
+    run = np.ones_like(mult)
+    for j in range(1, cols):
+        run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
+        mult = np.where(rows[:, j] > 0, mult * (j + 1) // run, mult)
+    return mult
+
+
+def multinomial_classes(
+    trials: int, weights: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mult(trials, weights)'s count vectors by class: two are in one class
+    when one permutes the other's counts among cells of equal weight.  All
+    of a class have one probability, and one value of any function that
+    is symmetric in the counts (a PBin law of a table at them, for one).
+
+    Returns ``(reps, mult, probs)``: a row of ``reps`` per class, its
+    representative, whose counts are nonincreasing over each group's
+    cells in cell order; ``mult``, the compositions in the class, the
+    product over groups g of m_g! / prod_v mu_gv!, where the group has m_g
+    cells and mu_gv of them hold v; and ``probs``, the probability of one
+    of them, :func:`multinomial_logpmf` of the representative.  So
+    ``mult.sum()`` is ``n_compositions(trials, m)`` and ``mult @ probs``
+    is 1 up to rounding.  With all weights distinct every class is one
+    composition.
+
+    The classes are the compositions of ``trials`` over the groups, each
+    group's part split every way into at most m_g parts
+    (:func:`_partitions`).  There are at most as many as compositions, so
+    it raises :class:`EnumerationGuardError` as
+    :func:`multinomial_enumerate` does."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    w = _as_weights(weights)
+    _check_fits(trials, w.size)
+    group = np.unique(w, return_inverse=True)[1]
+    sizes = np.bincount(group)
+    # Each cell starts with its group's part; each group of 2+ cells then
+    # turns every row into one row per partition of that part.
+    reps = np.take(_compositions(trials, sizes.size), group, axis=1)
+    mult = np.ones(reps.shape[0], dtype=np.int64)
+    for g in np.flatnonzero(sizes > 1):
+        cells = group == g
+        part = reps[:, np.argmax(cells)]
+        seen = np.flatnonzero(np.bincount(part, minlength=trials + 1))
+        tables = [_partitions(s, int(sizes[g]), reps.dtype) for s in seen]
+        ways = np.zeros(trials + 1, dtype=np.int64)
+        ways[seen] = [len(t) for t in tables]
+        each = ways[part]
+        rows = np.repeat(np.arange(each.size), each)
+        pick = ((np.cumsum(ways) - ways)[part[rows]] + np.arange(rows.size)
+                - (np.cumsum(each) - each)[rows])
+        table = np.concatenate(tables)
+        reps, mult = reps[rows], mult[rows] * _arrangements(table)[pick]
+        reps[:, cells] = table[pick]
+    return reps, mult, _row_probs(reps, w)
 
 
 def multinomial_logpmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:

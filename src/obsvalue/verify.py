@@ -488,10 +488,10 @@ def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
 
 def simulate_multitest_risk(
     risks: Sequence[float], l: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical probability that independent per-cell tests with error
-    probabilities ``risks`` err in at least ``l`` cells; converges to
-    P(PBin(risks) >= l)."""
+) -> int:
+    """In how many of ``trials`` runs independent per-cell tests with error
+    probabilities ``risks`` err in at least ``l`` cells: a
+    Bin(trials, P(PBin(risks) >= l)) count."""
     p = np.asarray(risks, dtype=float)
     if p.ndim != 1 or p.size < 1 or p.min() < 0.0 or p.max() > 1.0:
         raise ValueError("risks must be probabilities")
@@ -504,7 +504,7 @@ def simulate_multitest_risk(
     for done in range(0, trials, batch):
         errors = rng.random((min(batch, trials - done), p.size)) < p
         hits += int(np.count_nonzero(errors.sum(axis=1) >= l))
-    return hits / trials
+    return hits
 
 
 def simulate_mixture_risk(
@@ -512,9 +512,10 @@ def simulate_mixture_risk(
     weights: Sequence[float],
     trials: int,
     rng: np.random.Generator,
-) -> float:
-    """Empirical risk of deciding in a randomly selected component
-    experiment; converges to the weighted average of component risks."""
+) -> int:
+    """In how many of ``trials`` runs a decision in a randomly selected
+    component experiment errs: a Bin(trials, weighted average of the
+    component risks) count."""
     p = np.asarray(component_risks, dtype=float)
     w = np.asarray(weights, dtype=float)
     if p.shape != w.shape or p.ndim != 1 or p.size < 1:
@@ -525,7 +526,7 @@ def simulate_mixture_risk(
         raise ValueError("requires trials >= 10000")
     component = rng.choice(p.size, size=trials, p=w / w.sum())
     errors = rng.random(trials) < p[component]
-    return float(np.count_nonzero(errors)) / trials
+    return int(np.count_nonzero(errors))
 
 
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
@@ -537,13 +538,13 @@ def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
         risks = rng.random(m)
         l = int(rng.integers(1, m + 1))
         targets.append(pbin.pbin_survival(risks, l))
-        hits.append(simulate_multitest_risk(risks, l, trials, rng) * trials)
+        hits.append(simulate_multitest_risk(risks, l, trials, rng))
 
         w = rng.random(m)
         w /= w.sum()
         targets.append(float(risks @ w))
-        hits.append(simulate_mixture_risk(risks, w, trials, rng) * trials)
-    return _frequency_verdict(np.rint(hits).astype(int), trials, targets)
+        hits.append(simulate_mixture_risk(risks, w, trials, rng))
+    return _frequency_verdict(hits, trials, targets)
 
 
 def check_rate_fit(budget: Budget, rng) -> tuple[bool, str]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obsvalue
-from obsvalue.cli import _CELL_BYTES, main, parse_n_values
+from obsvalue.cli import _CELL_BYTES, _SLICE, _emit, main, parse_n_values
 from obsvalue.lower import CubeLowerResult, cube_lower
 from obsvalue.rates import bound_sweep, format_number, sweep_summary, to_record
 
@@ -721,3 +721,21 @@ def test_cli_import_loads_no_fft_or_thread_pool():
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("to", ["out", "stdout"])
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_emit_holds_one_slice_not_the_text(tmp_path, monkeypatch,
+                                           traced_peak, to, end):
+    # 8 MiB of text: a whole write encoded a copy of it (and appending the
+    # missing newline made another); by slices the peak is one slice and
+    # its encoding, whatever the text's size.
+    text = "0123456789abcde\n" * (1 << 19) + "tail" + end
+    path = tmp_path / "report.txt"
+    with open(path, "w") as stream:
+        if to == "stdout":
+            monkeypatch.setattr(sys, "stdout", stream)
+        _, peak = traced_peak(
+            lambda: _emit(text, None if to == "stdout" else str(path)))
+    assert peak <= 3 * _SLICE
+    assert path.read_text() == text + ("" if end else "\n")

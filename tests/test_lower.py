@@ -104,12 +104,26 @@ def dense_enumeration(trials, w):
 
 
 def dense_survival_gap(n, m, risks):
-    """Oracle for ``cube_lower``'s exact path: every row's survival held
-    at once, and one product through the reversed view."""
+    """Cross-check of ``cube_lower``'s exact path: every row's survival
+    from its own pmf, held at once, and one product through the reversed
+    view."""
     acc = []
     for trials in (n, n + 1):
         counts, probs = dense_enumeration(trials, np.full(m, 1.0 / m))
         pmfs = pbin_pmf_rows(risks[counts])
+        surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
+        acc.append(probs @ surv)
+    return (acc[0] - acc[1])[1:]
+
+
+def class_survival_gap(n, m, risks):
+    """Oracle for ``cube_lower``'s exact path: each row's survival read
+    from its class, the pmf of its counts sorted into nonincreasing order,
+    every row held at once, and one product through the reversed view."""
+    acc = []
+    for trials in (n, n + 1):
+        counts, probs = dense_enumeration(trials, np.full(m, 1.0 / m))
+        pmfs = pbin_pmf_rows(risks[np.sort(counts, axis=1)[:, ::-1]])
         surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
         acc.append(probs @ surv)
     return (acc[0] - acc[1])[1:]
@@ -434,12 +448,17 @@ class TestCubeLower:
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
     def test_exact_path_equals_dense_formula(self, r):
+        # Bit for bit against the oracle that reads each row's survival
+        # from its class, which pins the carry and the order of the sum;
+        # within 1e-15 of every row's own pmf, which the classes replaced.
         risks = bayes_risk_curve(r, 8).values
         for n in range(1, 8):
             res = cube_lower(n, r)
             assert res.method == "exact"
             assert np.array_equal(
-                res.per_l, dense_survival_gap(n, 2 * n, risks[:n + 2]))
+                res.per_l, class_survival_gap(n, 2 * n, risks[:n + 2]))
+            assert np.abs(res.per_l - dense_survival_gap(
+                n, 2 * n, risks[:n + 2])).max() <= 1e-15
 
     @pytest.mark.parametrize("block", [16, 100])
     def test_sum_carried_across_small_blocks(self, monkeypatch, block):
@@ -449,7 +468,7 @@ class TestCubeLower:
         risks = bayes_risk_curve(2.0, 5).values
         for n in (1, 4):
             assert np.array_equal(cube_lower(n, 2.0).per_l,
-                                  dense_survival_gap(n, 2 * n, risks[:n + 2]))
+                                  class_survival_gap(n, 2 * n, risks[:n + 2]))
 
     def test_exact_path_memory_is_bounded(self, traced_peak):
         # The compact count table and a few blocks, one enumeration at a
@@ -457,6 +476,30 @@ class TestCubeLower:
         res, peak = traced_peak(lambda: cube_lower(7, 2.0))
         assert res.method == "exact"
         assert peak <= 8 * 2**20
+
+    def test_class_keys_name_every_class_the_guard_admits(self):
+        # Every (t, m) with 1 <= t <= 254 that enumeration_fits admits
+        # (4452 pairs, 4.7 million classes): the classes' keys are
+        # distinct (_class_index raises if not), so each representative
+        # maps to itself.  Over equal cells the classes are the
+        # partitions of t.
+        pairs = 0
+        for t in range(1, 255):
+            m = 1
+            while pbin.enumeration_fits(t, m):
+                reps = pbin._partitions(t, m, np.uint8)
+                index = lower._class_index(reps)
+                assert np.array_equal(index(reps), np.arange(len(reps)))
+                pairs, m = pairs + 1, m + 1
+        assert pairs == 4452
+
+    @pytest.mark.parametrize("t, m", [(8, 14), (5, 3), (3, 9), (20, 2)])
+    def test_each_row_maps_to_its_sorted_counts(self, t, m):
+        reps = pbin.multinomial_classes(t, np.full(m, 1.0 / m))[0]
+        assert np.array_equal(reps, pbin._partitions(t, m, np.uint8))
+        counts = _compositions(t, m)
+        got = reps[lower._class_index(reps)(counts)]
+        assert np.array_equal(got, np.sort(counts, axis=1)[:, ::-1])
 
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):
@@ -720,8 +763,8 @@ class TestMixedPbinMass:
         res = mixedpbin_mass(2, 2, [0.6, 0.4], table)
         assert np.abs(res.masses - want).max() < EXACT
 
-    # The masses are summed a block of rows at a time; one BLAS product
-    # over all rows, as before the streaming, was 1.65e-13 off at (10, 10).
+    # One product over the classes; one BLAS product over all rows, as
+    # before the streaming, was 1.65e-13 off at (10, 10).
     @pytest.mark.parametrize("m, n", [(9, 9), (8, 12), (10, 10)])
     def test_exact_path_equals_dense_formula(self, m, n):
         w = np.full(m, 1.0 / m)
@@ -734,6 +777,7 @@ class TestMixedPbinMass:
     @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
     def test_exact_path_equals_dense_formula_nonuniform(self, monkeypatch,
                                                         n, block):
+        # Eight distinct weights: every class is one composition.
         if block is not None:  # blocks of 3 rows of 9 entries
             monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.random.default_rng(11).dirichlet(np.ones(8))
@@ -744,15 +788,28 @@ class TestMixedPbinMass:
         want = fsum_mixed_masses(n, w, table)
         assert np.abs(res.masses - want).max() <= 1e-15
 
+    @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
+    def test_exact_path_equals_dense_formula_two_groups(self, monkeypatch,
+                                                        n, block):
+        # Groups of 3 and 5 cells of equal weights.
+        if block is not None:
+            monkeypatch.setattr(pbin, "_BLOCK", block)
+        w = np.repeat([0.1, 0.14], (3, 5))
+        table = bayes_risk_curve(1.5, n).values
+        res = mixedpbin_mass(n, 8, w, table)
+        assert res.method == "exact"
+        want = fsum_mixed_masses(n, w, table)
+        assert np.abs(res.masses - want).max() <= 1e-15
+
     def test_exact_path_memory_is_bounded(self, traced_peak):
-        # Mult(8) over 16 cells: 490 314 rows.  The uint8 counts (8 MB),
-        # their probabilities (4 MB) and a block; no (rows, m + 1) pmf
-        # table (67 MB) and no (rows, m) float table of risks.
+        # Mult(8) over 16 cells: 22 classes for 490 314 compositions, and
+        # no table of the compositions (8 MB of uint8 counts).  The peak
+        # was 25 KB, measured.
         table = bayes_risk_curve(2.0, 8).values
         res, peak = traced_peak(
             lambda: mixedpbin_mass(8, 16, np.full(16, 1.0 / 16), table))
         assert res.method == "exact"
-        assert peak <= 16 * 2**20
+        assert peak <= 52 * 2**10
 
     def test_gf_path_beyond_guard(self):
         table = bayes_risk_curve(2.0, 16).values
@@ -776,7 +833,7 @@ class TestMixedPbinMass:
         got = _spread(m + 1, *lower._gf_window(n, [(m, 1.0 / m)], table))
         assert np.abs(got - want).max() <= EXACT_TOL
         assert np.abs(mixedpbin_mass(n, m, np.full(m, 1.0 / m), table).masses
-                      - want).max() <= 1e-14
+                      - want).max() <= 2e-15
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_gf_at_large_poisson_means(self, n):
@@ -918,17 +975,17 @@ class TestMulPower:
 class TestSimulations:
     def test_multitest_fair_pair(self):
         rng = np.random.default_rng(5)
-        est = simulate_multitest_risk([0.5, 0.5], 1, 10**6, rng)
-        assert binom_two_sided(round(est * 10**6), 10**6, 0.75) >= LEVEL
+        hits = simulate_multitest_risk([0.5, 0.5], 1, 10**6, rng)
+        assert binom_two_sided(hits, 10**6, 0.75) >= LEVEL
 
     def test_multitest_zero_risks(self):
         rng = np.random.default_rng(6)
-        assert simulate_multitest_risk([0.0, 0.0], 1, 10**4, rng) == 0.0
+        assert simulate_multitest_risk([0.0, 0.0], 1, 10**4, rng) == 0
 
     def test_multitest_two_of_two(self):
         rng = np.random.default_rng(7)
-        est = simulate_multitest_risk([0.25, 0.5], 2, 10**6, rng)
-        assert binom_two_sided(round(est * 10**6), 10**6, 0.125) >= LEVEL
+        hits = simulate_multitest_risk([0.25, 0.5], 2, 10**6, rng)
+        assert binom_two_sided(hits, 10**6, 0.125) >= LEVEL
 
     def test_multitest_matches_survival_on_random_configs(self):
         rng = np.random.default_rng(8)
@@ -937,8 +994,8 @@ class TestSimulations:
             risks = rng.random(m)
             l = int(rng.integers(1, m + 1))
             want = pbin_survival(risks, l)
-            est = simulate_multitest_risk(risks, l, 10**5, rng)
-            assert binom_two_sided(round(est * 10**5), 10**5, want) >= LEVEL
+            hits = simulate_multitest_risk(risks, l, 10**5, rng)
+            assert binom_two_sided(hits, 10**5, want) >= LEVEL
 
     def test_multitest_rejects_bad_input(self):
         rng = np.random.default_rng(9)
@@ -949,17 +1006,17 @@ class TestSimulations:
 
     def test_mixture_weighted_average(self):
         rng = np.random.default_rng(10)
-        est = simulate_mixture_risk([0.1, 0.3], [0.5, 0.5], 10**6, rng)
-        assert binom_two_sided(round(est * 10**6), 10**6, 0.2) >= LEVEL
+        hits = simulate_mixture_risk([0.1, 0.3], [0.5, 0.5], 10**6, rng)
+        assert binom_two_sided(hits, 10**6, 0.2) >= LEVEL
 
     def test_mixture_single_component(self):
         rng = np.random.default_rng(11)
-        est = simulate_mixture_risk([0.37], [1.0], 10**5, rng)
-        assert binom_two_sided(round(est * 10**5), 10**5, 0.37) >= LEVEL
+        hits = simulate_mixture_risk([0.37], [1.0], 10**5, rng)
+        assert binom_two_sided(hits, 10**5, 0.37) >= LEVEL
 
     def test_mixture_zero_risks(self):
         rng = np.random.default_rng(12)
-        assert simulate_mixture_risk([0.0, 0.0], [0.3, 0.7], 10**4, rng) == 0.0
+        assert simulate_mixture_risk([0.0, 0.0], [0.3, 0.7], 10**4, rng) == 0
 
     def test_mixture_rejects_bad_input(self):
         rng = np.random.default_rng(13)

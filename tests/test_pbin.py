@@ -15,7 +15,8 @@ from obsvalue import pbin
 from obsvalue.constants import ENUM_GUARD
 from obsvalue.pbin import (_BLOCK, EnumerationGuardError, _binom_band,
                            _compositions, _poisson_band, binom_pmf,
-                           enumeration_fits, multinomial_enumerate,
+                           _arrangements, _partitions, enumeration_fits,
+                           multinomial_classes, multinomial_enumerate,
                            multinomial_logpmf, n_compositions, pbin_pmf,
                            pbin_pmf_rows, pbin_shift_difference,
                            pbin_survival)
@@ -624,3 +625,78 @@ class TestMultinomial:
         digits = np.array([1, 5, 25])
         hits = np.bincount(samples @ digits, minlength=76)[counts @ digits]
         assert min_two_sided(hits, draws, probs) >= LEVEL
+
+
+# Weight vectors for the class tests: equal cells, two and three groups of
+# equal weights, all distinct, and a zero weight among equal ones.
+CLASS_WEIGHTS = [
+    (8, np.full(14, 1.0 / 14)),
+    (6, np.repeat([1.0 / 12, 1.0 / 6], 4)),
+    (7, [0.1, 0.2, 0.2, 0.5]),
+    (5, [0.05, 0.2, 0.05, 0.2, 0.3, 0.2]),
+    (6, [0.1, 0.15, 0.2, 0.25, 0.3]),
+    (4, [0.25, 0.0, 0.25, 0.25, 0.25]),
+]
+
+
+class TestMultinomialClasses:
+    @pytest.mark.parametrize("trials, w", CLASS_WEIGHTS)
+    def test_counts_and_total_probability(self, trials, w):
+        reps, mult, probs = multinomial_classes(trials, w)
+        assert mult.sum() == n_compositions(trials, len(w))
+        assert abs(mult @ probs - 1.0) <= 1e-12
+        assert np.all(reps.sum(axis=1) == trials)
+
+    @pytest.mark.parametrize("trials, w", CLASS_WEIGHTS)
+    def test_classes_group_the_enumeration(self, trials, w):
+        # Each composition, its counts sorted within each group of equal
+        # weights, is one class's representative; the class holds mult of
+        # them, each of the representative's probability.
+        w = np.asarray(w)
+        reps, mult, probs = multinomial_classes(trials, w)
+        counts, row_probs = multinomial_enumerate(trials, w)
+        key = counts.copy()
+        for v in np.unique(w):
+            cells = w == v
+            key[:, cells] = np.sort(counts[:, cells], axis=1)[:, ::-1]
+        where = {tuple(r): i for i, r in enumerate(reps.tolist())}
+        assert len(where) == len(reps)
+        cls = np.array([where[tuple(r)] for r in key.tolist()])
+        assert np.array_equal(np.bincount(cls, minlength=len(reps)), mult)
+        assert np.abs(row_probs - probs[cls]).max() <= 1e-15
+
+    def test_distinct_weights_give_the_enumeration(self):
+        # Every composition once, with its own probability, bit for bit:
+        # the rows are C-ordered, as the enumeration's are, so each
+        # logpmf sums its cells in one order (an F-ordered table of 9
+        # cells summed them in another, 1e-17 apart).
+        w = np.random.default_rng(4).permutation(np.arange(1.0, 10.0)) / 45
+        reps, mult, probs = multinomial_classes(5, w)
+        counts, row_probs = multinomial_enumerate(5, w)
+        assert len(reps) == len(counts) and not np.any(mult - 1)
+        got = dict(zip(map(tuple, reps.tolist()), probs))
+        want = dict(zip(map(tuple, counts.tolist()), row_probs))
+        assert got == want
+
+    @pytest.mark.parametrize("total, parts", [
+        (0, 3), (1, 1), (4, 1), (3, 4), (8, 14), (10, 3), (12, 12), (1, 500),
+        (254, 2)])
+    def test_partitions_and_their_counts(self, total, parts):
+        rows = _partitions(total, parts, np.uint8)
+        mult = _arrangements(rows)
+        seen = {tuple(r) for r in rows.tolist()}
+        assert len(seen) == len(rows)
+        assert all(sum(r) == total and list(r) == sorted(r, reverse=True)
+                   for r in seen)
+        for r, k in zip(rows.tolist(), mult):
+            assert k == math.factorial(parts) // math.prod(
+                math.factorial(r.count(v)) for v in set(r))
+        assert mult.sum() == n_compositions(total, parts)
+
+    def test_guard_raises_before_allocating(self, traced_peak):
+        def call():
+            with pytest.raises(EnumerationGuardError):
+                multinomial_classes(1, np.full(100_000, 1e-5))
+
+        _, peak = traced_peak(call)
+        assert peak < 1 << 20

@@ -98,7 +98,7 @@ def test_simulation_check_flags_a_biased_simulator(monkeypatch):
     real = verify.simulate_multitest_risk
 
     def biased(risks, l, trials, rng):
-        return min(1.0, real(risks, l, trials, rng) + 0.01)
+        return min(trials, real(risks, l, trials, rng) + trials // 100)
 
     monkeypatch.setattr(verify, "simulate_multitest_risk", biased)
     ok, _ = verify.check_simulations(verify.QUICK, np.random.default_rng(1))
