@@ -15,15 +15,16 @@ underflows to 0 (5188 at r = 2) but its output: each even n repeats the
 odd n before it, and each odd n adds one term to the next odd n, from an
 anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
-enumeration while its table stays under the guard and its trials number
-at most 254 (``_enumerates``, ``method="exact"``), otherwise an exact
-generating-function engine (``method="gf"``).  On the exact path each
+enumeration over equal cells while its table stays under the guard and
+its trials number at most 254 (``_enumerates``, ``method="exact"``),
+otherwise an exact generating-function engine (``method="gf"``), which
+also takes every unequal weight vector.  On the exact path each
 Poisson-binomial law is computed once a class of count vectors, those
-equal up to a permutation among cells of equal weight
-(``pbin.multinomial_classes``).  ``mixedpbin_mass`` weighs each class by
-its size and builds no table of compositions; ``cube_lower`` keeps the
-rows' probabilities and their order of summation, and reads each row's
-survivals from its class, a block of rows at a time.
+equal up to a permutation of the cells (``pbin.multinomial_classes``).
+``mixedpbin_mass`` weighs each class by its size and builds no table of
+compositions; ``cube_lower`` keeps the rows' probabilities and their
+order of summation, and reads each row's survivals from its class
+(``pbin._class_index``), a block of rows at a time.
 The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
@@ -43,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constants import check_budget
-from .pbin import (_as_weights, _block_rows, _partitions, _poisson_band,
+from .pbin import (_as_weights, _block_rows, _class_index, _poisson_band,
                    _spread, enumeration_fits, multinomial_classes,
                    multinomial_enumerate, pbin_pmf_rows)
 
@@ -241,35 +242,6 @@ class CubeLowerResult:
         return float(self.ci[self.l_star - 1])
 
 
-def _class_index(reps: np.ndarray):
-    """The map from rows of counts to their classes over equal cells, the
-    rows of ``reps`` (``pbin._partitions``): a function that takes a
-    (rows, m) table of counts to its rows' class indices.
-
-    A row's key is sum_j B^c_j mod 2^64, for an odd B above the m cells:
-    that is sum_v mu_v B^v, with mu_v the cells that hold v, so it is the
-    same for every permutation of the row, and the integer sums wrap
-    exactly in any order.  Every mu_v <= m is a digit, so while B^(t+1) <=
-    2^64 (15^9 at t = 8, m = 14, the largest witness on the exact path)
-    the key is the base-B numeral of the row's multiset: one-to-one on
-    classes.  Whatever t, the classes' keys are checked distinct (it
-    raises RuntimeError if not), so each row's key, which is its class's,
-    names that class alone."""
-    m = reps.shape[1]
-    powers = np.array([pow((m + 1) | 1, v, 1 << 64)
-                       for v in range(int(reps.max()) + 1)], dtype=np.uint64)
-
-    def keys(counts):
-        return np.take(powers, counts).sum(axis=1)
-
-    own = keys(reps)
-    order = np.argsort(own)
-    own = own[order]
-    if np.any(own[1:] == own[:-1]):
-        raise RuntimeError(f"class keys collide over {m} cells")
-    return lambda counts: order[np.searchsorted(own, keys(counts))]
-
-
 def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
     equal cells, by composition enumeration.
@@ -277,8 +249,9 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     The survival of a row depends on its class alone, the multiset of its
     counts (a partition of the trials), so it is taken once a class, as the
     reversed cumsum of the class representative's pmf: 22 pmfs at t = 8,
-    m = 14, for 203 490 rows.  Each row finds its class by a key that no
-    two classes share (``_class_index``).
+    m = 14, for 203 490 rows (``pbin.multinomial_classes``).  Each row
+    finds its class by a key that no two classes share
+    (``pbin._class_index``).
 
     The expectation over rows is one sequential sum per threshold, in row
     order, carried from block to block: each block's product puts the
@@ -292,7 +265,7 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     (ROADMAP item 2).
     """
     counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
-    reps = _partitions(trials, m, counts.dtype)  # the classes of equal cells
+    reps = multinomial_classes(trials, m)[0]
     # Each class's survivals, reversed: column k holds P(>= m - k).
     surv = np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1], axis=1)
     index = _class_index(reps)
@@ -568,12 +541,13 @@ def _gf_survival_window(n: int, m: int, risks: np.ndarray
 
 
 def _enumerates(trials: int, m: int) -> bool:
-    """Whether ``cube_lower`` and ``mixedpbin_mass`` take composition
-    enumeration: while its table fits the guard (``enumeration_fits``) and
-    the trials fit the uint8 compositions, at most 254.  Beyond that the
-    lgamma form of ``multinomial_logpmf`` drifts: at Mult(10^4) over two
-    cells the masses were 9.6e-12 off an exact Binomial oracle, where the
-    generating-function engine is within 2.2e-16."""
+    """Whether ``cube_lower``, and ``mixedpbin_mass`` on equal weights,
+    take composition enumeration: while its table fits the guard
+    (``enumeration_fits``) and the trials fit the uint8 compositions, at
+    most 254.  Beyond that the lgamma form of ``multinomial_logpmf``
+    drifts: at Mult(10^4) over two cells the masses were 9.6e-12 off an
+    exact Binomial oracle, where the generating-function engine is within
+    2.2e-16."""
     return trials <= 254 and enumeration_fits(trials, m)
 
 
@@ -690,7 +664,8 @@ def mixedpbin_mass(
     """Best outcome mass max_k E[P(PBin(f(N_1), ..., f(N_m)) = k)] with
     N ~ Mult(n, weights) and ``f`` a monotone table on {0, ..., n}.
 
-    Composition enumeration while ``_enumerates`` allows it
+    Composition enumeration by class (``pbin.multinomial_classes``) when
+    every weight is equal and ``_enumerates`` allows it
     (``method="exact"``), otherwise the generating-function engine over
     groups of equal weights (``method="gf"``); both are exact up to
     rounding, so ``ci`` is all zeros.
@@ -711,8 +686,8 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if _enumerates(n, m):  # one product a block of classes
-        reps, mult, probs = multinomial_classes(n, w)
+    if np.all(w == w[0]) and _enumerates(n, m):  # by blocks of classes
+        reps, mult, probs = multinomial_classes(n, m)
         weight = mult * probs
         step = _block_rows(m + 1)
         masses = sum(weight[lo:lo + step]

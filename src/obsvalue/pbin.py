@@ -425,62 +425,71 @@ def _arrangements(rows: np.ndarray) -> np.ndarray:
     return mult
 
 
+def _class_index(reps: np.ndarray):
+    """The map from rows of counts over equal cells to their classes, the
+    rows of ``reps`` (:func:`multinomial_classes`): a function that takes
+    a (rows, m) table of counts to its rows' class indices.
+
+    A row's key is sum_j B^c_j mod 2^64, for an odd B above the m cells:
+    that is sum_v mu_v B^v, with mu_v the cells that hold v, so it is the
+    same for every permutation of the row, and the integer sums wrap
+    exactly in any order.  Every mu_v <= m is a digit, so while B^(t+1) <=
+    2^64 (15^9 at t = 8, m = 14, the largest witness on the exact path)
+    the key is the base-B numeral of the row's multiset: one-to-one on
+    classes.  Whatever t, the classes' keys are checked distinct (it
+    raises RuntimeError if not), so each row's key, which is its class's,
+    names that class alone."""
+    m = reps.shape[1]
+    powers = np.array([pow((m + 1) | 1, v, 1 << 64)
+                       for v in range(int(reps.max()) + 1)], dtype=np.uint64)
+
+    def keys(counts):
+        return np.take(powers, counts).sum(axis=1)
+
+    own = keys(reps)
+    order = np.argsort(own)
+    own = own[order]
+    if np.any(own[1:] == own[:-1]):
+        raise RuntimeError(f"class keys collide over {m} cells")
+    return lambda counts: order[np.searchsorted(own, keys(counts))]
+
+
 def multinomial_classes(
-    trials: int, weights: Sequence[float]
+    trials: int, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mult(trials, weights)'s count vectors by class: two are in one class
-    when one permutes the other's counts among cells of equal weight.  All
-    of a class have one probability, and one value of any function that
-    is symmetric in the counts (a PBin law of a table at them, for one).
+    """Mult(trials) over m equal cells by class: two count vectors are in
+    one class when one permutes the other's counts, so a class is a
+    partition of ``trials``.  All of a class have one probability, and one
+    value of any function that is symmetric in the counts (a PBin law of a
+    table at them, for one).  Unequal weights have no classes here: the
+    generating-function engine of ``lower`` takes them.
 
     Returns ``(reps, mult, probs)``: a row of ``reps`` per class, its
-    representative, whose counts are nonincreasing over each group's
-    cells in cell order; ``mult``, the compositions in the class, the
-    product over groups g of m_g! / prod_v mu_gv!, where the group has m_g
-    cells and mu_gv of them hold v; and ``probs``, the probability of one
-    of them, :func:`multinomial_logpmf` of the representative.  So
-    ``mult.sum()`` is ``n_compositions(trials, m)`` and ``mult @ probs``
-    is 1 up to rounding.  With all weights distinct every class is one
-    composition.
-
-    The classes are the compositions of ``trials`` over the groups, each
-    group's part split every way into at most m_g parts
-    (:func:`_partitions`).  There are at most as many as compositions, so
-    it raises :class:`EnumerationGuardError` as
-    :func:`multinomial_enumerate` does."""
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    w = _as_weights(weights)
-    _check_fits(trials, w.size)
-    group = np.unique(w, return_inverse=True)[1]
-    sizes = np.bincount(group)
-    # Each cell starts with its group's part; each group of 2+ cells then
-    # turns every row into one row per partition of that part.
-    reps = np.take(_compositions(trials, sizes.size), group, axis=1)
-    mult = np.ones(reps.shape[0], dtype=np.int64)
-    for g in np.flatnonzero(sizes > 1):
-        cells = group == g
-        part = reps[:, np.argmax(cells)]
-        seen = np.flatnonzero(np.bincount(part, minlength=trials + 1))
-        tables = [_partitions(s, int(sizes[g]), reps.dtype) for s in seen]
-        ways = np.zeros(trials + 1, dtype=np.int64)
-        ways[seen] = [len(t) for t in tables]
-        each = ways[part]
-        rows = np.repeat(np.arange(each.size), each)
-        pick = ((np.cumsum(ways) - ways)[part[rows]] + np.arange(rows.size)
-                - (np.cumsum(each) - each)[rows])
-        table = np.concatenate(tables)
-        reps, mult = reps[rows], mult[rows] * _arrangements(table)[pick]
-        reps[:, cells] = table[pick]
-    return reps, mult, _row_probs(reps, w)
+    representative, the counts in nonincreasing order
+    (:func:`_partitions`, in the type of :func:`_compositions`); ``mult``,
+    the compositions in the class, m! / prod_v mu_v! where mu_v of the
+    cells hold v (:func:`_arrangements`); and ``probs``, the probability
+    of one of them, :func:`multinomial_logpmf` of the representative at
+    weights 1/m.  So ``mult.sum()`` is ``n_compositions(trials, m)`` and
+    ``mult @ probs`` is 1 up to rounding: 22 classes for the 203 490
+    compositions of Mult(8) over 14 cells.  There are at most as many
+    classes as compositions, so it raises :class:`EnumerationGuardError`
+    as :func:`multinomial_enumerate` does."""
+    if trials < 0 or m < 1:
+        raise ValueError("requires trials >= 0 and m >= 1")
+    _check_fits(trials, m)
+    reps = _partitions(trials, m, np.min_scalar_type(trials + 1))
+    return reps, _arrangements(reps), _row_probs(reps, np.full(m, 1.0 / m))
 
 
 def multinomial_logpmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Log Mult(n, weights) probabilities for each row of ``counts``.
 
     Cells with zero weight contribute 0 iff their count is zero, else -inf.
+    Each row's sums run over a C-ordered copy, so the bits are the same
+    whatever the memory layout of ``counts``.
     """
-    counts = np.atleast_2d(counts)
+    counts = np.ascontiguousarray(np.atleast_2d(counts))
     n = int(counts[0].sum())
     logfact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     out = np.full(counts.shape[0], logfact[n])

@@ -130,8 +130,9 @@ def class_survival_gap(n, m, risks):
 
 
 def fsum_mixed_masses(n, w, table):
-    """Oracle for ``mixedpbin_mass``'s exact path: every row's products
-    probs[i] * pmf_i[k], made whole, each added by ``math.fsum``."""
+    """Oracle for ``mixedpbin_mass`` on both its paths: every
+    composition's products probs[i] * pmf_i[k], made whole, each added by
+    ``math.fsum``."""
     counts, probs = dense_enumeration(n, w)
     terms = probs[:, None] * pbin_pmf_rows(table[counts])
     return np.array([math.fsum(col) for col in terms.T])
@@ -488,17 +489,17 @@ class TestCubeLower:
             m = 1
             while pbin.enumeration_fits(t, m):
                 reps = pbin._partitions(t, m, np.uint8)
-                index = lower._class_index(reps)
+                index = pbin._class_index(reps)
                 assert np.array_equal(index(reps), np.arange(len(reps)))
                 pairs, m = pairs + 1, m + 1
         assert pairs == 4452
 
     @pytest.mark.parametrize("t, m", [(8, 14), (5, 3), (3, 9), (20, 2)])
     def test_each_row_maps_to_its_sorted_counts(self, t, m):
-        reps = pbin.multinomial_classes(t, np.full(m, 1.0 / m))[0]
+        reps = pbin.multinomial_classes(t, m)[0]
         assert np.array_equal(reps, pbin._partitions(t, m, np.uint8))
         counts = _compositions(t, m)
-        got = reps[lower._class_index(reps)(counts)]
+        got = reps[pbin._class_index(reps)(counts)]
         assert np.array_equal(got, np.sort(counts, axis=1)[:, ::-1])
 
     def test_deltas_nonnegative(self):
@@ -777,28 +778,41 @@ class TestMixedPbinMass:
     @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
     def test_exact_path_equals_dense_formula_nonuniform(self, monkeypatch,
                                                         n, block):
-        # Eight distinct weights: every class is one composition.
-        if block is not None:  # blocks of 3 rows of 9 entries
+        # Eight distinct weights: enumeration takes equal cells only, so
+        # the GF engine answers, checked against the enumeration.
+        if block is not None:  # blocks of 3 z-nodes of 9 entries
             monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.random.default_rng(11).dirichlet(np.ones(8))
         w /= w.sum()
         table = bayes_risk_curve(1.5, n).values
         res = mixedpbin_mass(n, 8, w, table)
-        assert res.method == "exact"
+        assert res.method == "gf"
         want = fsum_mixed_masses(n, w, table)
         assert np.abs(res.masses - want).max() <= 1e-15
 
     @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
     def test_exact_path_equals_dense_formula_two_groups(self, monkeypatch,
                                                         n, block):
-        # Groups of 3 and 5 cells of equal weights.
+        # Groups of 3 and 5 cells of equal weights: the GF engine too.
         if block is not None:
             monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.repeat([0.1, 0.14], (3, 5))
         table = bayes_risk_curve(1.5, n).values
         res = mixedpbin_mass(n, 8, w, table)
-        assert res.method == "exact"
+        assert res.method == "gf"
         want = fsum_mixed_masses(n, w, table)
+        assert np.abs(res.masses - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("n, w, table", [
+        (4, [0.25, 0.0, 0.25, 0.25, 0.25], bayes_risk_curve(2.0, 4).values),
+        (2, [0.2, 0.3, 0.5], np.ones(3)),
+    ], ids=["zero-weight-cell", "constant-one"])
+    def test_unequal_weights_leave_enumeration(self, n, w, table):
+        # A cell of weight 0 among equal ones, and the constant-1 table
+        # over unequal weights: GF, within 1e-15 of the enumeration.
+        res = mixedpbin_mass(n, len(w), w, table)
+        assert res.method == "gf"
+        want = fsum_mixed_masses(n, np.asarray(w), table)
         assert np.abs(res.masses - want).max() <= 1e-15
 
     def test_exact_path_memory_is_bounded(self, traced_peak):

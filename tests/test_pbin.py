@@ -616,6 +616,19 @@ class TestMultinomial:
         assert np.array_equal(counts, dense)
         assert np.array_equal(probs, np.exp(multinomial_logpmf(dense, w)))
 
+    def test_logpmf_bits_do_not_depend_on_the_layout(self):
+        # A column permutation by fancy indexing is F-ordered, and numpy
+        # sums the rows of such a table in another order: without the
+        # C-ordered copy, 185 of these 1287 rows differed.
+        w = np.random.default_rng(4).permutation(np.arange(1.0, 10.0)) / 45
+        perm = np.random.default_rng(5).permutation(9)
+        counts = _compositions(5, 9)
+        f_ordered = counts[:, perm]
+        assert f_ordered.flags.f_contiguous
+        assert np.array_equal(
+            multinomial_logpmf(f_ordered, w),
+            multinomial_logpmf(np.take(counts, perm, axis=1), w))
+
     def test_sample_frequencies_match_enumeration(self):
         weights = np.array([0.2, 0.3, 0.5])
         trials, draws = 3, 10**6
@@ -627,56 +640,57 @@ class TestMultinomial:
         assert min_two_sided(hits, draws, probs) >= LEVEL
 
 
-# Weight vectors for the class tests: equal cells, two and three groups of
-# equal weights, all distinct, and a zero weight among equal ones.
+# Trials and the equal weights of the class tests' enumeration oracle.
 CLASS_WEIGHTS = [
     (8, np.full(14, 1.0 / 14)),
-    (6, np.repeat([1.0 / 12, 1.0 / 6], 4)),
-    (7, [0.1, 0.2, 0.2, 0.5]),
-    (5, [0.05, 0.2, 0.05, 0.2, 0.3, 0.2]),
-    (6, [0.1, 0.15, 0.2, 0.25, 0.3]),
-    (4, [0.25, 0.0, 0.25, 0.25, 0.25]),
+    (6, np.full(8, 1.0 / 8)),
+    (7, np.full(4, 0.25)),
+    (5, np.full(6, 1.0 / 6)),
+    (6, np.full(5, 0.2)),
+    (4, np.ones(1)),
 ]
 
 
 class TestMultinomialClasses:
     @pytest.mark.parametrize("trials, w", CLASS_WEIGHTS)
     def test_counts_and_total_probability(self, trials, w):
-        reps, mult, probs = multinomial_classes(trials, w)
+        # Each class's probability is Mult(trials, w)'s at its
+        # representative, bit for bit.
+        reps, mult, probs = multinomial_classes(trials, len(w))
         assert mult.sum() == n_compositions(trials, len(w))
         assert abs(mult @ probs - 1.0) <= 1e-12
         assert np.all(reps.sum(axis=1) == trials)
+        assert np.array_equal(probs, np.exp(multinomial_logpmf(reps, w)))
 
     @pytest.mark.parametrize("trials, w", CLASS_WEIGHTS)
     def test_classes_group_the_enumeration(self, trials, w):
-        # Each composition, its counts sorted within each group of equal
-        # weights, is one class's representative; the class holds mult of
-        # them, each of the representative's probability.
-        w = np.asarray(w)
-        reps, mult, probs = multinomial_classes(trials, w)
+        # Each composition, its counts sorted, is one class's
+        # representative; the class holds mult of them, each of the
+        # representative's probability.
+        reps, mult, probs = multinomial_classes(trials, len(w))
         counts, row_probs = multinomial_enumerate(trials, w)
-        key = counts.copy()
-        for v in np.unique(w):
-            cells = w == v
-            key[:, cells] = np.sort(counts[:, cells], axis=1)[:, ::-1]
         where = {tuple(r): i for i, r in enumerate(reps.tolist())}
         assert len(where) == len(reps)
+        key = np.sort(counts, axis=1)[:, ::-1]
         cls = np.array([where[tuple(r)] for r in key.tolist()])
         assert np.array_equal(np.bincount(cls, minlength=len(reps)), mult)
         assert np.abs(row_probs - probs[cls]).max() <= 1e-15
 
-    def test_distinct_weights_give_the_enumeration(self):
-        # Every composition once, with its own probability, bit for bit:
-        # the rows are C-ordered, as the enumeration's are, so each
-        # logpmf sums its cells in one order (an F-ordered table of 9
-        # cells summed them in another, 1e-17 apart).
-        w = np.random.default_rng(4).permutation(np.arange(1.0, 10.0)) / 45
-        reps, mult, probs = multinomial_classes(5, w)
-        counts, row_probs = multinomial_enumerate(5, w)
-        assert len(reps) == len(counts) and not np.any(mult - 1)
-        got = dict(zip(map(tuple, reps.tolist()), probs))
-        want = dict(zip(map(tuple, counts.tolist()), row_probs))
-        assert got == want
+    def test_every_table_the_guard_admits(self):
+        # Every (t, m) with t <= 10 and m <= 16 that enumeration_fits
+        # admits: the multiplicities count the compositions, the classes
+        # carry all the mass, and each composition's class index names
+        # its sorted counts.
+        pairs = [(t, m) for t in range(11) for m in range(1, 17)
+                 if enumeration_fits(t, m)]
+        assert {(0, 1), (0, 16), (10, 1), (8, 16)} <= set(pairs)
+        for t, m in pairs:
+            reps, mult, probs = multinomial_classes(t, m)
+            assert mult.sum() == n_compositions(t, m)
+            assert abs(mult @ probs - 1.0) <= 1e-12
+            counts = _compositions(t, m)
+            got = reps[pbin._class_index(reps)(counts)]
+            assert np.array_equal(got, np.sort(counts, axis=1)[:, ::-1])
 
     @pytest.mark.parametrize("total, parts", [
         (0, 3), (1, 1), (4, 1), (3, 4), (8, 14), (10, 3), (12, 12), (1, 500),
@@ -696,7 +710,7 @@ class TestMultinomialClasses:
     def test_guard_raises_before_allocating(self, traced_peak):
         def call():
             with pytest.raises(EnumerationGuardError):
-                multinomial_classes(1, np.full(100_000, 1e-5))
+                multinomial_classes(1, 100_000)
 
         _, peak = traced_peak(call)
         assert peak < 1 << 20

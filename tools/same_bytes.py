@@ -29,9 +29,13 @@ CALLS = [
     "sweep --r 4 --n 3:9:2 --format json",
     "sweep --r 1.5 --n 4:16777216:x4",
     "lower cube --r 2 --n 1:4096:x2 --format json",
+    "lower cube --r 1.5 --n 1:7",
+    "lower cube --r 4 --n 1:7 --format json",
     "lower risks --r 2 --n 64 --format json",
     "lower mixedpbin --r 2 --n 8 --m 16",
     "lower mixedpbin --r 2 --n 16 --m 16",
+    "lower mixedpbin --r 2 --n 9:12 --m 8",
+    "lower mixedpbin --r 1.5 --n 1:10 --m 10",
     "lower mixedpbin --r 2 --n 10000 --m 2",
     "lower mixedpbin --r 2 --n 1 --m 100000",
     "upper mad --r 2 --n 1:64:x2 --mc 100000 --seed 1 --format json",
