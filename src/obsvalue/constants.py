@@ -18,9 +18,10 @@ ENUM_GUARD = 1 << 23
 # this: the outputs of a ``cube_lower`` (and so of ``lower cube`` and
 # ``sweep``), the risk curve (n + 2 floats), the per-threshold gaps and
 # their all-zero half-widths (2n floats each); a Binomial band
-# (``pbin._binom_band``); a CLI table.  2^30 (1 GiB) admits ``cube_lower``
-# up to n = 26 843 545; n = 2^24 takes 640 MiB, of which the zero
-# half-widths' 256 MiB are pages that are never written.
+# (``pbin._binom_band``); the powered grid of the generating-function
+# engine (``lower._gf_window``); a CLI table.  2^30 (1 GiB) admits
+# ``cube_lower`` up to n = 26 843 545; n = 2^24 takes 640 MiB, of which
+# the zero half-widths' 256 MiB are pages that are never written.
 OUTPUT_BUDGET = 1 << 30
 
 

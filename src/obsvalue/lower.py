@@ -249,9 +249,9 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     The survival of a row depends on its class alone, the multiset of its
     counts (a partition of the trials), so it is taken once a class, as the
     reversed cumsum of the class representative's pmf: 22 pmfs at t = 8,
-    m = 14, for 203 490 rows (``pbin.multinomial_classes``).  Each row
-    finds its class by a key that no two classes share
-    (``pbin._class_index``).
+    m = 14, for 203 490 rows.  Each row finds its class by a key that no
+    two classes share; ``pbin._class_index`` builds the representatives
+    and that map, and not the classes' sizes or probabilities.
 
     The expectation over rows is one sequential sum per threshold, in row
     order, carried from block to block: each block's product puts the
@@ -265,10 +265,9 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     (ROADMAP item 2).
     """
     counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
-    reps = multinomial_classes(trials, m)[0]
+    reps, index = _class_index(trials, m)
     # Each class's survivals, reversed: column k holds P(>= m - k).
     surv = np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1], axis=1)
-    index = _class_index(reps)
     total = np.zeros(m + 1)
     step = _block_rows(m + 1)
     for lo in range(0, probs.size, step):
@@ -395,8 +394,7 @@ def _gf_window(
     for K of order sqrt(t) rather than the product's degree.  The
     z-coefficients come from the values at K_z roots of unity by an
     inverse real DFT, keeping the half of them that conjugate symmetry
-    determines; the z-nodes are processed in blocks of at most
-    ``pbin._BLOCK`` complex entries (about 1 MiB an array, for any n).
+    determines.
 
     Windowed z-DFT: with K_z < d + 1 nodes the inverse DFT returns the
     coefficients folded mod K_z, F_q = sum over l = q (mod K_z) of [z^l].
@@ -447,18 +445,23 @@ def _gf_window(
     it are cut where it falls below 2^-1022 of its mode (150 entries at
     the cube's mean 1/2).
 
-    Cost: for the 2n-cell witness the kept grid is 31 to 35 x-nodes by 34
-    to 36 z-nodes at every n from 1024 on, as the joint law of a cell's
-    count and error concentrates at the rates at which the node spacings
-    2 pi/K and 2 pi/K_z shrink.  Each entry takes about 2 log2(M) complex
-    multiplies
-    per group of multiplicity M (``_mul_power``).  Besides these, a call
-    makes O(K) work per group (a K-point DFT of the Poisson band, the
-    normalizer and the window), an inverse DFT of K_z points and the
-    output, with K, K_z of order sqrt(t) and sqrt(d (45 + log t)).  The
-    powers are not taken with ``**``: numpy squares only below exponent
-    100 and above that calls libm ``cpow``, exp(M log w), which is several
-    times slower per entry and less accurate.
+    Cost: the kept grid is powered in one pass, as one (rows, cols) pair
+    of complex arrays and one product with the x-sum's row; a grid whose
+    pair would exceed ``OUTPUT_BUDGET`` is refused (ValueError) before it
+    is allocated.  Every grid is small: a dense one holds at most
+    ``_GF_PRUNE_MIN`` entries, and for the 2n-cell witness the kept grid
+    is 31 to 35 x-nodes by 34 to 36 z-nodes at every n from 1024 on (31 x
+    36 at n = 2^20), as the joint law of a cell's count and error
+    concentrates at the rates at which the node spacings 2 pi/K and 2
+    pi/K_z shrink; the largest kept grid measured, 99 x 31, was of
+    Mult(10) over 10^5 cells.  Each entry takes about 2 log2(M) complex
+    multiplies per group of multiplicity M (``_mul_power``).  Besides
+    these, a call makes O(K) work per group (a K-point DFT of the Poisson
+    band, the normalizer and the window), an inverse DFT of K_z points
+    and the output, with K, K_z of order sqrt(t) and sqrt(d (45 + log
+    t)).  The powers are not taken with ``**``: numpy squares only below
+    exponent 100 and above that calls libm ``cpow``, exp(M log w), which
+    is several times slower per entry and less accurate.
     """
     fft = np.fft  # loaded on first use, off the import path
     size = 1 + sum(mult for mult, _ in groups)
@@ -502,22 +505,19 @@ def _gf_window(
         cols, rows = _gf_grid(factors, extra, cut, K_z)
     else:
         cols, rows = slice(None), K_z // 2 + 1
-    extra, pick = extra[cols], pick[cols]
-    factors = [(mult, a[cols], b[cols]) for mult, a, b in factors]
-    zs = np.exp(-2j * math.pi * np.arange(rows) / K_z)
+    pick = pick[cols]
+    check_budget(32 * rows * pick.size, f"the {rows} x {pick.size} "
+                 "entries of the generating function's grid and its powers")
+    z = np.exp(-2j * math.pi * np.arange(rows) / K_z)[:, None]
+    acc = np.empty((rows, pick.size), dtype=complex)
+    acc[:] = extra[cols]
+    base = np.empty_like(acc)
+    for mult, a, b in factors:
+        np.multiply(z, b[cols], out=base)
+        base += a[cols]
+        _mul_power(acc, base, mult)
     values = np.zeros(K_z // 2 + 1, dtype=complex)
-    step = _block_rows(max(pick.size, 1))
-    acc_buf = np.empty((min(step, rows), pick.size), dtype=complex)
-    base_buf = np.empty_like(acc_buf)
-    for lo in range(0, rows, step):
-        z = zs[lo:lo + step, None]
-        acc, base = acc_buf[:z.shape[0]], base_buf[:z.shape[0]]
-        acc[:] = extra
-        for mult, a, b in factors:
-            np.multiply(z, b, out=base)
-            base += a
-            _mul_power(acc, base, mult)
-        values[lo:lo + z.shape[0]] = acc @ pick
+    values[:rows] = acc @ pick
     folded = fft.irfft(values / norm, n=K_z)
     start = min(max(math.floor(mean) - (K_z - 1) // 2, 0), size - K_z)
     # Every coefficient is an expectation of nonnegative terms; what the
@@ -686,13 +686,11 @@ def mixedpbin_mass(
     if w.shape != (m,):
         raise ValueError("need exactly m weights")
     w = _as_weights(w)
-    if np.all(w == w[0]) and _enumerates(n, m):  # by blocks of classes
+    # One product over the classes: at most 71 928 of them, Mult(213)
+    # over 4 cells, whose risks and pmfs take 4.9 MiB.
+    if np.all(w == w[0]) and _enumerates(n, m):
         reps, mult, probs = multinomial_classes(n, m)
-        weight = mult * probs
-        step = _block_rows(m + 1)
-        masses = sum(weight[lo:lo + step]
-                     @ pbin_pmf_rows(table[reps[lo:lo + step]])
-                     for lo in range(0, weight.size, step))
+        masses = (mult * probs) @ pbin_pmf_rows(table[reps])
         method = "exact"
     else:
         values, mults = np.unique(w / w.sum(), return_counts=True)

@@ -45,11 +45,13 @@ def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
     pmf[1:k + 2] += up
 
 
-# Entries per block of every blocked loop of the package: the rows of
-# ``pbin_pmf_rows`` and of the enumeration, the z-nodes of the
-# generating-function engine and the values of ``RiskCurve``'s check.  A
+# Entries per block of every loop of the package that must stream: the
+# rows of ``pbin_pmf_rows``, of the enumeration's probabilities and of
+# ``lower._survival_sums``, and the values of ``RiskCurve``'s check.  A
 # block of floats (512 KiB) and its scratch stay in cache, and the extra
-# memory of a loop is a few blocks, whatever its size.
+# memory of a loop is a few blocks, whatever its size.  Each loop gives
+# every entry the same operations whatever the block, so no output
+# depends on this value.
 _BLOCK = 1 << 16
 
 
@@ -385,16 +387,17 @@ def multinomial_enumerate(
     return counts, _row_probs(counts, w)
 
 
-def _partitions(total: int, parts: int, dtype) -> np.ndarray:
+def _partitions(total: int, parts: int) -> np.ndarray:
     """The partitions of ``total`` into at most ``parts`` parts, one a row
-    of ``parts`` values in nonincreasing order (zeros last).
+    of ``parts`` values in nonincreasing order (zeros last), in the type
+    of :func:`_compositions`.
 
     Built a column at a time, as :func:`_compositions` is: with ``left``
     still to place in r places, this one included, the next value runs
     from min(left, the value before) down to ceil(left / r), the least
     that leaves the r - 1 places after it room for the rest.  A partition
     has at most ``total`` nonzero parts, so the columns past that are 0."""
-    rows = np.zeros((1, parts), dtype=dtype)
+    rows = np.zeros((1, parts), dtype=np.min_scalar_type(total + 1))
     left = hi = np.array([total])
     for j in range(min(parts, total)):
         width = hi + 1 + left // (j - parts)  # hi - ceil(left / r) + 1
@@ -425,10 +428,13 @@ def _arrangements(rows: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _class_index(reps: np.ndarray):
-    """The map from rows of counts over equal cells to their classes, the
-    rows of ``reps`` (:func:`multinomial_classes`): a function that takes
-    a (rows, m) table of counts to its rows' class indices.
+def _class_index(trials: int, m: int):
+    """The classes of Mult(trials) over m equal cells and the map from
+    rows of counts to them, as ``(reps, index)``: ``reps`` are the
+    representatives of :func:`multinomial_classes`, built alone, and
+    ``index`` a function that takes a (rows, m) table of counts to its
+    rows' class indices.  For a (trials, m) that
+    :func:`enumeration_fits` admits.
 
     A row's key is sum_j B^c_j mod 2^64, for an odd B above the m cells:
     that is sum_v mu_v B^v, with mu_v the cells that hold v, so it is the
@@ -439,7 +445,7 @@ def _class_index(reps: np.ndarray):
     classes.  Whatever t, the classes' keys are checked distinct (it
     raises RuntimeError if not), so each row's key, which is its class's,
     names that class alone."""
-    m = reps.shape[1]
+    reps = _partitions(trials, m)
     powers = np.array([pow((m + 1) | 1, v, 1 << 64)
                        for v in range(int(reps.max()) + 1)], dtype=np.uint64)
 
@@ -451,7 +457,7 @@ def _class_index(reps: np.ndarray):
     own = own[order]
     if np.any(own[1:] == own[:-1]):
         raise RuntimeError(f"class keys collide over {m} cells")
-    return lambda counts: order[np.searchsorted(own, keys(counts))]
+    return reps, lambda counts: order[np.searchsorted(own, keys(counts))]
 
 
 def multinomial_classes(
@@ -478,7 +484,7 @@ def multinomial_classes(
     if trials < 0 or m < 1:
         raise ValueError("requires trials >= 0 and m >= 1")
     _check_fits(trials, m)
-    reps = _partitions(trials, m, np.min_scalar_type(trials + 1))
+    reps = _partitions(trials, m)
     return reps, _arrangements(reps), _row_probs(reps, np.full(m, 1.0 / m))
 
 

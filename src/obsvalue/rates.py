@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,8 @@ class BoundReport:
 
     ``lower`` is the survival-gap bound (with CI half-width ``lower_ci``),
     ``upper_exact`` the kernel-specific TV surrogate exact_mad/2,
-    ``upper_closed``/``lower_closed`` the closed forms they certify.
+    ``upper_closed``/``lower_closed`` the closed forms they certify.  The
+    fields are the CSV's columns, in order, and the JSON records' keys.
     """
 
     r: float
@@ -31,11 +32,11 @@ class BoundReport:
     lower_ci: float
     l_star: int
     delta_avg: float
-    lower_method: str
     lower_closed: float
     upper_exact: float
     upper_closed: float
     floor_half: float
+    lower_method: str
 
     def __post_init__(self):
         if self.lower_closed > self.lower + self.lower_ci + EXACT_TOL:
@@ -57,11 +58,11 @@ def bound_sweep(r: float, n_values: Sequence[int]) -> list[BoundReport]:
     return [BoundReport(
         r=r, n=cube.n, m=cube.m,
         lower=cube.delta, lower_ci=cube.ci_at_star, l_star=cube.l_star,
-        delta_avg=cube.delta_avg, lower_method=cube.method,
-        lower_closed=cube.closed,
+        delta_avg=cube.delta_avg, lower_closed=cube.closed,
         upper_exact=exact_mad(ratio, cube.n + 1) / 2.0,
         upper_closed=certificate_upper_bound(cert, cube.n),
         floor_half=mad_floor(ratio, cube.n + 1) / 2.0,
+        lower_method=cube.method,
     ) for cube in cubes]
 
 
@@ -100,13 +101,6 @@ def rate_fit(points: Sequence[tuple[int, float]]) -> RateFit:
     )
 
 
-_CSV_COLUMNS = (
-    "r", "n", "m", "lower", "lower_ci", "l_star", "delta_avg",
-    "lower_closed", "upper_exact", "upper_closed", "floor_half",
-    "lower_method",
-)
-
-
 def format_number(x) -> str:
     """17-significant-digit decimal rendering (round-trips doubles)."""
     if isinstance(x, (int, np.integer)):
@@ -131,8 +125,8 @@ def to_record(columns: Sequence[str], row) -> dict:
 
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    return to_csv(_CSV_COLUMNS, ([getattr(rep, col) for col in _CSV_COLUMNS]
-                                 for rep in reports))
+    return to_csv([f.name for f in fields(BoundReport)],
+                  (vars(rep).values() for rep in reports))
 
 
 def sweep_summary(reports: Sequence[BoundReport]) -> dict:

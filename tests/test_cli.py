@@ -1,6 +1,7 @@
 """CLI tests: dispatch, formats, exit codes, and worker determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 import obsvalue
 from obsvalue.cli import _CELL_BYTES, _SLICE, _emit, main, parse_n_values
 from obsvalue.lower import CubeLowerResult, cube_lower
-from obsvalue.rates import bound_sweep, format_number, sweep_summary, to_record
+from obsvalue.rates import (BoundReport, bound_sweep, format_number,
+                            sweep_summary, to_record)
 
 
 def flat_cube(n, r, _risks=None):
@@ -168,6 +170,23 @@ class TestJsonMatchesCsv:
             for key, text in row.items():
                 x = float(text)
                 assert x == rec[key] or (np.isnan(x) and np.isnan(rec[key]))
+
+    def test_sweep_records(self):
+        # The keys in the CSV's column order, and each value the CSV's
+        # text; the grid takes both methods.
+        argv = ["sweep", "--r", "2", "--n", "4:16:x2"]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as js:
+            assert main(argv + ["--format", "json"]) == 0
+        records = json.loads(js.getvalue())["reports"]
+        rows = csv_records(out.getvalue())
+        assert len(records) == len(rows) == 3
+        assert [row["lower_method"] for row in rows] == ["exact", "gf", "gf"]
+        for rec, row in zip(records, rows):
+            assert list(rec) == list(row)
+            assert row == {key: v if isinstance(v, str) else format_number(v)
+                           for key, v in rec.items()}
 
     @pytest.mark.parametrize("argv", [
         ["lower", "risks", "--r", "2", "--n", "3"],
@@ -654,10 +673,9 @@ class TestExitCodes:
         assert main(["--help"]) == 0
 
     def test_help_documents_every_csv_column(self, capsys):
-        from obsvalue.rates import _CSV_COLUMNS
         main(["sweep", "--help"])
         text = capsys.readouterr().out
-        assert all(col in text for col in _CSV_COLUMNS)
+        assert all(f.name in text for f in dataclasses.fields(BoundReport))
         main(["upper", "--help"])
         text = capsys.readouterr().out
         for col in ("exact_mad_half", "certificate_bound", "floor_half",

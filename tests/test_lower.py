@@ -478,30 +478,6 @@ class TestCubeLower:
         assert res.method == "exact"
         assert peak <= 8 * 2**20
 
-    def test_class_keys_name_every_class_the_guard_admits(self):
-        # Every (t, m) with 1 <= t <= 254 that enumeration_fits admits
-        # (4452 pairs, 4.7 million classes): the classes' keys are
-        # distinct (_class_index raises if not), so each representative
-        # maps to itself.  Over equal cells the classes are the
-        # partitions of t.
-        pairs = 0
-        for t in range(1, 255):
-            m = 1
-            while pbin.enumeration_fits(t, m):
-                reps = pbin._partitions(t, m, np.uint8)
-                index = pbin._class_index(reps)
-                assert np.array_equal(index(reps), np.arange(len(reps)))
-                pairs, m = pairs + 1, m + 1
-        assert pairs == 4452
-
-    @pytest.mark.parametrize("t, m", [(8, 14), (5, 3), (3, 9), (20, 2)])
-    def test_each_row_maps_to_its_sorted_counts(self, t, m):
-        reps = pbin.multinomial_classes(t, m)[0]
-        assert np.array_equal(reps, pbin._partitions(t, m, np.uint8))
-        counts = _compositions(t, m)
-        got = reps[pbin._class_index(reps)(counts)]
-        assert np.array_equal(got, np.sort(counts, axis=1)[:, ::-1])
-
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):
             res = cube_lower(n, r)
@@ -576,16 +552,6 @@ class TestCubeLower:
         assert one.method == "gf" and one.per_l.min() >= 0.0
         assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
 
-    @pytest.mark.parametrize("n", [8, 1024])
-    def test_z_blocks_agree_with_one_block(self, n, monkeypatch):
-        # Blocks of one or two z-nodes: the powering loop crosses every
-        # block boundary, and the last block may be partial.  The x-sum's
-        # rounding may depend on how many rows one product takes.
-        whole = cube_lower(n, 2.0)
-        assert whole.method == "gf"
-        monkeypatch.setattr(pbin, "_BLOCK", 100)
-        assert np.abs(cube_lower(n, 2.0).per_l - whole.per_l).max() <= 1e-15
-
     @pytest.mark.parametrize("n", [1024, 4096, 65536])
     def test_pruned_grid_agrees_with_the_dense_engine(self, n, monkeypatch):
         seen = kept_grid(monkeypatch)
@@ -631,6 +597,19 @@ class TestCubeLower:
 
         _, peak = traced_peak(call)
         assert peak < 1 << 20
+
+    def test_oversized_grid_is_refused_before_it_is_allocated(
+            self, monkeypatch, traced_peak):
+        # Unpruned, the grid at 2^20 is 7495 z-nodes by 9760 x-nodes: its
+        # two complex arrays would take 2.3 GB.  The risk curve is 8 MiB.
+        monkeypatch.setattr(lower, "_GF_PRUNE_MIN", math.inf)
+
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                cube_lower(2**20, 2.0)
+
+        _, peak = traced_peak(call)
+        assert peak < 16 * 2**20
 
     def test_memory_is_the_budgeted_outputs(self, traced_peak):
         # The risk curve, per_l and ci, the 5n + 2 floats the guard
@@ -775,13 +754,10 @@ class TestMixedPbinMass:
         want = fsum_mixed_masses(n, w, table)
         assert np.abs(res.masses - want).max() <= 1e-15
 
-    @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
-    def test_exact_path_equals_dense_formula_nonuniform(self, monkeypatch,
-                                                        n, block):
+    @pytest.mark.parametrize("n", [12, 5])
+    def test_exact_path_equals_dense_formula_nonuniform(self, n):
         # Eight distinct weights: enumeration takes equal cells only, so
         # the GF engine answers, checked against the enumeration.
-        if block is not None:  # blocks of 3 z-nodes of 9 entries
-            monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.random.default_rng(11).dirichlet(np.ones(8))
         w /= w.sum()
         table = bayes_risk_curve(1.5, n).values
@@ -790,12 +766,9 @@ class TestMixedPbinMass:
         want = fsum_mixed_masses(n, w, table)
         assert np.abs(res.masses - want).max() <= 1e-15
 
-    @pytest.mark.parametrize("n, block", [(12, None), (5, 30)])
-    def test_exact_path_equals_dense_formula_two_groups(self, monkeypatch,
-                                                        n, block):
+    @pytest.mark.parametrize("n", [12, 5])
+    def test_exact_path_equals_dense_formula_two_groups(self, n):
         # Groups of 3 and 5 cells of equal weights: the GF engine too.
-        if block is not None:
-            monkeypatch.setattr(pbin, "_BLOCK", block)
         w = np.repeat([0.1, 0.14], (3, 5))
         table = bayes_risk_curve(1.5, n).values
         res = mixedpbin_mass(n, 8, w, table)
@@ -940,6 +913,28 @@ class TestMixedPbinMass:
             w *= 1.1
         with pytest.raises(ValueError, match=f"^{message}$"):
             mixedpbin_mass(n, n, w, bayes_risk_curve(2.0, n).values)
+
+
+def test_no_output_depends_on_the_block(monkeypatch):
+    # pbin._BLOCK sizes only loops that give each entry the same
+    # operations: the exact path's carried sums (n = 4), the GF's dense
+    # (8) and pruned grids (1024, 65536), the class product (9, 9) and
+    # (200, 4), and the GF over one (16, 16) and eight weight groups.
+    def outputs():
+        out = [cube_lower(n, 2.0).per_l for n in (4, 8, 1024, 65536)]
+        for n, m in ((9, 9), (200, 4), (16, 16)):
+            table = bayes_risk_curve(2.0, n).values
+            out.append(mixedpbin_mass(n, m, np.full(m, 1.0 / m), table).masses)
+        w = np.random.default_rng(1).dirichlet(np.ones(8))
+        out.append(mixedpbin_mass(12, 8, w / w.sum(),
+                                  bayes_risk_curve(2.0, 12).values).masses)
+        return [a.tobytes() for a in out]
+
+    monkeypatch.setattr(pbin, "_BLOCK", 1 << 16)
+    want = outputs()
+    for block in (1000, 100):
+        monkeypatch.setattr(pbin, "_BLOCK", block)
+        assert outputs() == want
 
 
 class TestAsymptoticOracle:

@@ -640,6 +640,16 @@ class TestMultinomial:
         assert min_two_sided(hits, draws, probs) >= LEVEL
 
 
+def assert_rows_map_to_their_sorted_counts(t, m, reps):
+    """``pbin._class_index(t, m)`` builds ``reps`` and takes each
+    composition to the class of its counts in nonincreasing order."""
+    own, index = pbin._class_index(t, m)
+    assert np.array_equal(own, reps)
+    counts = _compositions(t, m)
+    assert np.array_equal(reps[index(counts)],
+                          np.sort(counts, axis=1)[:, ::-1])
+
+
 # Trials and the equal weights of the class tests' enumeration oracle.
 CLASS_WEIGHTS = [
     (8, np.full(14, 1.0 / 14)),
@@ -679,8 +689,8 @@ class TestMultinomialClasses:
     def test_every_table_the_guard_admits(self):
         # Every (t, m) with t <= 10 and m <= 16 that enumeration_fits
         # admits: the multiplicities count the compositions, the classes
-        # carry all the mass, and each composition's class index names
-        # its sorted counts.
+        # carry all the mass, and _class_index builds the same
+        # representatives and names each composition's sorted counts.
         pairs = [(t, m) for t in range(11) for m in range(1, 17)
                  if enumeration_fits(t, m)]
         assert {(0, 1), (0, 16), (10, 1), (8, 16)} <= set(pairs)
@@ -688,15 +698,35 @@ class TestMultinomialClasses:
             reps, mult, probs = multinomial_classes(t, m)
             assert mult.sum() == n_compositions(t, m)
             assert abs(mult @ probs - 1.0) <= 1e-12
-            counts = _compositions(t, m)
-            got = reps[pbin._class_index(reps)(counts)]
-            assert np.array_equal(got, np.sort(counts, axis=1)[:, ::-1])
+            assert_rows_map_to_their_sorted_counts(t, m, reps)
+
+    @pytest.mark.parametrize("t, m", [(20, 2)])
+    def test_each_row_maps_to_its_sorted_counts(self, t, m):
+        # Past the t <= 10 of the test above.
+        assert_rows_map_to_their_sorted_counts(
+            t, m, multinomial_classes(t, m)[0])
+
+    def test_class_keys_name_every_class_the_guard_admits(self):
+        # Every (t, m) with 1 <= t <= 254 that enumeration_fits admits
+        # (4452 pairs, 4.7 million classes): the classes' keys are
+        # distinct (_class_index raises if not), so each representative
+        # maps to itself.  Over equal cells the classes are the
+        # partitions of t.
+        pairs = 0
+        for t in range(1, 255):
+            m = 1
+            while enumeration_fits(t, m):
+                reps, index = pbin._class_index(t, m)
+                assert np.array_equal(index(reps), np.arange(len(reps)))
+                pairs, m = pairs + 1, m + 1
+        assert pairs == 4452
 
     @pytest.mark.parametrize("total, parts", [
         (0, 3), (1, 1), (4, 1), (3, 4), (8, 14), (10, 3), (12, 12), (1, 500),
         (254, 2)])
     def test_partitions_and_their_counts(self, total, parts):
-        rows = _partitions(total, parts, np.uint8)
+        rows = _partitions(total, parts)
+        assert rows.dtype == np.uint8
         mult = _arrangements(rows)
         seen = {tuple(r) for r in rows.tolist()}
         assert len(seen) == len(rows)
