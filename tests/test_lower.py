@@ -461,6 +461,17 @@ class TestCubeLower:
             assert np.abs(res.per_l - dense_survival_gap(
                 n, 2 * n, risks[:n + 2])).max() <= 1e-15
 
+    @pytest.mark.parametrize("t, m", [(8, 14), (5, 3), (3, 9)])
+    def test_each_row_maps_to_its_sorted_counts(self, t, m):
+        # The exact path reads each row's survival from the class of its
+        # sorted counts; _class_index must name that class for every row.
+        reps = pbin.multinomial_classes(t, m)[0]
+        own, index = pbin._class_index(t, m)
+        assert np.array_equal(own, reps)
+        counts = _compositions(t, m)
+        assert np.array_equal(reps[index(counts)],
+                              np.sort(counts, axis=1)[:, ::-1])
+
     @pytest.mark.parametrize("block", [16, 100])
     def test_sum_carried_across_small_blocks(self, monkeypatch, block):
         # Blocks of 1 and 6 rows of 17 entries: the carry crosses hundreds
@@ -551,6 +562,16 @@ class TestCubeLower:
         one = cube_lower(1024, 2.0)
         assert one.method == "gf" and one.per_l.min() >= 0.0
         assert one.per_l.tobytes() == cube_lower(1024, 2.0).per_l.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 1024])
+    def test_z_blocks_agree_with_one_block(self, n, monkeypatch):
+        # The GF engine powers its whole grid in one pass, so a block of
+        # 100 entries (which once split the grid into 1 or 2 z-nodes a
+        # product) leaves every gap's bits as they are.
+        whole = cube_lower(n, 2.0)
+        assert whole.method == "gf"
+        monkeypatch.setattr(pbin, "_BLOCK", 100)
+        assert np.array_equal(cube_lower(n, 2.0).per_l, whole.per_l)
 
     @pytest.mark.parametrize("n", [1024, 4096, 65536])
     def test_pruned_grid_agrees_with_the_dense_engine(self, n, monkeypatch):
