@@ -21,10 +21,11 @@ otherwise an exact generating-function engine (``method="gf"``), which
 also takes every unequal weight vector.  On the exact path each
 Poisson-binomial law is computed once a class of count vectors, those
 equal up to a permutation of the cells (``pbin.multinomial_classes``).
-``mixedpbin_mass`` weighs each class by its size and builds no table of
-compositions; ``cube_lower`` keeps the rows' probabilities and their
-order of summation, and reads each row's survivals from its class
-(``pbin._class_index``), a block of rows at a time.
+Neither builds a table of compositions or takes a probability a row:
+``mixedpbin_mass`` weighs each class by its size, and ``cube_lower``
+keeps the rows' order of summation, reading each row's term, its class's
+probability times its survivals, through the class index that
+``pbin._composition_classes`` builds as it enumerates the rows.
 The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
@@ -44,9 +45,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constants import check_budget
-from .pbin import (_as_weights, _block_rows, _class_index, _poisson_band,
-                   _spread, enumeration_fits, multinomial_classes,
-                   multinomial_enumerate, pbin_pmf_rows)
+from .pbin import (_as_weights, _block_rows, _composition_classes,
+                   _poisson_band, _spread, enumeration_fits,
+                   multinomial_classes, pbin_pmf_rows)
 
 
 @dataclass(frozen=True)
@@ -246,37 +247,39 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
     equal cells, by composition enumeration.
 
-    The survival of a row depends on its class alone, the multiset of its
-    counts (a partition of the trials), so it is taken once a class, as the
-    reversed cumsum of the class representative's pmf: 22 pmfs at t = 8,
-    m = 14, for 203 490 rows.  Each row finds its class by a key that no
-    two classes share; ``pbin._class_index`` builds the representatives
-    and that map, and not the classes' sizes or probabilities.
+    A row's probability and its survivals depend on its class alone, the
+    multiset of its counts (a partition of the trials), so both are taken
+    once a class: the probability from ``pbin.multinomial_classes``, the
+    survivals as the reversed cumsum of the class representative's pmf,
+    22 of each at t = 8, m = 14, for 203 490 rows.  A class's term is its
+    probability times its survivals.  ``pbin._composition_classes`` names
+    each row's class in row order; no count or probability is held a row.
 
-    The expectation over rows is one sequential sum per threshold, in row
-    order, carried from block to block: each block's product puts the
-    carry in front of its rows as a row of weight 1, and reads the
-    survivals through the reversed view that a dense ``probs @ surv``
+    The expectation over rows is one sequential sum per threshold of the
+    rows' terms, in row order, carried from block to block: each block's
+    product puts the carry in front of its terms, all of weight 1, and
+    reads them through the reversed view that a dense ``probs @ surv``
     would, a negative stride that keeps numpy on its non-BLAS loop.  So
-    every sum is bit-identical to that dense product over the rows'
-    survivals.  That order is kept although its rounding, 1.3e-12 in the
-    gaps at n = 7, is more than a pairwise sum's: the benchmark reference
-    records the gaps within 1e-12, until enumeration becomes an oracle
-    (ROADMAP item 2).
+    every sum is bit-identical to that dense product over the rows, each
+    row given its class's probability and survivals.  That order is kept
+    although its rounding, 1.3e-12 in the gaps at n = 7, is more than a
+    pairwise sum's: the benchmark reference records the gaps within
+    1e-12, until enumeration becomes an oracle (ROADMAP item 6).
     """
-    counts, probs = multinomial_enumerate(trials, np.full(m, 1.0 / m))
-    reps, index = _class_index(trials, m)
-    # Each class's survivals, reversed: column k holds P(>= m - k).
-    surv = np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1], axis=1)
+    reps, _, probs = multinomial_classes(trials, m)
+    cls = _composition_classes(trials, m, reps)
+    # Each class's terms, reversed: column k holds p P(>= m - k).
+    terms = probs[:, None] * np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1],
+                                       axis=1)
     total = np.zeros(m + 1)
     step = _block_rows(m + 1)
-    for lo in range(0, probs.size, step):
-        cls = index(counts[lo:lo + step])
-        # Row 0 carries the sum so far; the survivals are buf[:, ::-1].
-        buf = np.empty((cls.size + 1, m + 1))
+    for lo in range(0, cls.size, step):
+        block = cls[lo:lo + step]
+        # Row 0 carries the sum so far; the terms are buf[:, ::-1].
+        buf = np.empty((block.size + 1, m + 1))
         buf[0] = total[::-1]
-        np.take(surv, cls, axis=0, out=buf[1:])
-        total = np.concatenate(([1.0], probs[lo:lo + step])) @ buf[:, ::-1]
+        np.take(terms, block, axis=0, out=buf[1:])
+        total = np.ones(block.size + 1) @ buf[:, ::-1]
     return total
 
 

@@ -46,12 +46,13 @@ def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
 
 
 # Entries per block of every loop of the package that must stream: the
-# rows of ``pbin_pmf_rows``, of the enumeration's probabilities and of
-# ``lower._survival_sums``, and the values of ``RiskCurve``'s check.  A
-# block of floats (512 KiB) and its scratch stay in cache, and the extra
-# memory of a loop is a few blocks, whatever its size.  Each loop gives
-# every entry the same operations whatever the block, so no output
-# depends on this value.
+# rows of ``pbin_pmf_rows``, of ``_row_probs`` (the probabilities of
+# ``multinomial_enumerate`` and ``multinomial_classes``) and of the class
+# terms that ``lower._survival_sums`` adds in row order, and the values
+# of ``RiskCurve``'s check.  A block of floats (512 KiB) and its scratch
+# stay in cache, and the extra memory of a loop is a few blocks, whatever
+# its size.  Each loop gives every entry the same operations whatever the
+# block, so no output depends on this value.
 _BLOCK = 1 << 16
 
 
@@ -312,21 +313,16 @@ def enumeration_fits(trials: int, m: int) -> bool:
     return rows <= limit
 
 
-def _compositions(trials: int, m: int) -> np.ndarray:
-    """All compositions of ``trials`` into ``m`` parts, one per row, in the
-    narrowest unsigned type that holds ``trials + 1``.
-
-    Rows are ordered by the last part, then by the part before it, and so on
-    (the order of the NEXCOM successor algorithm): the compositions of t
-    into j parts are the blocks [compositions of t - last into j - 1 parts,
-    last] for last = 0, ..., t.  Built one column at a time, from the last:
-    each choice of parts k..m-1 is repeated once per composition of what
-    is left into the k parts before it.
+def _columns(trials: int, m: int):
+    """The columns of :func:`_compositions`, from the last, each at the
+    level where it branches.  For k = m - 1, ..., 0, yields ``(k, width,
+    part, used)``, with one entry of ``part`` and of ``used`` per choice of
+    parts k..m-1, in row order: part k's value and the sum of parts
+    k..m-1, both in the table's type; ``width`` is how many values part k
+    takes at each choice of parts k+1..m-1.  Part 0 takes the one value
+    that is left, so at k = 0 there is a choice a row and ``width`` is 1.
     """
     dtype = np.min_scalar_type(trials + 1)
-    out = np.empty((n_compositions(trials, m), m), dtype=dtype)
-    # One entry per choice of parts k..m-1, in row order: part k's value
-    # and the sum of parts k..m-1, both in the table's type.
     used = np.zeros(1, dtype=dtype)
     for k in range(m - 1, 0, -1):
         width = trials + 1 - used  # part k takes 0, ..., trials - used
@@ -339,10 +335,31 @@ def _compositions(trials: int, m: int) -> np.ndarray:
         part[np.cumsum(width[:-1], dtype=np.int64)] = 1 - width[:-1]
         np.cumsum(part, dtype=dtype, out=part)
         used = np.repeat(used, width) + part
-        # Rows per choice: the compositions of trials - used into k parts.
-        below = np.array([n_compositions(s, k) for s in range(trials + 1)])
-        out[:, k] = part if k == 1 else np.repeat(part, below[trials - used])
-    out[:, 0] = trials - used
+        yield k, width, part, used
+    yield 0, 1, trials - used, np.full_like(used, trials)
+
+
+def _compositions(trials: int, m: int) -> np.ndarray:
+    """All compositions of ``trials`` into ``m`` parts, one per row, in the
+    narrowest unsigned type that holds ``trials + 1``.
+
+    Rows are ordered by the last part, then by the part before it, and so on
+    (the order of the NEXCOM successor algorithm): the compositions of t
+    into j parts are the blocks [compositions of t - last into j - 1 parts,
+    last] for last = 0, ..., t.  Built one column at a time, from the last
+    (:func:`_columns`): each choice of parts k..m-1 is repeated once per
+    composition of what is left into the k parts before it.
+    """
+    out = np.empty((n_compositions(trials, m), m),
+                   dtype=np.min_scalar_type(trials + 1))
+    for k, _, part, used in _columns(trials, m):
+        if k > 1:
+            # Rows per choice: the compositions of trials - used into k
+            # parts.
+            below = np.array([n_compositions(s, k)
+                              for s in range(trials + 1)])
+            part = np.repeat(part, below[trials - used])
+        out[:, k] = part
     return out
 
 
@@ -428,36 +445,47 @@ def _arrangements(rows: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _class_index(trials: int, m: int):
-    """The classes of Mult(trials) over m equal cells and the map from
-    rows of counts to them, as ``(reps, index)``: ``reps`` are the
-    representatives of :func:`multinomial_classes`, built alone, and
-    ``index`` a function that takes a (rows, m) table of counts to its
-    rows' class indices.  For a (trials, m) that
-    :func:`enumeration_fits` admits.
+def _key_powers(trials: int, m: int) -> np.ndarray:
+    """B^v mod 2^64 for v = 0, ..., trials and B = (m + 1) | 1, the odd
+    base of :func:`_composition_classes`' keys."""
+    return np.array([pow((m + 1) | 1, v, 1 << 64) for v in range(trials + 1)],
+                    dtype=np.uint64)
 
-    A row's key is sum_j B^c_j mod 2^64, for an odd B above the m cells:
-    that is sum_v mu_v B^v, with mu_v the cells that hold v, so it is the
-    same for every permutation of the row, and the integer sums wrap
-    exactly in any order.  Every mu_v <= m is a digit, so while B^(t+1) <=
-    2^64 (15^9 at t = 8, m = 14, the largest witness on the exact path)
-    the key is the base-B numeral of the row's multiset: one-to-one on
-    classes.  Whatever t, the classes' keys are checked distinct (it
-    raises RuntimeError if not), so each row's key, which is its class's,
-    names that class alone."""
-    reps = _partitions(trials, m)
-    powers = np.array([pow((m + 1) | 1, v, 1 << 64)
-                       for v in range(int(reps.max()) + 1)], dtype=np.uint64)
 
-    def keys(counts):
-        return np.take(powers, counts).sum(axis=1)
+def _composition_classes(trials: int, m: int, reps: np.ndarray
+                         ) -> np.ndarray:
+    """The class of each composition of Mult(trials) over m equal cells,
+    in the row order of :func:`_compositions`, as an index into ``reps``,
+    the representatives of :func:`multinomial_classes`.  For a (trials,
+    m) that :func:`enumeration_fits` admits; no table of counts is built.
 
-    own = keys(reps)
+    A row's key is sum_j B^c_j mod 2^64 (:func:`_key_powers`): that is
+    sum_v mu_v B^v, with mu_v the cells that hold v, so it is the same for
+    every permutation of the row, and the integer sums wrap exactly in any
+    order.  Every mu_v <= m is a digit, so while B^(t+1) <= 2^64 (15^9 at
+    t = 8, m = 14, the largest witness on the exact path) the key is the
+    base-B numeral of the row's multiset: one-to-one on classes.  Whatever
+    t, the classes' keys are checked distinct (it raises RuntimeError if
+    not), so each row's key, which is its class's, names that class alone.
+
+    The keys are summed in :func:`_columns`' loop, a term a column, with
+    one entry per choice of the parts so far: 700 909 entries for the
+    203 490 rows at t = 8, m = 14, where a table of counts has 2 848 860.
+    """
+    powers = _key_powers(trials, m)
+    own = np.take(powers, reps).sum(axis=1)
     order = np.argsort(own)
     own = own[order]
     if np.any(own[1:] == own[:-1]):
         raise RuntimeError(f"class keys collide over {m} cells")
-    return reps, lambda counts: order[np.searchsorted(own, keys(counts))]
+    key = np.zeros(1, dtype=np.uint64)
+    for _, width, part, _ in _columns(trials, m):
+        key = np.repeat(key, width)
+        key += powers[part]
+    # In the narrowest type that holds a class index: a byte a row for
+    # the witness's classes, an eighth of the keys it is looked up from.
+    return order.astype(np.min_scalar_type(order.size))[
+        np.searchsorted(own, key)]
 
 
 def multinomial_classes(

@@ -103,13 +103,23 @@ def dense_enumeration(trials, w):
     return counts, np.exp(multinomial_logpmf(counts, np.asarray(w)))
 
 
+def class_rows(trials, m):
+    """Every composition of ``trials`` into m parts (int64), its counts
+    sorted into nonincreasing order (its class's representative), and its
+    class's probability under Mult(trials, 1/m): ``multinomial_logpmf`` of
+    those sorted counts, as ``pbin.multinomial_classes`` takes it."""
+    counts = _compositions(trials, m).astype(np.int64)
+    reps = np.sort(counts, axis=1)[:, ::-1]
+    return counts, reps, np.exp(multinomial_logpmf(reps, np.full(m, 1.0 / m)))
+
+
 def dense_survival_gap(n, m, risks):
     """Cross-check of ``cube_lower``'s exact path: every row's survival
-    from its own pmf, held at once, and one product through the reversed
-    view."""
+    from its own pmf, its probability from its class, all held at once,
+    and one product through the reversed view."""
     acc = []
     for trials in (n, n + 1):
-        counts, probs = dense_enumeration(trials, np.full(m, 1.0 / m))
+        counts, _, probs = class_rows(trials, m)
         pmfs = pbin_pmf_rows(risks[counts])
         surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
         acc.append(probs @ surv)
@@ -117,13 +127,14 @@ def dense_survival_gap(n, m, risks):
 
 
 def class_survival_gap(n, m, risks):
-    """Oracle for ``cube_lower``'s exact path: each row's survival read
-    from its class, the pmf of its counts sorted into nonincreasing order,
-    every row held at once, and one product through the reversed view."""
+    """Oracle for ``cube_lower``'s exact path: each row's probability and
+    survival read from its class, the counts sorted into nonincreasing
+    order, every row held at once, and one product through the reversed
+    view."""
     acc = []
     for trials in (n, n + 1):
-        counts, probs = dense_enumeration(trials, np.full(m, 1.0 / m))
-        pmfs = pbin_pmf_rows(risks[np.sort(counts, axis=1)[:, ::-1]])
+        _, reps, probs = class_rows(trials, m)
+        pmfs = pbin_pmf_rows(risks[reps])
         surv = np.cumsum(pmfs[:, ::-1], axis=1)[:, ::-1]
         acc.append(probs @ surv)
     return (acc[0] - acc[1])[1:]
@@ -449,9 +460,11 @@ class TestCubeLower:
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
     def test_exact_path_equals_dense_formula(self, r):
-        # Bit for bit against the oracle that reads each row's survival
-        # from its class, which pins the carry and the order of the sum;
-        # within 1e-15 of every row's own pmf, which the classes replaced.
+        # Bit for bit against the oracle that reads each row's probability
+        # and survival from its class, which pins the carry and the order
+        # of the sum; within 1e-15 of every row's own pmf, which the
+        # classes replaced.  test_pbin's test_classes_group_the_enumeration
+        # holds each row's own probability within 1e-15 of its class's.
         risks = bayes_risk_curve(r, 8).values
         for n in range(1, 8):
             res = cube_lower(n, r)
@@ -463,14 +476,13 @@ class TestCubeLower:
 
     @pytest.mark.parametrize("t, m", [(8, 14), (5, 3), (3, 9)])
     def test_each_row_maps_to_its_sorted_counts(self, t, m):
-        # The exact path reads each row's survival from the class of its
-        # sorted counts; _class_index must name that class for every row.
+        # The exact path reads each row's term from the class of its
+        # sorted counts; _composition_classes must name that class for
+        # every row, in row order.
         reps = pbin.multinomial_classes(t, m)[0]
-        own, index = pbin._class_index(t, m)
-        assert np.array_equal(own, reps)
+        cls = pbin._composition_classes(t, m, reps)
         counts = _compositions(t, m)
-        assert np.array_equal(reps[index(counts)],
-                              np.sort(counts, axis=1)[:, ::-1])
+        assert np.array_equal(reps[cls], np.sort(counts, axis=1)[:, ::-1])
 
     @pytest.mark.parametrize("block", [16, 100])
     def test_sum_carried_across_small_blocks(self, monkeypatch, block):
@@ -532,6 +544,14 @@ class TestCubeLower:
         assert np.abs(gf - want).max() <= EXACT_TOL
         if n <= 6:  # enumeration is 1.3e-12 off at n = 7
             assert np.abs(cube_lower(n, 2.0).per_l - want).max() <= EXACT_TOL
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_path_matches_rational_oracle_at_r4(self, n):
+        # At r = 4 the risk curve's a = 1/8 is dyadic, as at r = 2.
+        res = cube_lower(n, 4.0)
+        assert res.method == "exact"
+        want = rational_cube_gaps(n, Fraction(4))
+        assert np.abs(res.per_l - want).max() <= EXACT_TOL
 
     def test_worker_count_does_not_change_result(self, capsys):
         outputs = []

@@ -641,13 +641,12 @@ class TestMultinomial:
 
 
 def assert_rows_map_to_their_sorted_counts(t, m, reps):
-    """``pbin._class_index(t, m)`` builds ``reps`` and takes each
-    composition to the class of its counts in nonincreasing order."""
-    own, index = pbin._class_index(t, m)
-    assert np.array_equal(own, reps)
+    """``pbin._composition_classes(t, m, reps)`` takes each composition,
+    in the row order of ``_compositions``, to the class of its counts in
+    nonincreasing order."""
+    cls = pbin._composition_classes(t, m, reps)
     counts = _compositions(t, m)
-    assert np.array_equal(reps[index(counts)],
-                          np.sort(counts, axis=1)[:, ::-1])
+    assert np.array_equal(reps[cls], np.sort(counts, axis=1)[:, ::-1])
 
 
 # Trials and the equal weights of the class tests' enumeration oracle.
@@ -689,8 +688,8 @@ class TestMultinomialClasses:
     def test_every_table_the_guard_admits(self):
         # Every (t, m) with t <= 10 and m <= 16 that enumeration_fits
         # admits: the multiplicities count the compositions, the classes
-        # carry all the mass, and _class_index builds the same
-        # representatives and names each composition's sorted counts.
+        # carry all the mass, and _composition_classes names each
+        # composition's sorted counts.
         pairs = [(t, m) for t in range(11) for m in range(1, 17)
                  if enumeration_fits(t, m)]
         assert {(0, 1), (0, 16), (10, 1), (8, 16)} <= set(pairs)
@@ -708,18 +707,29 @@ class TestMultinomialClasses:
 
     def test_class_keys_name_every_class_the_guard_admits(self):
         # Every (t, m) with 1 <= t <= 254 that enumeration_fits admits
-        # (4452 pairs, 4.7 million classes): the classes' keys are
-        # distinct (_class_index raises if not), so each representative
-        # maps to itself.  Over equal cells the classes are the
-        # partitions of t.
+        # (4452 pairs, 4.7 million classes): the classes' keys under
+        # _composition_classes' powers are distinct, so it never raises
+        # on them, and each row's key names one class.  Over equal cells
+        # the classes are the partitions of t.  The rows themselves, 150
+        # million over these pairs, are checked at t <= 10 and at (20, 2)
+        # above.
         pairs = 0
         for t in range(1, 255):
             m = 1
             while enumeration_fits(t, m):
-                reps, index = pbin._class_index(t, m)
-                assert np.array_equal(index(reps), np.arange(len(reps)))
+                keys = np.take(pbin._key_powers(t, m),
+                               _partitions(t, m)).sum(axis=1)
+                assert np.unique(keys).size == keys.size
                 pairs, m = pairs + 1, m + 1
         assert pairs == 4452
+
+    def test_colliding_class_keys_raise(self, monkeypatch):
+        # With every power 1, every class of Mult(3) over 3 cells has key
+        # 3: the collision check refuses rather than merge classes.
+        monkeypatch.setattr(pbin, "_key_powers",
+                            lambda t, m: np.ones(t + 1, dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="collide"):
+            pbin._composition_classes(3, 3, _partitions(3, 3))
 
     @pytest.mark.parametrize("total, parts", [
         (0, 3), (1, 1), (4, 1), (3, 4), (8, 14), (10, 3), (12, 12), (1, 500),
