@@ -24,8 +24,10 @@ equal up to a permutation of the cells (``pbin.multinomial_classes``).
 Neither builds a table of compositions or takes a probability a row:
 ``mixedpbin_mass`` weighs each class by its size, and ``cube_lower``
 keeps the rows' order of summation, reading each row's term, its class's
-probability times its survivals, through the class index that
-``pbin._composition_classes`` builds as it enumerates the rows.
+probability times its survivals, through a class index a row.
+``pbin._composition_classes`` builds that index by the compositions'
+block recursion, a table lookup an entry, for both of ``cube_lower``'s
+enumerations in one pass.
 The engine's DFT sizes in x and in z are both of order sqrt(n) for the
 2n-cell witness, and of that grid it powers only the entries a bound
 shows can matter, about 1100 at every n (``_gf_grid``).  So
@@ -46,7 +48,7 @@ import numpy as np
 
 from .constants import check_budget
 from .pbin import (_as_weights, _block_rows, _composition_classes,
-                   _poisson_band, _spread, enumeration_fits,
+                   _poisson_band, _row_probs, _spread, enumeration_fits,
                    multinomial_classes, pbin_pmf_rows)
 
 
@@ -243,17 +245,20 @@ class CubeLowerResult:
         return float(self.ci[self.l_star - 1])
 
 
-def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
-    """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(trials) over m
-    equal cells, by composition enumeration.
+def _survival_sums(m: int, risks: np.ndarray, reps: np.ndarray,
+                   cls: np.ndarray) -> np.ndarray:
+    """E[P(PBin(r(N)) >= l)] for l = 0, ..., m and N ~ Mult(t) over m
+    equal cells, by composition enumeration, from the classes that
+    ``pbin._composition_classes`` names: ``reps``, their representatives,
+    and ``cls``, the class of each row, in row order.
 
     A row's probability and its survivals depend on its class alone, the
-    multiset of its counts (a partition of the trials), so both are taken
-    once a class: the probability from ``pbin.multinomial_classes``, the
+    multiset of its counts (a partition of t), so both are taken once a
+    class: the probability as ``pbin.multinomial_classes`` takes it, the
     survivals as the reversed cumsum of the class representative's pmf,
     22 of each at t = 8, m = 14, for 203 490 rows.  A class's term is its
-    probability times its survivals.  ``pbin._composition_classes`` names
-    each row's class in row order; no count or probability is held a row.
+    probability times its survivals; no count or probability is held a
+    row.
 
     The expectation over rows is one sequential sum per threshold of the
     rows' terms, in row order, carried from block to block: each block's
@@ -266,8 +271,7 @@ def _survival_sums(trials: int, m: int, risks: np.ndarray) -> np.ndarray:
     pairwise sum's: the benchmark reference records the gaps within
     1e-12, until enumeration becomes an oracle (ROADMAP item 6).
     """
-    reps, _, probs = multinomial_classes(trials, m)
-    cls = _composition_classes(trials, m, reps)
+    probs = _row_probs(reps, np.full(m, 1.0 / m))
     # Each class's terms, reversed: column k holds p P(>= m - k).
     terms = probs[:, None] * np.cumsum(pbin_pmf_rows(risks[reps])[:, ::-1],
                                        axis=1)
@@ -599,8 +603,10 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     risks = (bayes_risk_curve(r, n + 1).values if _risks is None
              else _risks[:n + 2])
     if _enumerates(n + 1, m):  # the larger of the two enumerations
-        per_l = (_survival_sums(n, m, risks)
-                 - _survival_sums(n + 1, m, risks))[1:]
+        # One naming pass for both enumerations.
+        now, more = [_survival_sums(m, risks, reps, cls) for reps, cls
+                     in _composition_classes((n, n + 1), m)]
+        per_l = (now - more)[1:]
         method = "exact"
         start, core = 0, per_l
     else:

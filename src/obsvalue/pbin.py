@@ -9,6 +9,7 @@ draws random numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -47,8 +48,9 @@ def bernoulli_step(pmf: np.ndarray, k: int, q, scratch: np.ndarray) -> None:
 
 # Entries per block of every loop of the package that must stream: the
 # rows of ``pbin_pmf_rows``, of ``_row_probs`` (the probabilities of
-# ``multinomial_enumerate`` and ``multinomial_classes``) and of the class
-# terms that ``lower._survival_sums`` adds in row order, and the values
+# ``multinomial_enumerate``, ``multinomial_classes`` and
+# ``lower._survival_sums``) and of the class terms that
+# ``lower._survival_sums`` adds in row order, and the values
 # of ``RiskCurve``'s check.  A block of floats (512 KiB) and its scratch
 # stay in cache, and the extra memory of a loop is a few blocks, whatever
 # its size.  Each loop gives every entry the same operations whatever the
@@ -313,16 +315,19 @@ def enumeration_fits(trials: int, m: int) -> bool:
     return rows <= limit
 
 
-def _columns(trials: int, m: int):
-    """The columns of :func:`_compositions`, from the last, each at the
-    level where it branches.  For k = m - 1, ..., 0, yields ``(k, width,
-    part, used)``, with one entry of ``part`` and of ``used`` per choice of
-    parts k..m-1, in row order: part k's value and the sum of parts
-    k..m-1, both in the table's type; ``width`` is how many values part k
-    takes at each choice of parts k+1..m-1.  Part 0 takes the one value
-    that is left, so at k = 0 there is a choice a row and ``width`` is 1.
+def _compositions(trials: int, m: int) -> np.ndarray:
+    """All compositions of ``trials`` into ``m`` parts, one per row, in the
+    narrowest unsigned type that holds ``trials + 1``.
+
+    Rows are ordered by the last part, then by the part before it, and so on
+    (the order of the NEXCOM successor algorithm): the compositions of t
+    into j parts are the blocks [compositions of t - last into j - 1 parts,
+    last] for last = 0, ..., t.  Built one column at a time, from the last:
+    each choice of parts k..m-1 is repeated once per composition of what is
+    left into the k parts before it, and part 0 takes what is left.
     """
     dtype = np.min_scalar_type(trials + 1)
+    out = np.empty((n_compositions(trials, m), m), dtype=dtype)
     used = np.zeros(1, dtype=dtype)
     for k in range(m - 1, 0, -1):
         width = trials + 1 - used  # part k takes 0, ..., trials - used
@@ -335,24 +340,6 @@ def _columns(trials: int, m: int):
         part[np.cumsum(width[:-1], dtype=np.int64)] = 1 - width[:-1]
         np.cumsum(part, dtype=dtype, out=part)
         used = np.repeat(used, width) + part
-        yield k, width, part, used
-    yield 0, 1, trials - used, np.full_like(used, trials)
-
-
-def _compositions(trials: int, m: int) -> np.ndarray:
-    """All compositions of ``trials`` into ``m`` parts, one per row, in the
-    narrowest unsigned type that holds ``trials + 1``.
-
-    Rows are ordered by the last part, then by the part before it, and so on
-    (the order of the NEXCOM successor algorithm): the compositions of t
-    into j parts are the blocks [compositions of t - last into j - 1 parts,
-    last] for last = 0, ..., t.  Built one column at a time, from the last
-    (:func:`_columns`): each choice of parts k..m-1 is repeated once per
-    composition of what is left into the k parts before it.
-    """
-    out = np.empty((n_compositions(trials, m), m),
-                   dtype=np.min_scalar_type(trials + 1))
-    for k, _, part, used in _columns(trials, m):
         if k > 1:
             # Rows per choice: the compositions of trials - used into k
             # parts.
@@ -360,6 +347,7 @@ def _compositions(trials: int, m: int) -> np.ndarray:
                               for s in range(trials + 1)])
             part = np.repeat(part, below[trials - used])
         out[:, k] = part
+    out[:, 0] = trials - used
     return out
 
 
@@ -445,47 +433,61 @@ def _arrangements(rows: np.ndarray) -> np.ndarray:
     return mult
 
 
-def _key_powers(trials: int, m: int) -> np.ndarray:
-    """B^v mod 2^64 for v = 0, ..., trials and B = (m + 1) | 1, the odd
-    base of :func:`_composition_classes`' keys."""
-    return np.array([pow((m + 1) | 1, v, 1 << 64) for v in range(trials + 1)],
-                    dtype=np.uint64)
+def _composition_classes(trials: Sequence[int], m: int
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The classes of Mult(t) over m equal cells, for each t of
+    ``trials``, and the class of each composition: ``(reps, cls)``, with
+    ``reps`` the representatives of :func:`multinomial_classes`
+    (``_partitions(t, m)``) and ``cls`` an index into them a composition,
+    in the row order of :func:`_compositions`.  No table of counts is
+    built.
 
-
-def _composition_classes(trials: int, m: int, reps: np.ndarray
-                         ) -> np.ndarray:
-    """The class of each composition of Mult(trials) over m equal cells,
-    in the row order of :func:`_compositions`, as an index into ``reps``,
-    the representatives of :func:`multinomial_classes`.  For a (trials,
-    m) that :func:`enumeration_fits` admits; no table of counts is built.
-
-    A row's key is sum_j B^c_j mod 2^64 (:func:`_key_powers`): that is
-    sum_v mu_v B^v, with mu_v the cells that hold v, so it is the same for
-    every permutation of the row, and the integer sums wrap exactly in any
-    order.  Every mu_v <= m is a digit, so while B^(t+1) <= 2^64 (15^9 at
-    t = 8, m = 14, the largest witness on the exact path) the key is the
-    base-B numeral of the row's multiset: one-to-one on classes.  Whatever
-    t, the classes' keys are checked distinct (it raises RuntimeError if
-    not), so each row's key, which is its class's, names that class alone.
-
-    The keys are summed in :func:`_columns`' loop, a term a column, with
-    one entry per choice of the parts so far: 700 909 entries for the
-    203 490 rows at t = 8, m = 14, where a table of counts has 2 848 860.
+    By the block recursion of :func:`_compositions`, the class column of
+    Mult(t) over j cells is the concatenation over v = 0, ..., t of
+    add_v[the class column of Mult(t - v) over j - 1 cells], where add_v
+    takes a partition to that partition with a part v added; a row of
+    j - 1 < m cells has a zero part, which v takes.  The tables run over
+    the partitions of 0, ..., max(trials), 67 of them for the witness's
+    Mult(8).  Each level j < m holds the columns of every t up to
+    max(trials), and the last one those of ``trials``, so one pass names
+    them all, a table lookup an entry: 778 429 entries, a byte each, for
+    Mult(7) and Mult(8) over 14 cells, 281 010 of them in the two columns
+    returned.
     """
-    powers = _key_powers(trials, m)
-    own = np.take(powers, reps).sum(axis=1)
-    order = np.argsort(own)
-    own = own[order]
-    if np.any(own[1:] == own[:-1]):
-        raise RuntimeError(f"class keys collide over {m} cells")
-    key = np.zeros(1, dtype=np.uint64)
-    for _, width, part, _ in _columns(trials, m):
-        key = np.repeat(key, width)
-        key += powers[part]
-    # In the narrowest type that holds a class index: a byte a row for
-    # the witness's classes, an eighth of the keys it is looked up from.
-    return order.astype(np.min_scalar_type(order.size))[
-        np.searchsorted(own, key)]
+    top = max(trials)
+    parts = [_partitions(s, m) for s in range(top + 1)]
+    reps = [rows.tolist() for rows in parts]
+    # The partitions of 0, ..., top in one numbering, those of s from
+    # first[s] on.
+    first = list(itertools.accumulate(map(len, reps), initial=0))
+    ids = {tuple(r): g for g, r in enumerate(itertools.chain(*reps))}
+    dtype = np.min_scalar_type(first[-1] - 1)
+    # grow[t, g]: partition g, of s <= t, with a part t - s added (add_v
+    # at v = t - s).  Entries no row reads, at s > t or at a partition
+    # with no zero part, hold first[t].
+    grow = np.repeat(np.array(first[:-1], dtype=dtype)[:, None], first[-1],
+                     axis=1)
+    for s, rows in enumerate(reps):
+        for t in range(s, top + 1):
+            grow[t, first[s]:first[s + 1]] = [
+                ids.get(tuple(sorted(r[:-1] + [t - s], reverse=True)),
+                        first[t]) for r in rows]
+    # Level j holds the columns of Mult(t) over j cells for t = top, ...,
+    # 0 in turn, so the blocks of Mult(t) over j + 1 cells, the columns of
+    # t - v for v = 0, ..., t, are its last n_compositions(t, j + 1)
+    # entries.  Level 0 is the one empty row of Mult(0).
+    col = np.zeros(1, dtype=dtype)
+    for j in range(1, m):
+        out = np.empty(n_compositions(top, j + 1), dtype=dtype)
+        hi = out.size
+        for t in range(top + 1):
+            size = n_compositions(t, j)
+            np.take(grow[t], col[col.size - size:], out=out[hi - size:hi])
+            hi -= size
+        col = out
+    return [(parts[t],
+             (grow[t] - first[t])[col[col.size - n_compositions(t, m):]])
+            for t in trials]
 
 
 def multinomial_classes(

@@ -254,7 +254,8 @@ def mc_mad(
     def draw(rng, rows):
         nonlocal seen
         counts = rng.multinomial(k, probs, size=rows)
-        seen |= counts.any(axis=0)
+        if not seen.all():
+            seen |= counts.any(axis=0)
         return np.abs(counts @ levels / k - 1.0)
 
     estimate, half_width = mc_mean("mc_mad", seed, draws, draw)

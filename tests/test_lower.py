@@ -479,10 +479,23 @@ class TestCubeLower:
         # The exact path reads each row's term from the class of its
         # sorted counts; _composition_classes must name that class for
         # every row, in row order.
-        reps = pbin.multinomial_classes(t, m)[0]
-        cls = pbin._composition_classes(t, m, reps)
+        ((reps, cls),) = pbin._composition_classes((t,), m)
+        assert np.array_equal(reps, pbin.multinomial_classes(t, m)[0])
         counts = _compositions(t, m)
         assert np.array_equal(reps[cls], np.sort(counts, axis=1)[:, ::-1])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_pass_names_both_trials(self, n):
+        # cube_lower names the rows of Mult(n) and Mult(n + 1) over 2n
+        # cells in one pass; each column must be the one of its trials.
+        m = 2 * n
+        both = pbin._composition_classes((n, n + 1), m)
+        assert len(both) == 2
+        for t, (reps, cls) in zip((n, n + 1), both):
+            assert np.array_equal(reps, pbin.multinomial_classes(t, m)[0])
+            counts = _compositions(t, m)
+            assert np.array_equal(reps[cls],
+                                  np.sort(counts, axis=1)[:, ::-1])
 
     @pytest.mark.parametrize("block", [16, 100])
     def test_sum_carried_across_small_blocks(self, monkeypatch, block):
@@ -495,11 +508,11 @@ class TestCubeLower:
                                   class_survival_gap(n, 2 * n, risks[:n + 2]))
 
     def test_exact_path_memory_is_bounded(self, traced_peak):
-        # The compact count table and a few blocks, one enumeration at a
-        # time; 87 MiB held every row's risks, pmf and survival at once.
+        # Both enumerations' class columns, a byte a row, and a few
+        # blocks; 87 MiB held every row's risks, pmf and survival at once.
         res, peak = traced_peak(lambda: cube_lower(7, 2.0))
         assert res.method == "exact"
-        assert peak <= 8 * 2**20
+        assert peak <= 2 * 2**20
 
     def test_deltas_nonnegative(self):
         for n, r in ((1, 1.5), (2, 2.0), (3, 4.0), (8, 2.0)):

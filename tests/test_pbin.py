@@ -641,10 +641,12 @@ class TestMultinomial:
 
 
 def assert_rows_map_to_their_sorted_counts(t, m, reps):
-    """``pbin._composition_classes(t, m, reps)`` takes each composition,
-    in the row order of ``_compositions``, to the class of its counts in
-    nonincreasing order."""
-    cls = pbin._composition_classes(t, m, reps)
+    """``pbin._composition_classes((t,), m)`` gives ``reps`` as the
+    representatives and takes each composition, in the row order of
+    ``_compositions``, to the class of its counts in nonincreasing
+    order."""
+    ((own, cls),) = pbin._composition_classes((t,), m)
+    assert np.array_equal(own, reps)
     counts = _compositions(t, m)
     assert np.array_equal(reps[cls], np.sort(counts, axis=1)[:, ::-1])
 
@@ -704,32 +706,6 @@ class TestMultinomialClasses:
         # Past the t <= 10 of the test above.
         assert_rows_map_to_their_sorted_counts(
             t, m, multinomial_classes(t, m)[0])
-
-    def test_class_keys_name_every_class_the_guard_admits(self):
-        # Every (t, m) with 1 <= t <= 254 that enumeration_fits admits
-        # (4452 pairs, 4.7 million classes): the classes' keys under
-        # _composition_classes' powers are distinct, so it never raises
-        # on them, and each row's key names one class.  Over equal cells
-        # the classes are the partitions of t.  The rows themselves, 150
-        # million over these pairs, are checked at t <= 10 and at (20, 2)
-        # above.
-        pairs = 0
-        for t in range(1, 255):
-            m = 1
-            while enumeration_fits(t, m):
-                keys = np.take(pbin._key_powers(t, m),
-                               _partitions(t, m)).sum(axis=1)
-                assert np.unique(keys).size == keys.size
-                pairs, m = pairs + 1, m + 1
-        assert pairs == 4452
-
-    def test_colliding_class_keys_raise(self, monkeypatch):
-        # With every power 1, every class of Mult(3) over 3 cells has key
-        # 3: the collision check refuses rather than merge classes.
-        monkeypatch.setattr(pbin, "_key_powers",
-                            lambda t, m: np.ones(t + 1, dtype=np.uint64))
-        with pytest.raises(RuntimeError, match="collide"):
-            pbin._composition_classes(3, 3, _partitions(3, 3))
 
     @pytest.mark.parametrize("total, parts", [
         (0, 3), (1, 1), (4, 1), (3, 4), (8, 14), (10, 3), (12, 12), (1, 500),

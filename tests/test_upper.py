@@ -9,9 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from obsvalue.constants import MC_CHUNK
 from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
                                 hypercube_density, sample_density)
 from obsvalue.pbin import multinomial_enumerate, pbin_pmf
+from obsvalue.streams import child_rng
 from obsvalue.upper import (CsCertificate, TwoLevelRatio,
                             certificate_upper_bound, chi2_radius, exact_mad,
                             hoeffding_certificate, inject_kernel, mad_floor,
@@ -291,6 +293,19 @@ class TestMcMad:
             0.028462516212710776, 0.00045663275778280016)
         assert mc_mad(THREE_LEVEL, 7, 20_000, seed=6) == (
             0.1846892857142857, 0.002950171937980558)
+
+    def test_level_first_drawn_after_the_first_chunk_is_pinned(self):
+        # g = 10^4 has mass 5e-5: with seed 6 no row of chunks 0 and 1
+        # draws it and chunk 2 does, so the levels seen must still be
+        # tracked after the first chunk.  Were it left unseen, the
+        # half-width would gain the unseen-level bound.
+        f = hypercube_density(HypercubeSpec(1e4, 1, [0]))
+        probs = uniform_ratio(f).probs
+        assert [child_rng(6, "mc_mad", i).multinomial(
+                    2, probs, size=MC_CHUNK)[:, 1].any()
+                for i in range(3)] == [False, False, True]
+        assert mc_mad(f, 2, 40_000, seed=6) == (
+            0.9998500025001253, 0.7497750140626875)
 
     @pytest.mark.parametrize("r", [1e6, 1e100])
     def test_unseen_level_widens_interval_to_cover_exact(self, r):
