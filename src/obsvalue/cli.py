@@ -279,14 +279,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A master seed: an integer in [0, 2^64), the seeds that
+    ``streams.child_seed`` tells apart."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 2^64), got {value}")
+    return value
+
+
 def _add_common(p) -> None:
     p.add_argument("--mc", type=int, default=0,
                    help="Monte Carlo draws of `upper mad` (0: none); "
                         "accepted and ignored by `lower` and `sweep`, "
                         "which are exact")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master 64-bit seed of `upper mad`; accepted and "
-                        "ignored by `lower` and `sweep`")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="master seed of `upper mad`'s Monte Carlo draws, in "
+                        "[0, 2^64); accepted and ignored by `lower` and "
+                        "`sweep`")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="accepted for compatibility and ignored: Monte "
                         "Carlo draws run in the calling thread")
@@ -342,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", help="step density JSON file")
     p.add_argument("--density2", help="second step density JSON file (tv)")
     p.add_argument("--n", type=int, default=10, help="number of draws")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="master seed of `sample`, in [0, 2^64)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_experiment)
@@ -358,9 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
             "  certificate_bound closed form C*sqrt(pi/(4s))/sqrt(n+1)\n"
             "  floor_half        MAD floor /2 (rate unimprovable below it)\n"
             "  mc_estimate,mc_ci Monte Carlo MAD and 3-sigma half-width\n"
-            "                    (NaN unless --mc > 0); each of the --mc\n"
-            "                    draws is one Multinomial vector: how many\n"
-            "                    of n+1 draws fall on each level of 1/f\n"
+            "                    (NaN unless --mc > 0) over --mc draws of\n"
+            "                    S ~ Bin(n+1, q), how many of n+1 draws\n"
+            "                    fall on the high level of 1/f; each chunk\n"
+            "                    of 8192 draws is one histogram over S's\n"
+            "                    values, or one draw a row when Bin(n+1, q)\n"
+            "                    may hold more than 8192 values\n"
             "bound/floor emit (r, n, certificate_bound) and "
             "(r, n, floor_half);\nchi2 prints (C, s, radius).\n"
         ),
@@ -428,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every identity and "
                                       "oracle-equivalence property")
     p.add_argument("--quick", action="store_true", help="reduced budgets")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="master seed of the checks' draws, in [0, 2^64)")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

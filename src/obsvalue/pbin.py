@@ -223,19 +223,25 @@ def _binom_band(n: int, p: float) -> tuple[int, np.ndarray]:
     products over all of {0, ..., n} give: T grows by at least 2/3 per
     unit of L, so what the factor e leaves over the products' rounding is
     far more than the rounding of np and T, for n below 2^53."""
+    t, width = _binom_reach(n, p)
+    check_budget(32 * width, f"the up to {width} entries of the Bin({n}, {p}) "
+                             "band")
+    q = 1.0 - p
+    return _neighbour_band(n + 1, min(int((n + 1) * p), n), n * p, t,
+                           lambda j: (n - j + 1) * p / (j * q),
+                           lambda j: j * q / ((n - j + 1) * p))
+
+
+def _binom_reach(n: int, p: float) -> tuple[float, int]:
+    """The reach T of :func:`_binom_band` and its width bound, the most
+    entries its band can hold, without building the band."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    q = 1.0 - p
     big_l = 1022 * math.log(2) + math.log(n + 1) + 1
-    t = _reach(big_l, n * p * q)
-    width = min(n + 1, int(2 * t) + 1)
-    check_budget(32 * width, f"the up to {width} entries of the Bin({n}, {p}) "
-                             "band")
-    return _neighbour_band(n + 1, min(int((n + 1) * p), n), n * p, t,
-                           lambda j: (n - j + 1) * p / (j * q),
-                           lambda j: j * q / ((n - j + 1) * p))
+    t = _reach(big_l, n * p * (1.0 - p))
+    return t, min(n + 1, int(2 * t) + 1)
 
 
 def binom_pmf(n: int, p: float) -> np.ndarray:

@@ -13,7 +13,9 @@ Carlo over the same kind of statistic: g is a step function, so the average
 depends only on how many of the n+1 draws land in each level set of g, and
 ``mc_mad`` draws those counts from Mult(n+1, level masses) instead of the
 draws' positions, through the one Monte Carlo loop :func:`streams.mc_mean`,
-in the calling thread.  Both read g's law, its levels and their masses,
+in the calling thread.  For two levels the count at the high one is
+Binomial, and a chunk of rows is drawn as one histogram over its law.
+Both read g's law, its levels and their masses,
 from ``uniform_ratio``.  A universal floor shows the 1/sqrt(n) decay is
 unimprovable here.
 """
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EXACT_TOL
+from .constants import EXACT_TOL, MC_CHUNK
 from .densities import StepDensity
-from .pbin import _binom_band
+from .pbin import _binom_band, _binom_reach
 from .streams import mc_mean
 
 
@@ -237,6 +239,23 @@ def mc_mad(
     depends only on ``f``, ``k``, ``draws`` and ``seed``; ``workers`` is
     accepted for compatibility and has no effect.
 
+    Two levels by histogram.  When g takes two values a > b, with
+    P(g = a) = q, a row's value Y = |(S a + (k - S) b)/k - 1| depends on
+    its counts only through S ~ Bin(k, q).  A chunk of ``rows`` iid rows
+    is, as a multiset, a histogram H ~ Mult(rows, law of S), and the
+    chunk's mean and centered sum of squares, all that
+    :func:`streams.mc_mean` keeps of it, are symmetric in its rows.  So
+    the chunk is drawn as one ``rng.multinomial(rows, band)`` over the
+    band of Bin(k, q) (``pbin._binom_band``, which drops mass below
+    (k + 1) 2^-1022), and the values Y(S) repeated H(S) times stand for
+    its rows: the estimate and its interval keep their joint law, and a
+    chunk costs O(band) Binomial draws, not O(rows).  The histogram is
+    taken when the band's width bound (``pbin._binom_reach``), known
+    before the band is built, is at most ``MC_CHUNK``, one entry a row of
+    a chunk; a wider band, or three or more levels, takes one
+    Multinomial vector a row.  Seen levels come from H: a is seen once
+    some S > 0 is drawn, b once some S < k is.
+
     Every level of g has positive mass (f > 0).  If some level is never
     drawn, the draws carry no sample variance from it (a level of mass
     1e-100 gives a half-width of 0), so the half-width is widened by the
@@ -250,13 +269,26 @@ def mc_mad(
     law = uniform_ratio(f)
     levels, probs = law.levels, law.probs
     seen = np.zeros(levels.size, dtype=bool)
+    two = law.two_level
+    if two is not None and _binom_reach(k, two.q)[1] <= MC_CHUNK:
+        lo, band = _binom_band(k, two.q)
+        high = np.arange(lo, lo + band.size)
+        counts = np.stack((k - high, high), axis=1)  # one row per S
+        values = np.abs(counts @ levels / k - 1.0)
 
-    def draw(rng, rows):
-        nonlocal seen
-        counts = rng.multinomial(k, probs, size=rows)
-        if not seen.all():
-            seen |= counts.any(axis=0)
-        return np.abs(counts @ levels / k - 1.0)
+        def draw(rng, rows):
+            nonlocal seen
+            hist = rng.multinomial(rows, band)
+            if not seen.all():
+                seen |= counts[hist > 0].any(axis=0)
+            return np.repeat(values, hist)
+    else:
+        def draw(rng, rows):
+            nonlocal seen
+            counts = rng.multinomial(k, probs, size=rows)
+            if not seen.all():
+                seen |= counts.any(axis=0)
+            return np.abs(counts @ levels / k - 1.0)
 
     estimate, half_width = mc_mean("mc_mad", seed, draws, draw)
     if not seen.all():

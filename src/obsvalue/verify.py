@@ -10,7 +10,8 @@ test suite uses the same ones: ``enum_pmf`` (2^m Bernoulli enumeration),
 ``dp_risk_curve`` (the risk curve by Bernoulli steps over the whole
 Binomial pmf), the coupled Monte Carlo reference estimators
 ``mc_cube_gaps`` and ``mc_mixed_pmf`` of the exact engines in ``lower``,
-and the simulators ``simulate_multitest_risk`` and
+the exact MAD ``three_level_exact_mad`` of the three-level density
+``THREE_LEVEL``, and the simulators ``simulate_multitest_risk`` and
 ``simulate_mixture_risk`` of the multi-test and mixture risk laws.  Every
 frequency check, here and in the tests, is one gate: the exact two-sided
 Binomial tail of each count (``binom_two_sided``, ``min_two_sided``) must
@@ -118,6 +119,20 @@ def mc_mixed_pmf(n: int, weights: np.ndarray, table: np.ndarray,
         return pbin.pbin_pmf_rows(table[counts])
 
     return mc_mean("mixedpbin", seed, samples, values)
+
+
+# g = 1/f takes the levels 2, 1/2, 2, 1 on the quarters; under f the level
+# masses are 1/4 (g = 2, two cells), 1/2 (g = 1/2) and 1/4 (g = 1).
+THREE_LEVEL = densities.StepDensity([0.0, 0.25, 0.5, 0.75, 1.0],
+                                    [0.5, 2.0, 0.5, 1.0])
+
+
+def three_level_exact_mad(k: int) -> float:
+    """E|(1/k) sum g(xi_i) - 1| for ``THREE_LEVEL``, exactly, over every
+    vector of level counts of k draws (``pbin.multinomial_enumerate``), with
+    the levels and masses written out by hand."""
+    counts, probs = pbin.multinomial_enumerate(k, [0.25, 0.5, 0.25])
+    return float(probs @ np.abs(counts @ np.array([2.0, 0.5, 1.0]) / k - 1.0))
 
 
 def _simpson(f: Callable, a: float, b: float, n: int = 40001) -> float:
@@ -368,10 +383,18 @@ def check_ratio_mean(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_mad_mc_agreement(budget: Budget, rng) -> tuple[bool, str]:
+    # The first three laws take mc_mad's histogram draw; the three-level
+    # law and the two-level one whose band is wider than a chunk take its
+    # per-row draw.
+    cases = [(densities.hypercube_density(
+        densities.HypercubeSpec(r, 2, (0, 1))), k, seed)
+        for r, k, seed in ((2.0, 2, 11), (4.0, 5, 12), (1.5, 3, 13),
+                           (2.0, 2**17 + 1, 15))]
     worst = 0.0
-    for r, k, seed in ((2.0, 2, 11), (4.0, 5, 12), (1.5, 3, 13)):
-        f = densities.hypercube_density(densities.HypercubeSpec(r, 2, (0, 1)))
-        exact = upper.exact_mad(upper.uniform_ratio(f).two_level, k)
+    for f, k, seed in cases + [(THREE_LEVEL, 2, 14)]:
+        two = upper.uniform_ratio(f).two_level
+        exact = (three_level_exact_mad(k) if two is None
+                 else upper.exact_mad(two, k))
         est, hw = upper.mc_mad(f, k, budget.mc_draws, seed=seed)
         worst = max(worst, abs(est - exact) / max(hw, 1e-300))
     return worst <= 1.0, f"worst_dev_over_ci={worst:.2f}"

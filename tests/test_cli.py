@@ -494,6 +494,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.strip() and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_one(self, capsys, density, seed):
+        # streams.child_seed masks a seed to 64 bits, so each would draw
+        # the rows of its value mod 2^64.
+        for argv in (["upper", "mad", "--r", "2", "--n", "4", "--mc", "1000"],
+                     ["experiment", "sample", "--density", str(density)],
+                     ["verify", "--quick"]):
+            assert main([*argv, "--seed", seed]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "must be in [0, 2^64)" in captured.err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "upper", "mad", "--r", "2", "--n", "4",
+                            "--mc", "1000", "--seed", "18446744073709551615")
+        assert code == 0 and out.count("\n") == 2
+
     def test_huge_r_floor_needs_no_certificate(self, capsys):
         code, out = run_cli(capsys, "upper", "floor", "--r", "1e200",
                             "--n", "1")

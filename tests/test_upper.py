@@ -12,21 +12,17 @@ import pytest
 from obsvalue.constants import MC_CHUNK
 from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
                                 hypercube_density, sample_density)
-from obsvalue.pbin import multinomial_enumerate, pbin_pmf
+from obsvalue.pbin import _binom_band, _binom_reach, pbin_pmf
 from obsvalue.streams import child_rng
 from obsvalue.upper import (CsCertificate, TwoLevelRatio,
                             certificate_upper_bound, chi2_radius, exact_mad,
                             hoeffding_certificate, inject_kernel, mad_floor,
                             mc_mad, uniform_ratio)
-from obsvalue.verify import LEVEL, min_two_sided
+from obsvalue.verify import (LEVEL, THREE_LEVEL, min_two_sided,
+                             three_level_exact_mad)
 
 EXACT = 1e-12
 UNIFORM = StepDensity([0.0, 1.0], [1.0])
-# g = 1/f takes the levels 2, 1/2, 2, 1 on the quarters; under f the level
-# masses are 1/4 (g = 2, two cells), 1/2 (g = 1/2) and 1/4 (g = 1).
-THREE_LEVEL = StepDensity([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 2.0, 0.5, 1.0])
-THREE_LEVEL_G = np.array([2.0, 0.5, 1.0])
-THREE_LEVEL_P = [0.25, 0.5, 0.25]
 
 
 def mp_direct_mad(tl: TwoLevelRatio, k: int):
@@ -239,10 +235,14 @@ def position_mad(f: StepDensity, k: int, draws: int, seed: int):
     return float(dev.mean()), 3.0 * float(dev.std()) / math.sqrt(draws)
 
 
-def three_level_exact_mad(k: int) -> float:
-    """E|(1/k) sum g(xi_i) - 1| for THREE_LEVEL over all level counts."""
-    counts, probs = multinomial_enumerate(k, THREE_LEVEL_P)
-    return float(probs @ np.abs(counts @ THREE_LEVEL_G / k - 1.0))
+def per_row_mad(f: StepDensity, k: int, draws: int, seed: int):
+    """Reference estimator: each row's level counts drawn as its own
+    Mult(k, level masses) vector, with no histogram over the rows; returns
+    the mean and 3-sigma half-width."""
+    law = uniform_ratio(f)
+    counts = np.random.default_rng(seed).multinomial(k, law.probs, size=draws)
+    dev = np.abs(counts @ law.levels / k - 1.0)
+    return float(dev.mean()), 3.0 * float(dev.std()) / math.sqrt(draws)
 
 
 class TestMcMad:
@@ -282,30 +282,55 @@ class TestMcMad:
                 == mc_mad(f, 3, 50_000, seed=5))
 
     def test_seeded_values_are_pinned(self):
-        # Recorded before the draws moved to streams.mc_mean; any change to
-        # the chunking, the child streams or the moment merge shows here.
+        # The two-level values were recorded when they were first drawn as
+        # one histogram a chunk, the three-level one before the draws moved
+        # to streams.mc_mean; any change to the chunking, the child streams
+        # or the moment merge shows here.
         two = hypercube_density(HypercubeSpec(2.0, 1, [0]))
         cells64 = hypercube_density(
             HypercubeSpec(2.0, 64, [j % 2 for j in range(64)]))
         assert mc_mad(two, 5, 20_000, seed=3) == (
-            0.2115733333333334, 0.0031442210609306702)
+            0.2129933333333334, 0.003193435137904008)
         assert mc_mad(cells64, 257, 20_000, seed=4) == (
-            0.028462516212710776, 0.00045663275778280016)
+            0.028934760051880688, 0.00046077589058703296)
         assert mc_mad(THREE_LEVEL, 7, 20_000, seed=6) == (
             0.1846892857142857, 0.002950171937980558)
 
     def test_level_first_drawn_after_the_first_chunk_is_pinned(self):
-        # g = 10^4 has mass 5e-5: with seed 6 no row of chunks 0 and 1
-        # draws it and chunk 2 does, so the levels seen must still be
-        # tracked after the first chunk.  Were it left unseen, the
-        # half-width would gain the unseen-level bound.
+        # g = 10^4 has mass 5e-5, and each chunk is one histogram over the
+        # band of Bin(2, 5e-5).  14 is the first seed whose chunks 0 and 1
+        # hold no row that draws g = 10^4 and whose chunk 2 holds one, so
+        # the levels seen must still be tracked after the first chunk.
+        # Were it left unseen, the half-width would gain the unseen-level
+        # bound.
         f = hypercube_density(HypercubeSpec(1e4, 1, [0]))
-        probs = uniform_ratio(f).probs
-        assert [child_rng(6, "mc_mad", i).multinomial(
-                    2, probs, size=MC_CHUNK)[:, 1].any()
+        lo, band = _binom_band(2, uniform_ratio(f).two_level.q)
+        assert lo == 0 and band.size == 3
+        assert [child_rng(14, "mc_mad", i).multinomial(
+                    MC_CHUNK, band)[1:].any()
                 for i in range(3)] == [False, False, True]
-        assert mc_mad(f, 2, 40_000, seed=6) == (
-            0.9998500025001253, 0.7497750140626875)
+        assert mc_mad(f, 2, 40_000, seed=14) == (
+            0.9998500025001251, 0.7497750140626875)
+
+    def test_two_level_law_past_the_band_limit_is_pinned(self):
+        # Bin(2^17 + 1, 1/4) has a band wider than a chunk, so the rows are
+        # drawn one Multinomial vector each; recorded before two-level laws
+        # were drawn by histogram, and unchanged since.
+        two = hypercube_density(HypercubeSpec(2.0, 1, [0]))
+        k = 2**17 + 1
+        assert _binom_reach(k, uniform_ratio(two).two_level.q)[1] > MC_CHUNK
+        assert mc_mad(two, k, 20_000, seed=3) == (
+            0.0012619387669466824, 2.0265046299457473e-05)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("k", [1, 2, 5, 65, 257])
+    def test_histogram_agrees_with_per_row_draws(self, r, k):
+        f = hypercube_density(HypercubeSpec(r, 1, [0]))
+        assert _binom_reach(k, uniform_ratio(f).two_level.q)[1] <= MC_CHUNK
+        est, hw = mc_mad(f, k, 100_000, seed=k)
+        ref, ref_hw = per_row_mad(f, k, 100_000, seed=50 + k)
+        # 4 sigma of the difference of two independent estimates
+        assert abs(est - ref) <= 4.0 / 3.0 * math.hypot(hw, ref_hw)
 
     @pytest.mark.parametrize("r", [1e6, 1e100])
     def test_unseen_level_widens_interval_to_cover_exact(self, r):

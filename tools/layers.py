@@ -6,8 +6,11 @@ benchmark's ``exact-enum`` workload makes: ``cube_lower(n, r)`` for n =
 and the r = 2 risk curve at (m, n) = (9, 9), (8, 12), (10, 10).  Then two
 layers on their own: the naming of the row classes of both enumerations
 of ``cube_lower(n, r)``'s exact path, Mult(n) and Mult(n + 1) over 2n
-cells, for n = 1, ..., 7; and the ``upper-mc`` workload's ``mc_mad`` on
-the 64-cell alternating vertex density, k = 257, 100 000 draws.  Each call
+cells, for n = 1, ..., 7; and ``mc_mad`` at 100 000 draws on the
+``upper-mc`` workload's 64-cell alternating vertex density, k = 257, on
+the r = 2 one-cell vertex density of ``upper mad`` at each k = n + 1 of
+its rows for n = 4:256:x2, and there at k = 2^17 + 1, whose Binomial band
+is wider than a Monte Carlo chunk.  Each call
 runs ``REPEATS`` times after one warm-up call; prints the minimum of each,
 the sum of each group's minima, and the machine's nproc, Python and
 numpy."""
@@ -34,8 +37,12 @@ NAMING = [(f"row classes of Mult({n}, {n + 1}) over {2 * n}",
           for n in range(1, 8)]
 CELLS64 = densities.hypercube_density(
     densities.HypercubeSpec(2.0, 64, [j % 2 for j in range(64)]))
+ONE_CELL = densities.hypercube_density(densities.HypercubeSpec(2.0, 1, [0]))
 MC_MAD = [("mc_mad(64 cells, 257, 100000)",
            lambda: upper.mc_mad(CELLS64, 257, 100_000, seed=0, workers=2))]
+MC_MAD += [(f"mc_mad(1 cell, {k}, 100000)",
+            lambda k=k: upper.mc_mad(ONE_CELL, k, 100_000, seed=0))
+           for k in (5, 9, 17, 33, 65, 129, 257, 2**17 + 1)]
 
 for group, calls in (("exact-enum", EXACT_ENUM), ("naming", NAMING),
                      ("mc_mad", MC_MAD)):

@@ -41,6 +41,7 @@ CALLS = [
     "lower mixedpbin --r 2 --n 1 --m 100000",
     "lower mixedpbin --r 2 --n 190:200 --m 4",
     "upper mad --r 2 --n 1:64:x2 --mc 100000 --seed 1 --format json",
+    "upper mad --r 2 --n 131072 --mc 20000 --seed 1",
     "pbin pmf 0.1 0.2 0.3",
     "pbin survival 0.1 0.2 0.3 0.4 --l 2",
     "pbin shift 0.5 --p 0.8 --p2 0.3 --l 1",
