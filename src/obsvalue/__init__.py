@@ -14,9 +14,8 @@ from .densities import (HypercubeSpec, RichnessWitness, StepDensity,
 from .lower import (CubeLowerResult, MixedPbinResult, RiskCurve,
                     bayes_risk_curve, cube_lower, cube_lowers,
                     mixedpbin_mass, richness_lower_bound)
-from .pbin import (EnumerationGuardError, binom_pmf, multinomial_enumerate,
-                   n_compositions, pbin_pmf, pbin_shift_difference,
-                   pbin_survival)
+from .pbin import (binom_pmf, multinomial_enumerate, n_compositions,
+                   pbin_pmf, pbin_shift_difference, pbin_survival)
 from .rates import (BoundReport, RateFit, bound_sweep, rate_fit,
                     reports_to_csv, sweep_summary)
 from .upper import (CsCertificate, LikelihoodRatio, TwoLevelRatio,
@@ -27,8 +26,8 @@ from .upper import (CsCertificate, LikelihoodRatio, TwoLevelRatio,
 __all__ = [
     "__version__",
     # distributions
-    "EnumerationGuardError", "binom_pmf", "multinomial_enumerate",
-    "n_compositions", "pbin_pmf", "pbin_shift_difference", "pbin_survival",
+    "binom_pmf", "multinomial_enumerate", "n_compositions", "pbin_pmf",
+    "pbin_shift_difference", "pbin_survival",
     # experiment model
     "HypercubeSpec", "RichnessWitness", "StepDensity", "density_integral",
     "hypercube_density", "richness_witness", "sample_density", "tv_distance",

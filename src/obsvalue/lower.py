@@ -15,8 +15,8 @@ underflows to 0 (5188 at r = 2) but its output: each even n repeats the
 odd n before it, and each odd n adds one term to the next odd n, from an
 anchor every 256 h summed as a Binomial tail (``bayes_risk_curve``).
 Method dispatch of ``cube_lower`` and ``mixedpbin_mass``: composition
-enumeration over equal cells while its table stays under the guard and
-its trials number at most 254 (``_enumerates``, ``method="exact"``),
+enumeration over equal cells while ``pbin.enumeration_fits`` admits it
+(at most 254 trials, and a table under the guard; ``method="exact"``),
 otherwise an exact generating-function engine (``method="gf"``), which
 also takes every unequal weight vector.  On the exact path each
 Poisson-binomial law is computed once a class of count vectors, those
@@ -155,11 +155,13 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     sqrt(h log h)) terms per block of 256 h (L = 38 at r = 2, 468 at
     r = 1.05), plus the output.  The extra memory is a few arrays of
     ``_CURVE_ANCHOR`` entries, and the validation's of ``pbin._BLOCK``.
+    An output over ``OUTPUT_BUDGET`` is refused before it is allocated.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("requires finite r > 1")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    check_budget(8 * (n_max + 1), f"the {n_max + 1} risks")
     a = 0.5 / r
     rho = a / (1.0 - a)
     d = (r - 1.0) / r  # 1 - 2a, without the cancellation near r = 1
@@ -547,17 +549,6 @@ def _gf_survival_window(n: int, m: int, risks: np.ndarray
                       tagged=(1.0 / m, risks[:n + 2]))
 
 
-def _enumerates(trials: int, m: int) -> bool:
-    """Whether ``cube_lower``, and ``mixedpbin_mass`` on equal weights,
-    take composition enumeration: while its table fits the guard
-    (``enumeration_fits``) and the trials fit the uint8 compositions, at
-    most 254.  Beyond that the lgamma form of ``multinomial_logpmf``
-    drifts: at Mult(10^4) over two cells the masses were 9.6e-12 off an
-    exact Binomial oracle, where the generating-function engine is within
-    2.2e-16."""
-    return trials <= 254 and enumeration_fits(trials, m)
-
-
 def check_cube_output(n: int) -> None:
     """Raise ValueError, before anything is allocated, when the outputs of
     ``cube_lower(n, r)``, its risk curve (n + 2 floats), its per-threshold
@@ -584,7 +575,7 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     Computes, for every threshold l, the drop in the best multi-test risk
     when the n-observation multinomial allocation gains one extra
     observation, and returns the best threshold.  Composition enumeration
-    while both enumerations pass ``_enumerates`` (``method="exact"``),
+    while both enumerations pass ``enumeration_fits`` (``method="exact"``),
     otherwise the generating-function engine (``method="gf"``); both are
     exact up to rounding, so ``ci`` is all zeros.  Refuses, before it
     allocates, outputs over the byte budget (``check_cube_output``).
@@ -602,7 +593,7 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     m = 2 * n
     risks = (bayes_risk_curve(r, n + 1).values if _risks is None
              else _risks[:n + 2])
-    if _enumerates(n + 1, m):  # the larger of the two enumerations
+    if enumeration_fits(n + 1, m):  # the larger of the two enumerations
         # One naming pass for both enumerations.
         now, more = [_survival_sums(m, risks, reps, cls) for reps, cls
                      in _composition_classes((n, n + 1), m)]
@@ -674,7 +665,7 @@ def mixedpbin_mass(
     N ~ Mult(n, weights) and ``f`` a monotone table on {0, ..., n}.
 
     Composition enumeration by class (``pbin.multinomial_classes``) when
-    every weight is equal and ``_enumerates`` allows it
+    every weight is equal and ``enumeration_fits`` allows it
     (``method="exact"``), otherwise the generating-function engine over
     groups of equal weights (``method="gf"``); both are exact up to
     rounding, so ``ci`` is all zeros.
@@ -697,7 +688,7 @@ def mixedpbin_mass(
     w = _as_weights(w)
     # One product over the classes: at most 71 928 of them, Mult(213)
     # over 4 cells, whose risks and pmfs take 4.9 MiB.
-    if np.all(w == w[0]) and _enumerates(n, m):
+    if np.all(w == w[0]) and enumeration_fits(n, m):
         reps, mult, probs = multinomial_classes(n, m)
         masses = (mult * probs) @ pbin_pmf_rows(table[reps])
         method = "exact"

@@ -15,14 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constants import ENUM_GUARD, check_budget
-
-
-class EnumerationGuardError(ValueError):
-    """Raised when an exact enumeration's table would exceed the guard.
-
-    Callers should use the generating-function engine of ``lower`` instead.
-    """
+from .constants import check_budget
 
 
 def _as_probs(probs: Iterable[float]) -> np.ndarray:
@@ -248,8 +241,10 @@ def binom_pmf(n: int, p: float) -> np.ndarray:
     """Bin(n, p) pmf of length n+1: the band of :func:`_binom_band` placed
     in n+1 zeros.  Measured against the exact ``math.comb(n, n//2) /
     2**n``, the mode of Bin(n, 1/2) is off by 6.9e-17 relative at n = 1000,
-    2.6e-16 at 10 000, 5.2e-16 at 99 999 and 1.3e-15 at 10^6.
+    2.6e-16 at 10 000, 5.2e-16 at 99 999 and 1.3e-15 at 10^6.  Refuses,
+    before it builds anything, n + 1 floats over ``OUTPUT_BUDGET``.
     """
+    check_budget(8 * (n + 1), f"the {n + 1} masses of Bin({n}, {p})")
     return _spread(n + 1, *_binom_band(n, p))
 
 
@@ -300,25 +295,28 @@ def n_compositions(trials: int, m: int) -> int:
     return math.comb(trials + m - 1, m - 1)
 
 
-def enumeration_fits(trials: int, m: int) -> bool:
-    """Whether exact enumeration of Mult(trials) over m cells stays within
-    ``ENUM_GUARD`` table entries: one row per composition, m + 1 columns
-    (the count vector, or a PBin pmf of it).
+# Refuse exact enumeration whose table, compositions x (cells + 1), holds
+# more entries than this; callers use the generating-function engine
+# instead.  The guard bounds the compact count table, one byte a count up
+# to 254 trials, so under 8 MiB there, and the rows a sum over it visits.
+# The Poisson-binomial work is done once a class of rows (at most one a
+# row), and no float table of every row is kept.  2^23 keeps the largest
+# enumeration in use, Mult(8) over 16 cells (490 314 x 17), exact.
+ENUM_GUARD = 1 << 23
 
-    The row count C(trials + m - 1, k), k = min(m - 1, trials), is built
-    as the running product C(a + i, i) = C(a + i - 1, i - 1) (a + i) / i,
-    a = trials + m - 1 - k, for i = 1, ..., k.  It never decreases in i,
-    so the answer is False as soon as it passes ENUM_GUARD // (m + 1).
-    As a >= k, C(a + i, i) >= 2^i, so a call takes at most 24 steps,
-    however large the binomial."""
-    limit = ENUM_GUARD // (m + 1)
-    k = min(m - 1, trials)
-    a = trials + m - 1 - k
-    rows, i = 1, 0
-    while rows <= limit and i < k:
-        i += 1
-        rows = rows * (a + i) // i
-    return rows <= limit
+
+def enumeration_fits(trials: int, m: int) -> bool:
+    """Whether Mult(trials) over m cells is enumerated exactly: the rule of
+    ``multinomial_enumerate``, ``multinomial_classes`` and the dispatch of
+    ``lower``.  The trials must fit the uint8 compositions, at most 254:
+    beyond that the lgamma form of :func:`multinomial_logpmf` drifts, and
+    at Mult(10^4) over two cells the masses were 9.6e-12 off an exact
+    Binomial oracle, where the generating-function engine is within
+    2.2e-16.  And the table, one row per composition by m + 1 columns (the
+    count vector, or a PBin pmf of it), must hold at most ``ENUM_GUARD``
+    entries.  The cap is checked first, so the row count's binomial has at
+    most 254 factors, however large m is."""
+    return trials <= 254 and n_compositions(trials, m) * (m + 1) <= ENUM_GUARD
 
 
 def _compositions(trials: int, m: int) -> np.ndarray:
@@ -358,13 +356,13 @@ def _compositions(trials: int, m: int) -> np.ndarray:
 
 
 def _check_fits(trials: int, m: int) -> None:
-    """Raise :class:`EnumerationGuardError` when Mult(trials) over m cells
-    fails :func:`enumeration_fits`."""
+    """Raise ValueError when Mult(trials) over m cells fails
+    :func:`enumeration_fits`."""
     if not enumeration_fits(trials, m):
-        raise EnumerationGuardError(
-            f"Mult({trials}) over {m} cells: its compositions x {m + 1} "
-            f"columns exceed the {ENUM_GUARD}-entry guard; use the "
-            "generating-function engine"
+        raise ValueError(
+            f"Mult({trials}) over {m} cells: past the trial cap, or its "
+            f"compositions x {m + 1} columns exceed the {ENUM_GUARD}-entry "
+            "guard; use the generating-function engine"
         )
 
 
@@ -384,11 +382,11 @@ def multinomial_enumerate(
     """All count vectors of Mult(trials, weights) with their probabilities.
 
     Returns ``(counts, probs)`` where ``counts`` has one composition per row
-    (:func:`_compositions`; uint8 for up to 254 trials).  Probabilities sum
-    to 1 within 1e-10; they are evaluated in blocks of rows, each row by
-    :func:`multinomial_logpmf`'s arithmetic.  Raises
-    :class:`EnumerationGuardError`, before allocating, when the table
-    exceeds the guard (:func:`enumeration_fits`).
+    (:func:`_compositions`; uint8, as the guard admits at most 254 trials).
+    Probabilities sum to 1 within 1e-10; they are evaluated in blocks of
+    rows, each row by :func:`multinomial_logpmf`'s arithmetic.  Raises
+    ValueError, before allocating, when Mult(trials) fails
+    :func:`enumeration_fits`.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -515,8 +513,8 @@ def multinomial_classes(
     weights 1/m.  So ``mult.sum()`` is ``n_compositions(trials, m)`` and
     ``mult @ probs`` is 1 up to rounding: 22 classes for the 203 490
     compositions of Mult(8) over 14 cells.  There are at most as many
-    classes as compositions, so it raises :class:`EnumerationGuardError`
-    as :func:`multinomial_enumerate` does."""
+    classes as compositions, so it raises ValueError as
+    :func:`multinomial_enumerate` does."""
     if trials < 0 or m < 1:
         raise ValueError("requires trials >= 0 and m >= 1")
     _check_fits(trials, m)

@@ -26,7 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import CI_SIGMA, MC_CHUNK
+from .constants import MC_CHUNK
+
+# All confidence intervals are 3-sigma normal intervals.
+CI_SIGMA = 3.0
 
 _MASK = (1 << 64) - 1
 

@@ -347,6 +347,16 @@ class TestBayesRiskCurve:
         out, peak = traced_peak(lambda: bayes_risk_curve(2.0, 10**6).values)
         assert peak <= out.nbytes + 8 * 2**20
 
+    def test_output_over_the_budget_is_refused_before_allocating(
+            self, traced_peak):
+        # 2^27 + 1 risks take 8 bytes more than OUTPUT_BUDGET.
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                bayes_risk_curve(2.0, 2**27)
+
+        _, peak = traced_peak(call)
+        assert peak < 1 << 20
+
     def test_memory_near_r_1_is_the_output(self, traced_peak):
         # r = 1.05 keeps about 150 000 h above the underflow here.
         out, peak = traced_peak(

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsvalue import pbin
-from obsvalue.constants import ENUM_GUARD
-from obsvalue.pbin import (_BLOCK, EnumerationGuardError, _binom_band,
+from obsvalue.pbin import (_BLOCK, ENUM_GUARD, _binom_band,
                            _compositions, _poisson_band, binom_pmf,
                            _arrangements, _partitions, enumeration_fits,
                            multinomial_classes, multinomial_enumerate,
@@ -285,6 +284,17 @@ class TestBinomPmf:
         want[lo:lo + band.size] = band
         assert np.array_equal(binom_pmf(n, p), want)
 
+    def test_output_over_the_budget_is_refused_before_building(
+            self, traced_peak):
+        # Bin(2^27, 1/2)'s 2^27 + 1 masses take 8 bytes more than
+        # OUTPUT_BUDGET; its band alone would take about 10 MiB.
+        def call():
+            with pytest.raises(ValueError, match="output budget"):
+                binom_pmf(2**27, 0.5)
+
+        _, peak = traced_peak(call)
+        assert peak < 1 << 20
+
     def test_agrees_with_convolution(self):
         for n, p in ((17, 0.3), (64, 0.05)):
             assert np.abs(binom_pmf(n, p) - pbin_pmf([p] * n)).max() < 1e-13
@@ -530,8 +540,11 @@ class TestMultinomial:
 
     def test_guard_refuses_large_enumerations(self):
         assert n_compositions(9, 16) == 1307504
-        with pytest.raises(EnumerationGuardError):
+        with pytest.raises(ValueError, match="guard"):
             multinomial_enumerate(9, [1.0 / 16] * 16)
+        # Past the 254-trial cap, however small the table.
+        with pytest.raises(ValueError, match="guard"):
+            multinomial_enumerate(255, [0.5, 0.5])
 
     def test_guard_counts_table_entries(self):
         # The largest enumerations in use stay exact: cube_lower(7, r) at
@@ -541,12 +554,14 @@ class TestMultinomial:
         # 10^5 compositions pass a count of rows, not of entries.
         assert n_compositions(1, 100_000) == 100_000
         assert not enumeration_fits(1, 100_000)
+        # The trials fit the uint8 compositions up to 254.
+        assert enumeration_fits(254, 1) and not enumeration_fits(255, 1)
 
     def test_guard_raises_before_allocating(self, traced_peak):
         w = np.full(100_000, 1e-5)  # the table would take 74.5 GiB
 
         def call():
-            with pytest.raises(EnumerationGuardError):
+            with pytest.raises(ValueError, match="guard"):
                 multinomial_enumerate(1, w)
 
         _, peak = traced_peak(call)
@@ -571,10 +586,12 @@ class TestMultinomial:
         assert not enumeration_fits(t, m)
 
     def test_guard_refuses_huge_tables_without_counting_them(self):
-        # C(3 * 2^20, 2^20 + 1) has about 2.5 million bits; the guard
-        # stops at its first factor.
+        # C(3 * 2^20, 2^20 + 1) has about 2.5 million bits; the trial cap
+        # refuses it before the binomial is taken.
         assert not enumeration_fits(2**20 + 1, 2**21)
         assert not enumeration_fits(2**21, 2**20 + 1)
+        # Under the cap the binomial has at most 254 factors.
+        assert not enumeration_fits(254, 10**9)
 
     def test_narrowest_count_type(self):
         assert _compositions(254, 2).dtype == np.uint8
@@ -725,7 +742,7 @@ class TestMultinomialClasses:
 
     def test_guard_raises_before_allocating(self, traced_peak):
         def call():
-            with pytest.raises(EnumerationGuardError):
+            with pytest.raises(ValueError, match="guard"):
                 multinomial_classes(1, 100_000)
 
         _, peak = traced_peak(call)

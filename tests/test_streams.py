@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from obsvalue import streams
-from obsvalue.constants import CI_SIGMA
+from obsvalue.streams import CI_SIGMA
 
 
 def merged(values, monkeypatch):

@@ -31,12 +31,15 @@ CALLS = [
     "lower cube --r 2 --n 1:4096:x2 --format json",
     "lower cube --r 1.5 --n 1:7",
     "lower cube --r 4 --n 1:7 --format json",
+    "lower cube --r 1.5 --n 7:8 --format json",
     "lower cube --r 2 --n 1048576",
     "lower risks --r 2 --n 64 --format json",
     "lower mixedpbin --r 2 --n 8 --m 16",
     "lower mixedpbin --r 2 --n 16 --m 16",
+    "lower mixedpbin --r 2 --n 9 --m 16",
     "lower mixedpbin --r 2 --n 9:12 --m 8",
     "lower mixedpbin --r 1.5 --n 1:10 --m 10",
+    "lower mixedpbin --r 2 --n 254:255 --m 1",
     "lower mixedpbin --r 2 --n 10000 --m 2",
     "lower mixedpbin --r 2 --n 1 --m 100000",
     "lower mixedpbin --r 2 --n 190:200 --m 4",
