@@ -55,15 +55,15 @@ from .pbin import (_as_weights, _block_rows, _composition_classes,
 @dataclass(frozen=True)
 class RiskCurve:
     """Per-cell minimum Bayes testing risks n -> r(n), nonincreasing from
-    r(0) = 1/2."""
+    r(0) = 1/2: ``values[n]`` is r(n), a nonempty 1-D float array."""
 
-    r: float
     values: np.ndarray
 
     def __post_init__(self):
-        if not 1.0 < self.r < math.inf:
-            raise ValueError("requires finite r > 1")
-        v = self.values
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError("risks must be a nonempty 1-D array")
+        object.__setattr__(self, "values", v)
         if v[0] != 0.5:
             raise ValueError("r(0) must equal 1/2 exactly")
         step = _block_rows(1)  # bounds the check's memory for any n_max
@@ -202,7 +202,7 @@ def bayes_risk_curve(r: float, n_max: int) -> RiskCurve:
     # last-ulp rounding disagreements between neighbouring blocks.
     n_stop = min(n_max + 1, 2 * h_end + 1)
     np.minimum.accumulate(values[:n_stop], out=values[:n_stop])
-    return RiskCurve(r=r, values=values)
+    return RiskCurve(values)
 
 
 def richness_lower_bound(alpha: float, beta: float, n: int) -> float:
@@ -224,13 +224,12 @@ class CubeLowerResult:
     ``per_l[l-1]`` is the gap at threshold l; ``delta`` its maximum (at
     ``l_star``) and ``delta_avg`` the best average of two adjacent
     thresholds.  ``closed`` is the closed form the witness certifies,
-    ``richness_lower_bound(1 - 1/r, 1, n)``: the witness is (2n, 1 - 1/r,
-    1)-rich.  ``method`` is "exact" or "gf"; both are exact, so ``ci``
-    (3-sigma half-widths) is all zeros and ``samples`` is 0.  Both fields
-    stay in the report format.
+    ``richness_lower_bound(1 - 1/r, 1, n)`` at the ratio r of the call:
+    the witness is (2n, 1 - 1/r, 1)-rich.  ``method`` is "exact" or
+    "gf"; both are exact, so ``ci`` (3-sigma half-widths) is all zeros
+    and ``samples`` is 0.  Both fields stay in the report format.
     """
 
-    r: float
     n: int
     m: int
     l_star: int
@@ -608,7 +607,7 @@ def cube_lower(n: int, r: float, *, _risks: np.ndarray | None = None
     l_star = start + int(np.argmax(core)) + 1
     pair_avg = 0.5 * (core[:-1] + core[1:])
     return CubeLowerResult(
-        r=r, n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
+        n=n, m=m, l_star=l_star, delta=float(per_l[l_star - 1]),
         delta_avg=float(pair_avg.max()),
         closed=richness_lower_bound(1.0 - 1.0 / r, 1.0, n), per_l=per_l,
         ci=np.zeros(m), method=method,

@@ -320,8 +320,9 @@ def enumeration_fits(trials: int, m: int) -> bool:
 
 
 def _compositions(trials: int, m: int) -> np.ndarray:
-    """All compositions of ``trials`` into ``m`` parts, one per row, in the
-    narrowest unsigned type that holds ``trials + 1``.
+    """All compositions of ``trials`` into ``m`` parts, one per row, as
+    uint8 counts: ``trials`` must be at most 254, the cap of
+    :func:`enumeration_fits`, which every caller has passed.
 
     Rows are ordered by the last part, then by the part before it, and so on
     (the order of the NEXCOM successor algorithm): the compositions of t
@@ -330,19 +331,18 @@ def _compositions(trials: int, m: int) -> np.ndarray:
     each choice of parts k..m-1 is repeated once per composition of what is
     left into the k parts before it, and part 0 takes what is left.
     """
-    dtype = np.min_scalar_type(trials + 1)
-    out = np.empty((n_compositions(trials, m), m), dtype=dtype)
-    used = np.zeros(1, dtype=dtype)
+    out = np.empty((n_compositions(trials, m), m), dtype=np.uint8)
+    used = np.zeros(1, dtype=np.uint8)
     for k in range(m - 1, 0, -1):
         width = trials + 1 - used  # part k takes 0, ..., trials - used
         # The ramp 0, 1, ..., width - 1 of each choice, as a cumsum of
         # steps of 1 that drop back to 0 where a choice starts.  The sums
         # wrap around in the table's type, exactly, since each is below
         # trials + 1.
-        part = np.ones(int(width.sum(dtype=np.int64)), dtype=dtype)
+        part = np.ones(int(width.sum(dtype=np.int64)), dtype=np.uint8)
         part[0] = 0
         part[np.cumsum(width[:-1], dtype=np.int64)] = 1 - width[:-1]
-        np.cumsum(part, dtype=dtype, out=part)
+        np.cumsum(part, dtype=np.uint8, out=part)
         used = np.repeat(used, width) + part
         if k > 1:
             # Rows per choice: the compositions of trials - used into k
@@ -398,15 +398,16 @@ def multinomial_enumerate(
 
 def _partitions(total: int, parts: int) -> np.ndarray:
     """The partitions of ``total`` into at most ``parts`` parts, one a row
-    of ``parts`` values in nonincreasing order (zeros last), in the type
-    of :func:`_compositions`.
+    of ``parts`` values in nonincreasing order (zeros last), as uint8:
+    ``total`` must be at most 254, the cap of :func:`enumeration_fits`,
+    which every caller has passed.
 
     Built a column at a time, as :func:`_compositions` is: with ``left``
     still to place in r places, this one included, the next value runs
     from min(left, the value before) down to ceil(left / r), the least
     that leaves the r - 1 places after it room for the rest.  A partition
     has at most ``total`` nonzero parts, so the columns past that are 0."""
-    rows = np.zeros((1, parts), dtype=np.min_scalar_type(total + 1))
+    rows = np.zeros((1, parts), dtype=np.uint8)
     left = hi = np.array([total])
     for j in range(min(parts, total)):
         width = hi + 1 + left // (j - parts)  # hi - ceil(left / r) + 1

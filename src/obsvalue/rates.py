@@ -81,15 +81,19 @@ def rate_fit(points: Sequence[tuple[int, float]]) -> RateFit:
     """Least-squares line through (log(n+1), log value).
 
     Regressing against n+1 rather than n matches the closed forms and
-    removes small-n curvature.  Requires >= 3 points with positive values.
+    removes small-n curvature.  Requires >= 3 points, each with n >= 0 and
+    a finite positive value.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     ns = np.array([p[0] for p in pts], dtype=float)
     vals = np.array([p[1] for p in pts], dtype=float)
-    if vals.min() <= 0.0:
-        raise ValueError("values must be positive")
+    # Written so that a NaN fails: it compares false both ways.
+    if not np.all((vals > 0.0) & (vals < math.inf)):
+        raise ValueError("values must be finite and positive")
+    if not np.all((ns >= 0.0) & (ns < math.inf)):
+        raise ValueError("requires every n >= 0")
     x = np.log(ns + 1.0)
     y = np.log(vals)
     design = np.column_stack([x, np.ones_like(x)])

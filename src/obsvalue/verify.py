@@ -47,17 +47,15 @@ class Budget:
     pmf_sets: int = 300
     shift_sets: int = 1000
     sample_draws: int = 1_000_000
-    mc_draws: int = 200_000
-    sim_trials: int = 200_000
-    inject_reps: int = 200_000
+    draws: int = 200_000
     curve_n: int = 256
     cube_ns: tuple[int, ...] = (1, 2, 4, 8)
     mc_samples: int = 30_000
 
 
 QUICK = Budget(pmf_sets=60, shift_sets=200, sample_draws=200_000,
-               mc_draws=50_000, sim_trials=50_000, inject_reps=50_000,
-               curve_n=64, cube_ns=(1, 2, 4), mc_samples=10_000)
+               draws=50_000, curve_n=64, cube_ns=(1, 2, 4),
+               mc_samples=10_000)
 FULL = Budget()
 
 
@@ -395,7 +393,7 @@ def check_mad_mc_agreement(budget: Budget, rng) -> tuple[bool, str]:
         two = upper.uniform_ratio(f).two_level
         exact = (three_level_exact_mad(k) if two is None
                  else upper.exact_mad(two, k))
-        est, hw = upper.mc_mad(f, k, budget.mc_draws, seed=seed)
+        est, hw = upper.mc_mad(f, k, budget.draws, seed=seed)
         worst = max(worst, abs(est - exact) / max(hw, 1e-300))
     return worst <= 1.0, f"worst_dev_over_ci={worst:.2f}"
 
@@ -430,7 +428,7 @@ def check_chi2_quadrature(budget: Budget, rng) -> tuple[bool, str]:
 
 
 def check_inject_positions(budget: Budget, rng) -> tuple[bool, str]:
-    reps = budget.inject_reps
+    reps = budget.draws
     out = upper.inject_kernel(np.tile([0.25, 0.75], (reps, 1)), rng)
     pos = np.where(out[:, 0] != 0.25, 0, np.where(out[:, 1] != 0.75, 1, 2))
     return _frequency_verdict(np.bincount(pos, minlength=3), reps, [1 / 3] * 3)
@@ -438,7 +436,7 @@ def check_inject_positions(budget: Budget, rng) -> tuple[bool, str]:
 
 def check_inject_mixture(budget: Budget, rng) -> tuple[bool, str]:
     f = densities.hypercube_density(densities.HypercubeSpec(2.0, 1, (0,)))
-    n, reps = 3, budget.inject_reps
+    n, reps = 3, budget.draws
     p_cell = densities.density_integral(f, 0.0, 0.5)
     ref = pbin.pbin_pmf([p_cell] * n + [0.5])
     x = densities.sample_density(f, reps * n, rng).reshape(reps, n)
@@ -555,7 +553,7 @@ def simulate_mixture_risk(
 def check_simulations(budget: Budget, rng) -> tuple[bool, str]:
     # Exact Binomial tails, not a normal z-score: the targets can lie near
     # 0 or 1, where a handful of misses already reads as 4+ sigma.
-    trials, hits, targets = max(budget.sim_trials, 10_000), [], []
+    trials, hits, targets = budget.draws, [], []
     for _ in range(5):
         m = int(rng.integers(1, 6))
         risks = rng.random(m)
@@ -595,9 +593,9 @@ def check_sweep_determinism(budget: Budget, rng) -> tuple[bool, str]:
     csv1 = rates.reports_to_csv(rates.bound_sweep(2.0, ns))
     csv2 = rates.reports_to_csv(rates.bound_sweep(2.0, ns))
     f = densities.hypercube_density(densities.HypercubeSpec(2.0, 2, (0, 1)))
-    mad1 = upper.mc_mad(f, 2, budget.mc_samples, seed=9, workers=1)
-    mad3 = upper.mc_mad(f, 2, budget.mc_samples, seed=9, workers=3)
-    same = csv1 == csv2 and mad1 == mad3
+    mad1 = upper.mc_mad(f, 2, budget.mc_samples, seed=9)
+    mad2 = upper.mc_mad(f, 2, budget.mc_samples, seed=9)
+    same = csv1 == csv2 and mad1 == mad2
     return same, f"identical={same}"
 
 

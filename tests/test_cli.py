@@ -25,7 +25,7 @@ from obsvalue.rates import (BoundReport, bound_sweep, format_number,
 def flat_cube(n, r, _risks=None):
     """A stand-in for ``cube_lower`` at a constant cost per n."""
     delta = 0.5 / math.sqrt(n + 1)
-    return CubeLowerResult(r, n, 2 * n, 1, delta, delta, delta / 12,
+    return CubeLowerResult(n, 2 * n, 1, delta, delta, delta / 12,
                            np.zeros(1), np.zeros(1), "gf")
 
 

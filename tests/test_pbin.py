@@ -593,11 +593,6 @@ class TestMultinomial:
         # Under the cap the binomial has at most 254 factors.
         assert not enumeration_fits(254, 10**9)
 
-    def test_narrowest_count_type(self):
-        assert _compositions(254, 2).dtype == np.uint8
-        assert _compositions(255, 2).dtype == np.uint16
-        assert np.array_equal(_compositions(255, 2)[:, 1], np.arange(256))
-
     @pytest.mark.parametrize("trials", [9, 10, 11])
     def test_compositions_match_nexcom_order_to_eleven_trials(self, trials):
         for m in range(1, 10):
@@ -606,7 +601,7 @@ class TestMultinomial:
             assert np.array_equal(got, nexcom_compositions(trials, m))
 
     @pytest.mark.parametrize("trials, dtype", [
-        (200, np.uint8), (254, np.uint8), (255, np.uint16), (300, np.uint16)])
+        (200, np.uint8), (254, np.uint8)])
     def test_ramps_wrap_exactly_in_the_count_type(self, trials, dtype):
         # The parts are built as cumsums that wrap around in the table's
         # type; every value is below trials + 1, so the wrap is exact.

@@ -54,6 +54,12 @@ class TestRateFit:
             rate_fit([(1, 1.0), (2, 2.0)])
         with pytest.raises(ValueError):
             rate_fit([(1, 1.0), (2, 0.0), (3, 2.0)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                rate_fit([(1, 1.0), (2, bad), (3, 2.0)])
+        for n in (-1, math.nan):
+            with pytest.raises(ValueError, match="n >= 0"):
+                rate_fit([(n, 1.0), (2, 0.5), (3, 0.25)])
 
 
 class TestBoundSweep:

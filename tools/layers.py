@@ -39,7 +39,7 @@ CELLS64 = densities.hypercube_density(
     densities.HypercubeSpec(2.0, 64, [j % 2 for j in range(64)]))
 ONE_CELL = densities.hypercube_density(densities.HypercubeSpec(2.0, 1, [0]))
 MC_MAD = [("mc_mad(64 cells, 257, 100000)",
-           lambda: upper.mc_mad(CELLS64, 257, 100_000, seed=0, workers=2))]
+           lambda: upper.mc_mad(CELLS64, 257, 100_000, seed=0))]
 MC_MAD += [(f"mc_mad(1 cell, {k}, 100000)",
             lambda k=k: upper.mc_mad(ONE_CELL, k, 100_000, seed=0))
            for k in (5, 9, 17, 33, 65, 129, 257, 2**17 + 1)]

@@ -54,6 +54,8 @@ CALLS = [
     "experiment sample --density a.json --n 100 --seed 7 --format json",
     "experiment tv --density a.json --density2 b.json",
     "verify --quick --seed 0",
+    "verify --quick --seed 1",
+    "verify --seed 1",
 ]
 
 
