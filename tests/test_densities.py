@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obsvalue.densities import (HypercubeSpec, StepDensity, density_integral,
+from obsvalue.densities import (_COMPARE_EDGES, HypercubeSpec, StepDensity,
+                                _count_at_or_below, density_integral,
                                 hypercube_density, richness_witness,
                                 sample_density, tv_distance)
 from obsvalue.verify import LEVEL, binom_two_sided
@@ -78,9 +79,15 @@ def masked_sample(f, n, rng):
 
 def oracle_densities():
     rng = np.random.default_rng(53)
-    return [UNIFORM, StepDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
-            hypercube_density(HypercubeSpec(3.0, 4, [1, 0, 0, 1])),
-            *(random_density(rng) for _ in range(20))]
+    fixed = [UNIFORM, StepDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
+             hypercube_density(HypercubeSpec(3.0, 4, [1, 0, 0, 1])),
+             *(random_density(rng) for _ in range(20))]
+    # more interior cdf edges than sample_density counts by comparison,
+    # so its searchsorted fallback is covered too
+    pieces = 2 * _COMPARE_EDGES
+    bp = np.concatenate(([0.0], np.sort(rng.random(pieces - 1)), [1.0]))
+    return [*fixed, StepDensity(bp, rng.uniform(0.05, 2.0, size=pieces),
+                                normalize=True)]
 
 
 # A zero-height piece at the start, in the middle and at the end; the
@@ -315,6 +322,23 @@ class TestSampleDensity:
 
     def test_no_draws(self):
         assert sample_density(UNIFORM, 0, np.random.default_rng(0)).size == 0
+
+    # Edges drawn often from a few values tie (zero-height pieces); every
+    # edge, the float just below it, 0.0 and 1 - 2^-53 are keys.
+    @settings(database=None, deadline=None)
+    @given(st.integers(0, 100).flatmap(lambda k: st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
+        | st.floats(0.0, 1.0), min_size=k, max_size=k)),
+        st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example([0.5] * _COMPARE_EDGES, [])
+    @example([0.5] * (_COMPARE_EDGES + 1), [])
+    def test_count_at_or_below_is_searchsorted(self, edges, keys):
+        edges = np.sort(np.array(edges, dtype=float))
+        u = np.concatenate((edges, np.nextafter(edges, -1.0),
+                            [0.0, 1.0 - 2.0**-53], keys))
+        got = _count_at_or_below(edges, u)
+        want = edges.searchsorted(u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTvDistance:

@@ -1108,3 +1108,13 @@ class TestSimulations:
             simulate_mixture_risk([0.5], [0.5, 0.5], 10**4, rng)
         with pytest.raises(ValueError):
             simulate_mixture_risk([0.5], [1.0], 9_999, rng)
+
+    # the weights rng.choice refused once normalized, and all-negative
+    # ones, whose normalized (positive) ratios it took
+    @pytest.mark.parametrize("weights", [
+        [-0.5, 1.5], [-1.0, -1.0], [math.nan, 1.0], [0.0, 0.0],
+        [math.inf, 1.0]])
+    def test_mixture_rejects_bad_weights(self, weights):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            simulate_mixture_risk([0.1, 0.3], weights, 10**4, rng)

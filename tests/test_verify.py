@@ -218,3 +218,120 @@ def test_frequency_checks_flag_a_biased_input(monkeypatch, check, module,
     monkeypatch.setattr(module, name, bias(getattr(module, name)))
     ok, msg = check(verify.QUICK, np.random.default_rng(1))
     assert not ok and "alarm<=" in msg, msg
+
+
+# The forms the sampling and breakpoint-merging properties used before
+# inversion by comparison count, kept as their oracles: binary search
+# (``searchsorted``), ``rng.choice``, a row sum and ``np.unique``.
+def searchsorted_count(edges, u):
+    return edges.searchsorted(u, side="right")
+
+
+def searchsorted_sample(f, n, rng):
+    cdf = np.concatenate(([0.0], (f.values * f.widths).cumsum()))
+    u = rng.random(n) * cdf[-1]
+    idx = cdf[1:-1].searchsorted(u, side="right")
+    return f.breakpoints[idx] + (u - cdf[idx]) / f.values[idx]
+
+
+def rowsum_multitest_risk(risks, l, trials, rng):
+    p = np.asarray(risks, dtype=float)
+    hits = 0
+    batch = max(1, (1 << 22) // p.size)
+    for done in range(0, trials, batch):
+        errors = rng.random((min(batch, trials - done), p.size)) < p
+        hits += int(np.count_nonzero(errors.sum(axis=1) >= l))
+    return hits
+
+
+def choice_mixture_risk(component_risks, weights, trials, rng):
+    p = np.asarray(component_risks, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    component = rng.choice(p.size, size=trials, p=w / w.sum())
+    return int(np.count_nonzero(rng.random(trials) < p[component]))
+
+
+def unique_tv(f, g):
+    grid = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return float(0.5 * (abs(f(mids) - g(mids)) * (grid[1:] - grid[:-1])).sum())
+
+
+def unique_assemble(wit, bits):
+    grid = np.unique(np.concatenate(
+        [q.breakpoints for pair in wit.pairs for q in pair]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    heights = np.zeros(mids.size)
+    for w, (q0, q1), bit in zip(wit.weights, wit.pairs, bits):
+        heights += w * (q1 if bit else q0)(mids)
+    return densities.StepDensity(grid, heights)
+
+
+# Each property, its check, and the attributes that put the old forms in
+# place of the new ones.
+PRE_CHANGE = [
+    ("multinomial-sample-frequencies", verify.check_multinomial_frequencies,
+     [(densities, "_count_at_or_below", searchsorted_count)]),
+    ("sampler-cell-frequencies", verify.check_sampler_frequencies,
+     [(densities, "sample_density", searchsorted_sample)]),
+    ("inject-mixture-law", verify.check_inject_mixture,
+     [(densities, "sample_density", searchsorted_sample)]),
+    ("multitest-and-mixture-simulations", verify.check_simulations,
+     [(verify, "simulate_multitest_risk", rowsum_multitest_risk),
+      (verify, "simulate_mixture_risk", choice_mixture_risk)]),
+    ("tv-triangle-inequality", verify.check_tv_triangle,
+     [(densities, "tv_distance", unique_tv)]),
+    ("tv-bit-flip-identity", verify.check_tv_bit_flips,
+     [(densities, "tv_distance", unique_tv)]),
+    ("richness-witness", verify.check_witness,
+     [(densities, "tv_distance", unique_tv),
+      (densities.RichnessWitness, "assemble", unique_assemble)]),
+]
+
+
+@pytest.mark.parametrize("name, check, forms", PRE_CHANGE,
+                         ids=[p[0] for p in PRE_CHANGE])
+def test_properties_report_what_their_pre_change_forms_report(
+        monkeypatch, name, check, forms):
+    runs = [(budget, seed) for budget, seeds in ((verify.QUICK, range(20)),
+                                                 (verify.FULL, range(3)))
+            for seed in seeds]
+
+    def report():
+        return [check(budget, child_rng(seed, f"verify:{name}", 0))
+                for budget, seed in runs]
+
+    got = report()
+    with monkeypatch.context() as patch:
+        for owner, attr, form in forms:
+            patch.setattr(owner, attr, form)
+        want = report()
+    assert got == want
+
+
+def test_mixture_components_are_rng_choice_draws():
+    cases = [([0.1, 0.3], [0.5, 0.5]), ([0.37], [1.0]),
+             ([0.2, 0.9, 0.5], [0.0, 0.7, 0.3]), ([0.5, 0.1], [3.0, 1e-300]),
+             ([0.9, 0.2, 0.4, 0.6, 0.1], [0.3, 0.0, 0.0, 0.2, 0.5])]
+    for seed, (risks, weights) in enumerate(cases):
+        for trials in (10_000, 77_777):
+            got = verify.simulate_mixture_risk(
+                risks, weights, trials, np.random.default_rng(seed))
+            want = choice_mixture_risk(risks, weights, trials,
+                                       np.random.default_rng(seed))
+            assert got == want, (risks, weights, trials)
+
+
+def test_multitest_counts_are_row_sum_counts():
+    # both sides of the column-count cutover; 10^5 runs span several
+    # batches of either size
+    rng = np.random.default_rng(17)
+    cut = verify._COLUMN_COUNT_CELLS
+    for m in (1, 5, cut, cut + 1, 100):
+        risks = rng.random(m)
+        for l in sorted({1, (m + 1) // 2, m}):
+            got = verify.simulate_multitest_risk(
+                risks, l, 100_000, np.random.default_rng(m))
+            want = rowsum_multitest_risk(risks, l, 100_000,
+                                         np.random.default_rng(m))
+            assert got == want, (m, l)

@@ -3,17 +3,19 @@
 Times, with this checkout's ``src`` on the path, each call that the
 benchmark's ``exact-enum`` workload makes: ``cube_lower(n, r)`` for n =
 1, ..., 7 and r in (1.5, 2, 4), and ``mixedpbin_mass`` on uniform weights
-and the r = 2 risk curve at (m, n) = (9, 9), (8, 12), (10, 10).  Then two
+and the r = 2 risk curve at (m, n) = (9, 9), (8, 12), (10, 10).  Then three
 layers on their own: the naming of the row classes of both enumerations
 of ``cube_lower(n, r)``'s exact path, Mult(n) and Mult(n + 1) over 2n
-cells, for n = 1, ..., 7; and ``mc_mad`` at 100 000 draws on the
+cells, for n = 1, ..., 7; ``mc_mad`` at 100 000 draws on the
 ``upper-mc`` workload's 64-cell alternating vertex density, k = 257, on
 the r = 2 one-cell vertex density of ``upper mad`` at each k = n + 1 of
 its rows for n = 4:256:x2, and there at k = 2^17 + 1, whose Binomial band
-is wider than a Monte Carlo chunk.  Each call
-runs ``REPEATS`` times after one warm-up call; prints the minimum of each,
-the sum of each group's minima, and the machine's nproc, Python and
-numpy."""
+is wider than a Monte Carlo chunk; and sampling: ``sample_density`` at
+100 000 draws on random step densities of 2, 8, 32, 64 and 1024 pieces,
+on both sides of its comparison-count cutover, and the five sampled
+properties of ``verify --quick`` at seed 0.  Each call runs ``REPEATS``
+times after one warm-up call; prints the minimum of each, the sum of each
+group's minima, and the machine's nproc, Python and numpy."""
 import os
 import sys
 import time
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from obsvalue import densities, lower, pbin, upper  # noqa: E402
+from obsvalue import densities, lower, pbin, upper, verify  # noqa: E402
+from obsvalue.streams import child_rng  # noqa: E402
 
 REPEATS = 5
 EXACT_ENUM = [(f"cube_lower({n}, {r})", lambda n=n, r=r: lower.cube_lower(n, r))
@@ -44,8 +47,24 @@ MC_MAD += [(f"mc_mad(1 cell, {k}, 100000)",
             lambda k=k: upper.mc_mad(ONE_CELL, k, 100_000, seed=0))
            for k in (5, 9, 17, 33, 65, 129, 257, 2**17 + 1)]
 
+rng = np.random.default_rng(0)
+SAMPLING = []
+for pieces in (2, 8, 32, 64, 1024):
+    bp = np.concatenate(([0.0], np.sort(rng.random(pieces - 1)), [1.0]))
+    f = densities.StepDensity(bp, rng.uniform(0.05, 2.0, pieces),
+                              normalize=True)
+    SAMPLING.append((f"sample_density({pieces} pieces, 100000)",
+                     lambda f=f: densities.sample_density(
+                         f, 100_000, np.random.default_rng(0))))
+SAMPLING += [(name, lambda name=name, check=check: check(
+    verify.QUICK, child_rng(0, f"verify:{name}", 0)))
+    for name, check in verify.CHECKS if name in (
+        "multinomial-sample-frequencies", "sampler-cell-frequencies",
+        "inject-position-law", "inject-mixture-law",
+        "multitest-and-mixture-simulations")]
+
 for group, calls in (("exact-enum", EXACT_ENUM), ("naming", NAMING),
-                     ("mc_mad", MC_MAD)):
+                     ("mc_mad", MC_MAD), ("sampling", SAMPLING)):
     total = 0.0
     for name, call in calls:
         call()
