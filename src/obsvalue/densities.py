@@ -9,11 +9,12 @@ pairs together with their exact total variation separation.
 
 ``obsvalue verify`` makes thousands of these calls on densities of a few
 pieces, so each function is a few ufunc and array-method calls rather than
-numpy's Python-level helpers (``np.diff``, ``np.clip``, ``np.union1d``,
-``np.unique``).  For the same reason :func:`sample_density` inverts a CDF of
-at most ``_COMPARE_EDGES`` interior edges by sequential search (Devroye 1986,
-*Non-Uniform Random Variate Generation*, section III.2): a key's piece is
-its count of edges at or below it, summed over one ``u >= e`` pass an edge
+numpy's Python-level helpers (``np.diff``, ``np.clip``, ``np.union1d``).
+For the same reason :func:`sample_density` inverts a CDF of at most
+``_COMPARE_EDGES`` interior edges, when it draws enough keys to pay a pass
+an edge, by sequential search (Devroye 1986, *Non-Uniform Random Variate
+Generation*, section III.2): a key's piece is its count of edges at or
+below it, summed over one ``u >= e`` pass an edge
 (:func:`_count_at_or_below`).  That count is ``searchsorted``'s index bit
 for bit, so every draw is the one a binary search gives.
 """
@@ -176,9 +177,12 @@ def density_integral(f: StepDensity, a: float, b: float) -> float:
 # unsorted key.  Measured (2 cores, numpy 2.4.6), searchsorted -> count,
 # on 100 000 keys: 2 edges 1.19 -> 0.07 ms, 8 edges 1.94 -> 0.17 ms, 32
 # edges 3.95 -> 0.55 ms, 64 edges 4.92 -> 1.03 ms, 128 edges 5.76 -> 1.98
-# ms; on 10^6 keys, 64 edges 50 -> 32 ms and 128 edges 59 -> 57 ms.  On
-# 1000 keys the count's fixed cost, about 1.6 us an edge, makes it the
-# slower one (64 edges 0.03 -> 0.11 ms).
+# ms; on 10^6 keys, 64 edges 50 -> 32 ms and 128 edges 59 -> 57 ms.  A
+# pass also costs about 1.2 us whatever the key count, so on few keys
+# binary search is the faster one: the count first won at 681 keys on 1
+# edge, 1712 on 8, 1996 on 16, 3165 on 32 and 3690 on 64.  The rule
+# below takes the count from 1024 + 48 * edges keys, 0.8 to 1.6 times
+# those crossings.
 _COMPARE_EDGES = 64
 
 
@@ -186,9 +190,9 @@ def _count_at_or_below(edges: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``edges.searchsorted(u, side="right")`` bit for bit, dtype included,
     for nondecreasing ``edges`` and keys ``u`` in any order, no edge or key
     NaN: the number of edges at or below each key.  Up to
-    ``_COMPARE_EDGES`` edges it is a sum of comparisons; past that,
-    ``searchsorted`` itself."""
-    if edges.size > _COMPARE_EDGES:
+    ``_COMPARE_EDGES`` edges and from 1024 + 48 * ``edges.size`` keys it
+    is a sum of comparisons; otherwise ``searchsorted`` itself."""
+    if edges.size > _COMPARE_EDGES or u.size < 1024 + 48 * edges.size:
         return edges.searchsorted(u, side="right")
     count = np.zeros(u.shape, dtype=np.uint8)
     for e in edges.tolist():
@@ -206,10 +210,11 @@ def sample_density(
     cdf[i] <= u < cdf[i + 1].  A zero-height piece has cdf[i] == cdf[i + 1]
     (adding 0 rounds to nothing), so no draw lands on one: the count skips
     it, and ``(u - cdf[i]) / height`` never divides by zero.  The count is
-    :func:`_count_at_or_below`, a sum of ``u >= e`` passes up to
-    ``_COMPARE_EDGES`` interior edges and ``searchsorted(side="right")``
-    past them, equal bit for bit; the arithmetic after it runs in place,
-    in the order ``breakpoints[i] + (u - cdf[i]) / height``."""
+    :func:`_count_at_or_below`, a sum of ``u >= e`` passes on up to
+    ``_COMPARE_EDGES`` interior edges and enough draws,
+    ``searchsorted(side="right")`` otherwise, equal bit for bit; the
+    arithmetic after it runs in place, in the order
+    ``breakpoints[i] + (u - cdf[i]) / height``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     cdf = np.concatenate(([0.0], (f.values * f.widths).cumsum()))
@@ -222,21 +227,10 @@ def sample_density(
     return x
 
 
-def _merged_grid(*breakpoints: np.ndarray) -> np.ndarray:
-    """``np.unique`` of the concatenated ``breakpoints``, by one sort and
-    an adjacent-inequality mask: the sorted distinct values."""
-    grid = np.concatenate(breakpoints)
-    grid.sort()
-    keep = np.empty(grid.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
-    return grid[keep]
-
-
 def tv_distance(f: StepDensity, g: StepDensity) -> float:
     """Total variation distance between two step densities, computed exactly
     on the merged breakpoint grid."""
-    grid = _merged_grid(f.breakpoints, g.breakpoints)
+    grid = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     mids = 0.5 * (grid[:-1] + grid[1:])
     return float(0.5 * (abs(f(mids) - g(mids)) * (grid[1:] - grid[:-1])).sum())
 
@@ -259,8 +253,8 @@ class RichnessWitness:
             raise ValueError("need exactly m bits")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
-        grid = _merged_grid(*(q.breakpoints for pair in self.pairs
-                              for q in pair))
+        grid = np.unique(np.concatenate(
+            [q.breakpoints for pair in self.pairs for q in pair]))
         mids = 0.5 * (grid[:-1] + grid[1:])
         heights = np.zeros(mids.size)
         for w, (q0, q1), bit in zip(self.weights, self.pairs, bits):

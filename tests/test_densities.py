@@ -324,7 +324,9 @@ class TestSampleDensity:
         assert sample_density(UNIFORM, 0, np.random.default_rng(0)).size == 0
 
     # Edges drawn often from a few values tie (zero-height pieces); every
-    # edge, the float just below it, 0.0 and 1 - 2^-53 are keys.
+    # edge, the float just below it, 0.0 and 1 - 2^-53 are keys, as they
+    # are and repeated to 8192 keys, past the key count from which up to
+    # _COMPARE_EDGES edges are counted by comparison.
     @settings(database=None, deadline=None)
     @given(st.integers(0, 100).flatmap(lambda k: st.lists(
         st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
@@ -336,9 +338,10 @@ class TestSampleDensity:
         edges = np.sort(np.array(edges, dtype=float))
         u = np.concatenate((edges, np.nextafter(edges, -1.0),
                             [0.0, 1.0 - 2.0**-53], keys))
-        got = _count_at_or_below(edges, u)
-        want = edges.searchsorted(u, side="right")
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for u in (u, np.resize(u, 8192)):
+            got = _count_at_or_below(edges, u)
+            want = edges.searchsorted(u, side="right")
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestTvDistance:

@@ -220,9 +220,9 @@ def test_frequency_checks_flag_a_biased_input(monkeypatch, check, module,
     assert not ok and "alarm<=" in msg, msg
 
 
-# The forms the sampling and breakpoint-merging properties used before
-# inversion by comparison count, kept as their oracles: binary search
-# (``searchsorted``), ``rng.choice``, a row sum and ``np.unique``.
+# The forms the sampling properties used before inversion by comparison
+# count, kept as their oracles: binary search (``searchsorted``),
+# ``rng.choice`` and a row sum.
 def searchsorted_count(edges, u):
     return edges.searchsorted(u, side="right")
 
@@ -251,22 +251,6 @@ def choice_mixture_risk(component_risks, weights, trials, rng):
     return int(np.count_nonzero(rng.random(trials) < p[component]))
 
 
-def unique_tv(f, g):
-    grid = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return float(0.5 * (abs(f(mids) - g(mids)) * (grid[1:] - grid[:-1])).sum())
-
-
-def unique_assemble(wit, bits):
-    grid = np.unique(np.concatenate(
-        [q.breakpoints for pair in wit.pairs for q in pair]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    heights = np.zeros(mids.size)
-    for w, (q0, q1), bit in zip(wit.weights, wit.pairs, bits):
-        heights += w * (q1 if bit else q0)(mids)
-    return densities.StepDensity(grid, heights)
-
-
 # Each property, its check, and the attributes that put the old forms in
 # place of the new ones.
 PRE_CHANGE = [
@@ -279,13 +263,6 @@ PRE_CHANGE = [
     ("multitest-and-mixture-simulations", verify.check_simulations,
      [(verify, "simulate_multitest_risk", rowsum_multitest_risk),
       (verify, "simulate_mixture_risk", choice_mixture_risk)]),
-    ("tv-triangle-inequality", verify.check_tv_triangle,
-     [(densities, "tv_distance", unique_tv)]),
-    ("tv-bit-flip-identity", verify.check_tv_bit_flips,
-     [(densities, "tv_distance", unique_tv)]),
-    ("richness-witness", verify.check_witness,
-     [(densities, "tv_distance", unique_tv),
-      (densities.RichnessWitness, "assemble", unique_assemble)]),
 ]
 
 
@@ -322,14 +299,50 @@ def test_mixture_components_are_rng_choice_draws():
             assert got == want, (risks, weights, trials)
 
 
+class ChosenUniforms:
+    """A stand-in generator: ``random(n)`` repeats the chosen uniforms to
+    length n on its first call and returns 0.5s after."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.calls = uniforms, 0
+
+    def random(self, n):
+        self.calls += 1
+        return np.resize(self.uniforms, n) if self.calls == 1 else \
+            np.full(n, 0.5)
+
+
+def test_mixture_components_are_rng_choice_components_on_cdf_edges():
+    # Normalized cumulative weights that end below 1 (ten 0.1s) or above
+    # it (0.7, 0.2, 0.1); rng.choice rescales them to end at exactly 1, so
+    # a uniform on an edge of either cdf takes rng.choice's component only
+    # after the rescale.  A component of risk 1 errs on the 0.5s and the
+    # others never do, so the count is how many runs drew that component.
+    trials = 10_000
+    for weights in ([0.1] * 10, [0.7, 0.2, 0.1]):
+        w = np.array(weights)
+        raw = (w / w.sum()).cumsum()
+        cdf = raw / raw[-1]
+        u = np.concatenate((raw, cdf, [0.0, 1.0 - 2.0**-53]))
+        u = u[u < 1.0]
+        keys = np.resize(u, trials)
+        want = cdf.searchsorted(keys, side="right")  # rng.choice's recipe
+        assert not np.array_equal(want, raw.searchsorted(keys, side="right"))
+        for k in range(w.size):
+            risks = np.zeros(w.size)
+            risks[k] = 1.0
+            got = verify.simulate_mixture_risk(risks, w, trials,
+                                               ChosenUniforms(u))
+            assert got == np.count_nonzero(want == k), (weights, k)
+
+
 def test_multitest_counts_are_row_sum_counts():
-    # both sides of the column-count cutover; 10^5 runs span several
-    # batches of either size
+    # the check's 1 to 5 cells, and 300 cells, whose error counts pass 255;
+    # 10^5 runs of 100 or more cells span several batches
     rng = np.random.default_rng(17)
-    cut = verify._COLUMN_COUNT_CELLS
-    for m in (1, 5, cut, cut + 1, 100):
-        risks = rng.random(m)
-        for l in sorted({1, (m + 1) // 2, m}):
+    for m in (1, 2, 5, 100, 300):
+        risks = rng.uniform(0.9, 1.0, m) if m == 300 else rng.random(m)
+        for l in sorted({1, (m + 1) // 2, m, max(1, m - 20)}):
             got = verify.simulate_multitest_risk(
                 risks, l, 100_000, np.random.default_rng(m))
             want = rowsum_multitest_risk(risks, l, 100_000,

@@ -12,8 +12,9 @@ the r = 2 one-cell vertex density of ``upper mad`` at each k = n + 1 of
 its rows for n = 4:256:x2, and there at k = 2^17 + 1, whose Binomial band
 is wider than a Monte Carlo chunk; and sampling: ``sample_density`` at
 100 000 draws on random step densities of 2, 8, 32, 64 and 1024 pieces,
-on both sides of its comparison-count cutover, and the five sampled
-properties of ``verify --quick`` at seed 0.  Each call runs ``REPEATS``
+on both sides of its comparison-count cutover, and at 1000 draws on 8
+and 64 pieces, below the draw count that cutover needs, and the five
+sampled properties of ``verify --quick`` at seed 0.  Each call runs ``REPEATS``
 times after one warm-up call; prints the minimum of each, the sum of each
 group's minima, and the machine's nproc, Python and numpy."""
 import os
@@ -49,13 +50,14 @@ MC_MAD += [(f"mc_mad(1 cell, {k}, 100000)",
 
 rng = np.random.default_rng(0)
 SAMPLING = []
-for pieces in (2, 8, 32, 64, 1024):
+for pieces, n in ((2, 100_000), (8, 100_000), (32, 100_000),
+                  (64, 100_000), (1024, 100_000), (8, 1000), (64, 1000)):
     bp = np.concatenate(([0.0], np.sort(rng.random(pieces - 1)), [1.0]))
     f = densities.StepDensity(bp, rng.uniform(0.05, 2.0, pieces),
                               normalize=True)
-    SAMPLING.append((f"sample_density({pieces} pieces, 100000)",
-                     lambda f=f: densities.sample_density(
-                         f, 100_000, np.random.default_rng(0))))
+    SAMPLING.append((f"sample_density({pieces} pieces, {n})",
+                     lambda f=f, n=n: densities.sample_density(
+                         f, n, np.random.default_rng(0))))
 SAMPLING += [(name, lambda name=name, check=check: check(
     verify.QUICK, child_rng(0, f"verify:{name}", 0)))
     for name, check in verify.CHECKS if name in (
