@@ -119,6 +119,15 @@ def _json_records(columns, rows, depth: int) -> str:
         + pad + "}" for row in rows)
 
 
+def _check_rows(ns, columns) -> None:
+    """Refuse a table of a row per value of ``ns`` over the output budget.
+    A ``range`` is counted from its ends: ``len`` fails past sys.maxsize
+    values."""
+    count = ((ns[-1] - ns[0]) // ns.step + 1 if isinstance(ns, range)
+             else len(ns))
+    check_budget(count * len(columns) * _CELL_BYTES, f"the {count} rows")
+
+
 def _table(args, columns, ns, rows) -> None:
     """Emit the table whose rows ``rows(ns)`` yields, a tuple of
     ``columns`` values for each value of ``ns``: CSV, or the text of
@@ -129,7 +138,7 @@ def _table(args, columns, ns, rows) -> None:
     rendered to its line or record as it is computed and then dropped, and
     the text is printed or written only after the last row, so a failed
     run prints nothing."""
-    check_budget(len(ns) * len(columns) * _CELL_BYTES, f"the {len(ns)} rows")
+    _check_rows(ns, columns)
     if args.format == "csv":
         return _emit(to_csv(columns, rows(ns)), args.out)
     _emit("[\n" + _json_records(columns, rows(ns), 1) + "\n]\n", args.out)
@@ -243,7 +252,7 @@ def _cmd_lower(args) -> int:
 def _cmd_sweep(args) -> int:
     ns = parse_n_values(args.n)
     columns = [f.name for f in fields(BoundReport)]
-    check_budget(len(ns) * len(columns) * _CELL_BYTES, f"the {len(ns)} rows")
+    _check_rows(ns, columns)
     reports = bound_sweep(args.r, ns)
     # The rate fit needs 3 reports, and a CSV sweep without --summary may
     # have fewer: it fits nothing.

@@ -325,34 +325,23 @@ def _compositions(trials: int, m: int) -> np.ndarray:
     :func:`enumeration_fits`, which every caller has passed.
 
     Rows are ordered by the last part, then by the part before it, and so on
-    (the order of the NEXCOM successor algorithm): the compositions of t
-    into j parts are the blocks [compositions of t - last into j - 1 parts,
-    last] for last = 0, ..., t.  Built one column at a time, from the last:
-    each choice of parts k..m-1 is repeated once per composition of what is
-    left into the k parts before it, and part 0 takes what is left.
+    (the order of the NEXCOM successor algorithm, Nijenhuis & Wilf,
+    *Combinatorial Algorithms*, 1978), which is a block recursion: the
+    compositions of t into j + 1 parts are the blocks [compositions of
+    t - v into j parts, v] for v = 0, ..., t.  Built by it, a level a part:
+    level j holds the compositions into j parts of t = trials, ..., 0 in
+    turn, so the blocks of t are its last n_compositions(t, j + 1) rows.
+    The last level builds t = trials only, and m = 1 is level 1's first
+    row.
     """
-    out = np.empty((n_compositions(trials, m), m), dtype=np.uint8)
-    used = np.zeros(1, dtype=np.uint8)
-    for k in range(m - 1, 0, -1):
-        width = trials + 1 - used  # part k takes 0, ..., trials - used
-        # The ramp 0, 1, ..., width - 1 of each choice, as a cumsum of
-        # steps of 1 that drop back to 0 where a choice starts.  The sums
-        # wrap around in the table's type, exactly, since each is below
-        # trials + 1.
-        part = np.ones(int(width.sum(dtype=np.int64)), dtype=np.uint8)
-        part[0] = 0
-        part[np.cumsum(width[:-1], dtype=np.int64)] = 1 - width[:-1]
-        np.cumsum(part, dtype=np.uint8, out=part)
-        used = np.repeat(used, width) + part
-        if k > 1:
-            # Rows per choice: the compositions of trials - used into k
-            # parts.
-            below = np.array([n_compositions(s, k)
-                              for s in range(trials + 1)])
-            part = np.repeat(part, below[trials - used])
-        out[:, k] = part
-    out[:, 0] = trials - used
-    return out
+    level = np.arange(trials, -1, -1, dtype=np.uint8)[:, None]
+    for j in range(1, m):
+        level = np.concatenate([np.column_stack((
+            level[-n_compositions(t, j + 1):],
+            np.repeat(np.arange(t + 1, dtype=np.uint8),
+                      [n_compositions(t - v, j) for v in range(t + 1)])))
+            for t in ([trials] if j == m - 1 else range(trials, -1, -1))])
+    return level[:n_compositions(trials, m)]
 
 
 def _check_fits(trials: int, m: int) -> None:
@@ -381,8 +370,9 @@ def multinomial_enumerate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All count vectors of Mult(trials, weights) with their probabilities.
 
-    Returns ``(counts, probs)`` where ``counts`` has one composition per row
-    (:func:`_compositions`; uint8, as the guard admits at most 254 trials).
+    Returns ``(counts, probs)`` where ``counts`` has one composition per row,
+    in the NEXCOM order of :func:`_compositions`'s block recursion (uint8,
+    as the guard admits at most 254 trials).
     Probabilities sum to 1 within 1e-10; they are evaluated in blocks of
     rows, each row by :func:`multinomial_logpmf`'s arithmetic.  Raises
     ValueError, before allocating, when Mult(trials) fails
@@ -447,17 +437,17 @@ def _composition_classes(trials: Sequence[int], m: int
     in the row order of :func:`_compositions`.  No table of counts is
     built.
 
-    By the block recursion of :func:`_compositions`, the class column of
-    Mult(t) over j cells is the concatenation over v = 0, ..., t of
-    add_v[the class column of Mult(t - v) over j - 1 cells], where add_v
-    takes a partition to that partition with a part v added; a row of
-    j - 1 < m cells has a zero part, which v takes.  The tables run over
-    the partitions of 0, ..., max(trials), 67 of them for the witness's
-    Mult(8).  Each level j < m holds the columns of every t up to
-    max(trials), and the last one those of ``trials``, so one pass names
-    them all, a table lookup an entry: 778 429 entries, a byte each, for
-    Mult(7) and Mult(8) over 14 cells, 281 010 of them in the two columns
-    returned.
+    It runs the levels of :func:`_compositions`'s block recursion with a
+    class index in place of each row: the class column of Mult(t) over
+    j + 1 cells is the concatenation over v = 0, ..., t of add_v[the class
+    column of Mult(t - v) over j cells], where add_v takes a partition to
+    that partition with a part v added; a row of j < m cells has a zero
+    part, which v takes.  The tables run over the partitions of 0, ...,
+    max(trials), 67 of them for the witness's Mult(8).  Each level j < m
+    holds the columns of every t up to max(trials), and the last one those
+    of ``trials``, so one pass names them all, a table lookup an entry:
+    778 429 entries, a byte each, for Mult(7) and Mult(8) over 14 cells,
+    281 010 of them in the two columns returned.
     """
     top = max(trials)
     parts = [_partitions(s, m) for s in range(top + 1)]

@@ -82,7 +82,8 @@ def rate_fit(points: Sequence[tuple[int, float]]) -> RateFit:
 
     Regressing against n+1 rather than n matches the closed forms and
     removes small-n curvature.  Requires >= 3 points, each with n >= 0 and
-    a finite positive value.
+    a finite positive value, at two distinct n at least: at one n the slope
+    is not determined.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -94,6 +95,8 @@ def rate_fit(points: Sequence[tuple[int, float]]) -> RateFit:
         raise ValueError("values must be finite and positive")
     if not np.all((ns >= 0.0) & (ns < math.inf)):
         raise ValueError("requires every n >= 0")
+    if ns.min() == ns.max():
+        raise ValueError("requires two distinct n")
     x = np.log(ns + 1.0)
     y = np.log(vals)
     design = np.column_stack([x, np.ones_like(x)])

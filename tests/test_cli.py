@@ -537,6 +537,11 @@ class TestExitCodes:
         ["lower", "cube", "--r", "2", "--n", "1099511627776"],
         ["sweep", "--r", "2", "--n", "4:1099511627776:x2"],
         ["sweep", "--r", "2", "--n", "1:30000000"],
+        # Ranges longer than sys.maxsize, which len() cannot count.
+        ["sweep", "--r", "2", "--n", "1:99999999999999999999"],
+        ["lower", "cube", "--r", "2", "--n", "1:99999999999999999999"],
+        ["lower", "risks", "--r", "2", "--n", "1:99999999999999999999"],
+        ["upper", "bound", "--r", "2", "--n", "1:99999999999999999999:3"],
     ])
     def test_output_budget_exits_one_in_one_line(self, capsys, argv):
         assert main(argv) == 1

@@ -602,13 +602,30 @@ class TestMultinomial:
 
     @pytest.mark.parametrize("trials, dtype", [
         (200, np.uint8), (254, np.uint8)])
-    def test_ramps_wrap_exactly_in_the_count_type(self, trials, dtype):
-        # The parts are built as cumsums that wrap around in the table's
-        # type; every value is below trials + 1, so the wrap is exact.
+    def test_compositions_match_nexcom_order_near_the_trial_cap(
+            self, trials, dtype):
         for m in (2, 3):
             got = _compositions(trials, m)
             assert got.dtype == dtype
             assert np.array_equal(got, nexcom_compositions(trials, m))
+
+    @pytest.mark.parametrize("trials, m", [
+        (1, 2895), (2, 250), (8, 16), (254, 2), (0, 5)])
+    def test_compositions_at_admitted_edge_shapes(self, trials, m):
+        # Admitted edge shapes, most too large for the NEXCOM loop.
+        # n_compositions(trials, m) rows that each sum to trials, strictly
+        # increasing read from the last part, are every composition once in
+        # NEXCOM order: no other table passes.
+        assert enumeration_fits(trials, m)
+        got = _compositions(trials, m)
+        assert got.dtype == np.uint8
+        assert got.shape == (n_compositions(trials, m), m)
+        assert np.all(got.sum(axis=1, dtype=np.int64) == trials)
+        # The last part where each row differs from the row before (part
+        # m - 1 for an equal row, which the check then fails).
+        last = m - 1 - np.argmax((got[1:] != got[:-1])[:, ::-1], axis=1)
+        rows = np.arange(last.size)
+        assert np.all(got[1:][rows, last] > got[:-1][rows, last])
 
     @pytest.mark.parametrize("block", [None, 7, 64])
     @pytest.mark.parametrize("trials, w", [

@@ -61,6 +61,13 @@ class TestRateFit:
             with pytest.raises(ValueError, match="n >= 0"):
                 rate_fit([(n, 1.0), (2, 0.5), (3, 0.25)])
 
+    def test_rejects_a_single_n(self):
+        # The design is rank deficient: lstsq would return its minimum-norm
+        # slope, 0.2796 here, as the exponent.
+        with pytest.raises(ValueError, match="two distinct n"):
+            rate_fit([(1, 1.0), (1, 2.0), (1, 3.0)])
+        assert rate_fit([(1, 1.0), (1, 2.0), (3, 3.0)]).n_range == (1, 3)
+
 
 class TestBoundSweep:
     def test_first_report_values(self):

@@ -3,12 +3,12 @@
 
 Runs each call of ``CALLS`` as ``python3 -m obsvalue ARG...``, once with
 this checkout's ``src`` on PYTHONPATH and once with OTHER_CHECKOUT's, each
-run in a fresh temporary directory that holds the step densities of
-``DENSITIES``.  Compares the exit codes, stdout, stderr and the files that
-``--out`` and ``--summary`` name; prints ``same`` or ``DIFF`` for each
-call, with the first differing line of each differing output, and exits 1
-if any call differs.  A copy of the parent commit to compare against:
-``mkdir DIR && git archive HEAD | tar -x -C DIR``."""
+run in a fresh temporary directory that holds the step densities and the
+hypercube spec of ``DENSITIES``.  Compares the exit codes, stdout, stderr
+and the files that ``--out`` and ``--summary`` name; prints ``same`` or
+``DIFF`` for each call, with the first differing line of each differing
+output, and exits 1 if any call differs.  A copy of the parent commit to
+compare against: ``mkdir DIR && git archive HEAD | tar -x -C DIR``."""
 import itertools
 import os
 import subprocess
@@ -20,6 +20,7 @@ DENSITIES = {
     "a.json": '{"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0], '
               '"values": [1.75, 0.25, 0.25, 1.75]}',
     "b.json": '{"breakpoints": [0.0, 0.5, 1.0], "values": [0.5, 1.5]}',
+    "spec.json": '{"r": 1.5, "m": 6, "bits": [1, 0, 1, 1, 0, 0]}',
 }
 CALLS = [
     "sweep --r 2 --n 4:1024:x2",
@@ -34,6 +35,7 @@ CALLS = [
     "lower cube --r 1.5 --n 7:8 --format json",
     "lower cube --r 2 --n 1048576",
     "lower risks --r 2 --n 64 --format json",
+    "lower risks --r 1.5 --n 1:200",
     "lower mixedpbin --r 2 --n 8 --m 16",
     "lower mixedpbin --r 2 --n 16 --m 16",
     "lower mixedpbin --r 2 --n 9 --m 16",
@@ -45,11 +47,18 @@ CALLS = [
     "lower mixedpbin --r 2 --n 190:200 --m 4",
     "upper mad --r 2 --n 1:64:x2 --mc 100000 --seed 1 --format json",
     "upper mad --r 2 --n 131072 --mc 20000 --seed 1",
+    "upper bound --r 2 --n 1:4096:x2",
+    "upper bound --r 1.5 --n 1:40 --format json",
+    "upper floor --r 2 --n 1:4096:x2",
+    "upper floor --r 4 --n 3:9:2 --format json --out floor.json",
+    "upper chi2 --r 2",
+    "upper chi2 --r 16",
     "pbin pmf 0.1 0.2 0.3",
     "pbin survival 0.1 0.2 0.3 0.4 --l 2",
     "pbin shift 0.5 --p 0.8 --p2 0.3 --l 1",
     "pbin --help",
     "experiment build --r 2 --bits 0101 --out density.json",
+    "experiment build --spec-file spec.json",
     "experiment sample --density a.json --n 1000 --seed 7",
     "experiment sample --density a.json --n 100 --seed 7 --format json",
     "experiment tv --density a.json --density2 b.json",
